@@ -131,6 +131,22 @@ def sim_key(task, schema_version: Optional[int] = None) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
 
 
+def _read_record(path: str, field: str) -> Optional[dict]:
+    """The ``field`` object of the cache entry at ``path``, if it has one.
+
+    None when the file is missing, unreadable or not JSON, and also when
+    it is well-formed JSON of the wrong shape (a foreign or hand-edited
+    file).  Callers count every None as a miss; the recomputed result's
+    ``put`` then overwrites the file.
+    """
+    try:
+        with open(path) as f:
+            record = json.load(f)[field]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 class MeasurementCache:
     """Directory of ``<content-key>.json`` measurement records.
 
@@ -147,21 +163,20 @@ class MeasurementCache:
         return os.path.join(self.directory, cache_key(cell) + ".json")
 
     def get(self, cell: MeasureCell) -> Optional[Measurement]:
-        path = self._path(cell)
-        try:
-            with open(path) as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
+        record = _read_record(self._path(cell), "measurement")
+        # A caller that wants phase attribution re-executes a record that
+        # predates it (or was produced unprofiled).  The refreshed record
+        # overwrites this one, counters byte-identical.
+        if record is None or (profiling_enabled() and "phases" not in record):
             self.misses += 1
             return None
-        if profiling_enabled() and "phases" not in entry["measurement"]:
-            # The caller wants phase attribution but this record predates
-            # it (or was produced unprofiled): re-execute.  The refreshed
-            # record overwrites this one, counters byte-identical.
-            self.misses += 1
+        try:
+            measurement = measurement_from_record(record)
+        except (KeyError, TypeError, ValueError, AttributeError):
+            self.misses += 1  # wrong-shaped record: recompute, overwrite
             return None
         self.hits += 1
-        return measurement_from_record(entry["measurement"])
+        return measurement
 
     def put(self, cell: MeasureCell, measurement: Measurement) -> None:
         os.makedirs(self.directory, exist_ok=True)
@@ -221,14 +236,12 @@ class SimResultCache:
         return os.path.join(self.directory, sim_key(task) + ".json")
 
     def get(self, task) -> Optional[dict]:
-        try:
-            with open(self._path(task)) as f:
-                entry = json.load(f)
-        except (OSError, ValueError):
+        record = _read_record(self._path(task), "result")
+        if record is None:
             self.misses += 1
             return None
         self.hits += 1
-        return entry["result"]
+        return record
 
     def put(self, task, result: dict) -> None:
         os.makedirs(self.directory, exist_ok=True)

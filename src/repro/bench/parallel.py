@@ -161,12 +161,16 @@ def run_cells(
             results = pool.map(_execute_cell, pending)
         # zip over `pending` order (pool.map preserves it): executed
         # results, injected worker spans, and worker_cells tuples land in
-        # deterministic dispatch order, never completion order.
+        # deterministic dispatch order, never completion order.  Each
+        # result is cached as soon as it arrives, so an interrupt or a
+        # raising cell keeps every measurement finished before it.
         with_pool = jobs > 1 and len(pending) > 1
         try:
             for cell, (m, seconds, wpid, spans) in zip(pending, results):
                 executed[cell] = (m, seconds, wpid)
                 obs_spans.inject(spans)
+                if cache is not None:
+                    cache.put(cell, m)
         finally:
             if with_pool:
                 pool.shutdown()
@@ -182,8 +186,6 @@ def run_cells(
                 (wpid, cell_label(cell), int(seconds * 1e9), False)
             )
             cell_hist.observe(int(seconds * 1e9))
-            if cache is not None:
-                cache.put(cell, m)
             resolved[cell] = m
         memo.setdefault(cell, resolved[cell])
 

@@ -8,6 +8,7 @@ in-memory footprint of a structure is exactly the sum of its allocations.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
@@ -30,6 +31,33 @@ class AddressSpace:
         self._next = base + nbytes
         self.allocations.append((name, base, nbytes))
         return base
+
+    def alloc_many(
+        self, sizes: Sequence[int], names: Sequence[str], align: int = _ALIGN
+    ) -> List[int]:
+        """Reserve one block per entry of ``sizes``, in order.
+
+        Equivalent to ``[alloc(s, n, align) for s, n in zip(sizes, names)]``
+        -- same bases, same :attr:`allocations` log, same next address --
+        but done in one vectorized bump: every base after the first is
+        aligned, so each next base is the previous one plus its size
+        rounded up to ``align``.  Nothing is reserved if any size is
+        negative.
+        """
+        if len(sizes) != len(names):
+            raise ValueError("sizes and names differ in length")
+        if not len(sizes):
+            return []
+        steps = np.asarray(sizes, dtype=np.int64)
+        if steps.min() < 0:
+            raise ValueError("nbytes must be non-negative")
+        nbytes = steps.tolist()
+        steps = -(-steps // align) * align
+        first = -(-self._next // align) * align
+        bases = list(accumulate(steps[:-1].tolist(), initial=first))
+        self._next = bases[-1] + nbytes[-1]
+        self.allocations.extend(zip(names, bases, nbytes))
+        return bases
 
     def total_allocated(self) -> int:
         return sum(nbytes for _, _, nbytes in self.allocations)

@@ -6,6 +6,20 @@ and lazy expansion (single-key subtrees become leaves immediately).  Keys
 are indexed big-endian, one byte per level; 32-bit data gives a 4-level
 trie (the tree-structure gain in the paper's Figure 10).
 
+Construction is a single pass over the sorted samples.  One numpy
+comparison gives the byte-LCP (length of the common leading bytes) of
+every pair of adjacent samples; the LCP of any two samples is the minimum
+of the adjacent LCPs between them, so a node that splits at byte ``d``
+owns a maximal run of samples whose adjacent LCPs are all ``>= d``.  A
+stack of open nodes turns the LCP sequence into the path-compressed trie,
+closing nodes in post-order, and one aligned bump
+(:meth:`AddressSpace.alloc_many`) then gives every leaf and node its
+address.  The trie is stored flat, without a Python object per node:
+internal nodes are indexes into per-node lists (prefix, kind, address,
+child range) whose children live in two shared arrays (child ids, child
+bytes); leaf ``j`` is the id ``~j``, with its key and address in
+per-sample lists.
+
 Lookups are *predecessor* searches (largest sampled key <= lookup key):
 the descent tracks the byte-wise comparison exactly, and on divergence
 either finishes at the current subtree's rightmost leaf (when the lookup
@@ -17,6 +31,7 @@ pointer read, with node memory footprints from the ART paper.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import List, Optional
 
 import numpy as np
@@ -39,34 +54,14 @@ _KINDS = (
 _LEAF_BYTES = 16  # full key + sampled index
 
 
-class _Node:
-    __slots__ = (
-        "prefix",
-        "child_bytes",
-        "children",
-        "addr",
-        "is_leaf",
-        "leaf_idx",
-        "leaf_key",
-        "kind_cap",
-    )
-
-    def __init__(self):
-        self.prefix: bytes = b""
-        self.child_bytes: List[int] = []
-        self.children: List["_Node"] = []
-        self.addr = 0
-        self.is_leaf = False
-        self.leaf_idx = -1
-        self.leaf_key = 0
-        self.kind_cap = 4
-
-
 def _kind_for(n_children: int):
     for cap, size in _KINDS:
         if n_children <= cap:
             return cap, size
     raise AssertionError("more than 256 children is impossible")
+
+
+_CAP_BY_COUNT = [0] + [_kind_for(c)[0] for c in range(1, 257)]
 
 
 @register_index
@@ -92,11 +87,22 @@ class ARTIndex(SampledIndex):
         if sampling not in ("uniform", "adaptive"):
             raise ValueError("sampling must be 'uniform' or 'adaptive'")
         self.sampling = sampling
-        self._root: Optional[_Node] = None
         self._width = 8
         #: Data position of each sample (adaptive mode; uniform derives
         #: positions as j * gap).
         self._sample_pos: Optional[List[int]] = None
+        # Flat trie.  Node ids >= 0 index the per-node lists; leaf j is ~j.
+        self._root = 0
+        self._prefix: List[bytes] = []
+        self._cap: List[int] = []
+        self._node_addr: List[int] = []
+        #: Node i's children are _child_ids/_child_bytes[_first_child[i]:
+        #: _first_child[i + 1]], in increasing byte order.
+        self._first_child: List[int] = [0]
+        self._child_ids: List[int] = []
+        self._child_bytes = b""
+        self._leaf_key: List[int] = []
+        self._leaf_addr: List[int] = []
 
     # -- construction -----------------------------------------------------
 
@@ -116,23 +122,95 @@ class ARTIndex(SampledIndex):
                 return keys[starts], starts
         raise AssertionError("unreachable")
 
-    def _build(self, data: TracedArray, space: AddressSpace) -> None:
+    def _samples(self, data: TracedArray) -> np.ndarray:
+        """The keys the trie holds; sets the sample count and key width."""
         if self.sampling == "adaptive" and self.gap > 1:
             samples, positions = self._adaptive_samples(data)
-            self._sample_pos = [int(p) for p in positions]
+            self._sample_pos = positions.tolist()
         else:
             samples = sample_keys(data, self.gap)
             self._sample_pos = None
         self._n_samples = len(samples)
         self._width = samples.dtype.itemsize
+        return samples
+
+    def _build(self, data: TracedArray, space: AddressSpace) -> None:
+        samples = self._samples(data)
         # Big-endian byte matrix: column d is the d-th most significant byte.
         key_bytes = (
             samples.astype(f">u{self._width}")
             .view(np.uint8)
             .reshape(len(samples), self._width)
         )
-        keys_py = [int(k) for k in samples]
-        self._root = self._build_node(key_bytes, keys_py, 0, len(keys_py), 0, space)
+        self._leaf_key = samples.tolist()
+        self._build_trie(key_bytes, space)
+
+    def _build_trie(self, kb: np.ndarray, space: AddressSpace) -> None:
+        """Build the trie in one pass over the adjacent-sample LCPs.
+
+        Open nodes sit on a stack with strictly increasing split depths.
+        Leaf ``i`` is attached, then every open node deeper than the LCP
+        of samples ``i`` and ``i + 1`` closes (it has all its children),
+        and the finished subtree joins the open node at that LCP, or opens
+        one there.  Nodes thus close in post-order, the order a recursive
+        builder allocates them in, and their sizes are collected in that
+        order for one :meth:`AddressSpace.alloc_many`.
+        """
+        n, width = kb.shape
+        # Sorted unique keys: each adjacent pair differs somewhere.
+        lcp = (kb[1:] != kb[:-1]).argmax(axis=1).tolist()
+        lcp.append(-1)  # closes every open node after the last leaf
+        buf = kb.tobytes()
+        prefix, caps, first_child = [], [], [0]
+        child_ids: List[int] = []
+        child_bytes = bytearray()
+        leaves_before: List[int] = []  # leaves allocated before each node
+        stack = []  # open nodes: [split depth, first sample, ids, bytes]
+        for i in range(n):
+            cur, first = ~i, i  # finished subtree and its first sample
+            lo = lcp[i]
+            while stack and stack[-1][0] > lo:
+                d, node_first, ids, cbytes = stack.pop()
+                ids.append(cur)
+                cbytes.append(buf[first * width + d])
+                # The parent splits at the next open depth or at `lo`.
+                depth = (max(stack[-1][0], lo) if stack else lo) + 1
+                row = node_first * width
+                cur, first = len(caps), node_first
+                prefix.append(buf[row + depth : row + d])
+                caps.append(_CAP_BY_COUNT[len(ids)])
+                child_ids += ids
+                child_bytes.extend(cbytes)
+                first_child.append(len(child_ids))
+                leaves_before.append(i + 1)
+            if stack and stack[-1][0] == lo:
+                stack[-1][2].append(cur)
+                stack[-1][3].append(buf[first * width + lo])
+            elif lo >= 0:
+                stack.append([lo, first, [cur], [buf[first * width + lo]]])
+
+        # Post-order: leaf i, then the nodes that close right after it.
+        m = len(caps)
+        node_pos = np.asarray(leaves_before, dtype=np.int64) + np.arange(m)
+        sizes = np.full(n + m, _LEAF_BYTES, dtype=np.int64)
+        names = np.full(n + m, "art.leaf", dtype=object)
+        cap_arr = np.asarray(caps)
+        for cap, size in _KINDS:
+            of_kind = node_pos[cap_arr == cap]
+            sizes[of_kind] = size
+            names[of_kind] = f"art.node{cap}"
+        bases = np.asarray(space.alloc_many(sizes, names))
+        self._register_bytes(int(sizes.sum()))
+        is_leaf = np.ones(n + m, dtype=bool)
+        is_leaf[node_pos] = False
+        self._root = cur
+        self._prefix = prefix
+        self._cap = caps
+        self._node_addr = bases[node_pos].tolist()
+        self._first_child = first_child
+        self._child_ids = child_ids
+        self._child_bytes = bytes(child_bytes)
+        self._leaf_addr = bases[is_leaf].tolist()
 
     def lookup(self, key, tracer=None):
         from repro.core.bounds import SearchBound
@@ -154,83 +232,44 @@ class ARTIndex(SampledIndex):
         )
         return SearchBound(lo, min(hi, n) + 1)
 
-    def _build_node(
-        self,
-        kb: np.ndarray,
-        keys: List[int],
-        lo: int,
-        hi: int,
-        depth: int,
-        space: AddressSpace,
-    ) -> _Node:
-        node = _Node()
-        if hi - lo == 1:
-            node.is_leaf = True
-            node.leaf_idx = lo
-            node.leaf_key = keys[lo]
-            node.addr = space.alloc(_LEAF_BYTES, name="art.leaf")
-            self._register_bytes(_LEAF_BYTES)
-            return node
-
-        # Path compression: the group's common prefix beyond `depth` (the
-        # group is sorted, so comparing first and last suffices).
-        first, last = kb[lo], kb[hi - 1]
-        d = depth
-        while d < self._width and first[d] == last[d]:
-            d += 1
-        node.prefix = bytes(first[depth:d])
-
-        # Split children by the byte at position d (sorted within group).
-        col = kb[lo:hi, d]
-        split_bytes, starts = np.unique(col, return_index=True)
-        bounds = list(starts) + [hi - lo]
-        for i, byte in enumerate(split_bytes):
-            child = self._build_node(
-                kb, keys, lo + bounds[i], lo + bounds[i + 1], d + 1, space
-            )
-            node.child_bytes.append(int(byte))
-            node.children.append(child)
-
-        cap, size = _kind_for(len(node.children))
-        node.kind_cap = cap
-        node.addr = space.alloc(size, name=f"art.node{cap}")
-        self._register_bytes(size)
-        return node
-
     # -- lookup ------------------------------------------------------------
 
-    def _visit_cost(self, node: _Node, tracer: Tracer) -> None:
+    def _visit_cost(self, node: int, tracer: Tracer) -> None:
         """Charge header + prefix read and the child-array search."""
-        tracer.read(node.addr, _HEADER)
-        tracer.instr(3 + len(node.prefix))
-        if node.is_leaf:
+        if node < 0:
+            tracer.read(self._leaf_addr[~node], _HEADER)
+            tracer.instr(3)
             return
-        cap = node.kind_cap
+        addr = self._node_addr[node]
+        tracer.read(addr, _HEADER)
+        tracer.instr(3 + len(self._prefix[node]))
+        cap = self._cap[node]
         if cap == 4:
-            tracer.read(node.addr + _HEADER, 4)
+            tracer.read(addr + _HEADER, 4)
             tracer.instr(4)
         elif cap == 16:
-            tracer.read(node.addr + _HEADER, 16)
+            tracer.read(addr + _HEADER, 16)
             tracer.instr(3)  # SIMD compare + movemask + ctz
         elif cap == 48:
-            tracer.read(node.addr + _HEADER, 1)
+            tracer.read(addr + _HEADER, 1)
             tracer.instr(2)
         else:
             tracer.instr(1)
 
-    def _child_read(self, node: _Node, slot: int, tracer: Tracer) -> None:
-        offset = _HEADER + (0 if node.kind_cap == 256 else node.kind_cap)
-        tracer.read(node.addr + offset + slot * 8, 8)
+    def _child_read(self, node: int, slot: int, tracer: Tracer) -> None:
+        cap = self._cap[node]
+        offset = _HEADER + (0 if cap == 256 else cap)
+        tracer.read(self._node_addr[node] + offset + slot * 8, 8)
 
-    def _rightmost_leaf(self, node: _Node, tracer: Tracer) -> int:
+    def _rightmost_leaf(self, node: int, tracer: Tracer) -> int:
         """Sampled index of the subtree's largest key (walks right spine)."""
-        while not node.is_leaf:
+        while node >= 0:
             self._visit_cost(node, tracer)
-            slot = len(node.children) - 1
-            self._child_read(node, slot, tracer)
-            node = node.children[slot]
-        tracer.read(node.addr, _LEAF_BYTES)
-        return node.leaf_idx
+            last = self._first_child[node + 1] - 1
+            self._child_read(node, last - self._first_child[node], tracer)
+            node = self._child_ids[last]
+        tracer.read(self._leaf_addr[~node], _LEAF_BYTES)
+        return ~node
 
     def _predecessor(self, key: int, tracer: Tracer) -> int:
         if key < 0:
@@ -239,13 +278,22 @@ class ARTIndex(SampledIndex):
         if kb is None:
             # Larger than any storable key: predecessor is the global max.
             return self._rightmost_leaf(self._root, tracer)
+        child_ids, child_bytes = self._child_ids, self._child_bytes
         node = self._root
         depth = 0
-        best: Optional[_Node] = None  # largest smaller sibling passed
+        best: Optional[int] = None  # largest smaller sibling passed
         while True:
             self._visit_cost(node, tracer)
+            if node < 0:
+                j = ~node
+                tracer.read(self._leaf_addr[j], _LEAF_BYTES)
+                tracer.branch("art.leafcmp", key >= self._leaf_key[j])
+                if key >= self._leaf_key[j]:
+                    return j
+                return self._rightmost_leaf(best, tracer) if best is not None else -1
+
             # Prefix comparison (path compression).
-            prefix = node.prefix if not node.is_leaf else b""
+            prefix = self._prefix[node]
             for i, pb in enumerate(prefix):
                 cb = kb[depth + i]
                 if cb == pb:
@@ -253,35 +301,22 @@ class ARTIndex(SampledIndex):
                 tracer.branch("art.prefix", True)
                 if cb > pb:
                     return self._rightmost_leaf(node, tracer)
-                return self._rightmost_leaf(best, tracer) if best else -1
+                return self._rightmost_leaf(best, tracer) if best is not None else -1
             depth += len(prefix)
 
-            if node.is_leaf:
-                tracer.read(node.addr, _LEAF_BYTES)
-                tracer.branch("art.leafcmp", key >= node.leaf_key)
-                if key >= node.leaf_key:
-                    return node.leaf_idx
-                return self._rightmost_leaf(best, tracer) if best else -1
-
-            b = kb[depth]
             # Child slot search (cost charged in _visit_cost).
-            slot = -1
-            smaller = -1
-            for i, cb in enumerate(node.child_bytes):
-                if cb == b:
-                    slot = i
-                elif cb < b:
-                    smaller = i
-                else:
-                    break
-            if smaller >= 0:
-                best = node.children[smaller]
-            tracer.branch("art.childhit", slot >= 0)
-            if slot < 0:
-                if smaller >= 0:
-                    self._child_read(node, smaller, tracer)
-                    return self._rightmost_leaf(node.children[smaller], tracer)
-                return self._rightmost_leaf(best, tracer) if best else -1
-            self._child_read(node, slot, tracer)
-            node = node.children[slot]
+            b = kb[depth]
+            start, end = self._first_child[node], self._first_child[node + 1]
+            i = bisect_left(child_bytes, b, start, end)
+            hit = i < end and child_bytes[i] == b
+            if i > start:
+                best = child_ids[i - 1]
+            tracer.branch("art.childhit", hit)
+            if not hit:
+                if i > start:
+                    self._child_read(node, i - 1 - start, tracer)
+                    return self._rightmost_leaf(child_ids[i - 1], tracer)
+                return self._rightmost_leaf(best, tracer) if best is not None else -1
+            self._child_read(node, i - start, tracer)
+            node = child_ids[i]
             depth += 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.bench import cache as cache_mod
 from repro.bench.cache import (
     MeasurementCache,
+    SimResultCache,
     cache_key,
     measurement_from_record,
     measurement_to_record,
@@ -213,3 +214,57 @@ class TestMeasurementCache:
         cache = MeasurementCache(str(tmp_path / "nope"))
         assert len(cache) == 0
         assert cache.get(make_cell()) is None
+
+
+#: Well-formed JSON of the wrong shape for either cache's entries.
+FOREIGN_ENTRIES = [
+    {"hello": "world"},
+    [1, 2, 3],
+    "just a string",
+    None,
+    {"measurement": None, "result": None},
+    {"measurement": [1], "result": [1]},
+    {"measurement": {"index": "RMI"}, "result": "done"},
+]
+
+
+class TestWrongShapedRecords:
+    """Foreign JSON at a record's path is a miss, overwritten by put."""
+
+    @pytest.mark.parametrize("entry", FOREIGN_ENTRIES)
+    def test_measurement_cache(self, tmp_path, entry):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, m = make_cell(), make_measurement()
+        cache.put(cell, m)
+        with open(cache._path(cell), "w") as f:
+            json.dump(entry, f)
+        assert cache.get(cell) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(cell, m)
+        assert cache.get(cell) == m
+
+    def test_measurement_with_unknown_field_is_a_miss(self, tmp_path):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, m = make_cell(), make_measurement()
+        record = dict(measurement_to_record(m), surprise=1)
+        cache.put(cell, m)
+        with open(cache._path(cell), "w") as f:
+            json.dump({"measurement": record}, f)
+        assert cache.get(cell) is None
+        assert cache.misses == 1
+
+    @pytest.mark.parametrize("entry", FOREIGN_ENTRIES)
+    def test_sim_result_cache(self, tmp_path, entry):
+        class Task:
+            def key_fields(self):
+                return {"kind": "test", "n": 1}
+
+        cache = SimResultCache(str(tmp_path / "serving"))
+        task, result = Task(), {"p99_ns": 12.5}
+        cache.put(task, result)
+        with open(cache._path(task), "w") as f:
+            json.dump(entry, f)
+        assert cache.get(task) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        cache.put(task, result)
+        assert cache.get(task) == result

@@ -16,6 +16,7 @@ import json
 import pytest
 
 from repro.bench.cache import MeasurementCache, measurement_to_record
+from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments import common
 from repro.bench.parallel import resolve_jobs, run_cells
@@ -130,6 +131,30 @@ class TestCacheResume:
         _, stats = run_cells(grid, jobs=2, memo={}, cache=cache)
         assert stats.cache_hits == len(half)
         assert stats.executed == len(grid) - len(half)
+
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_cell_keeps_earlier_results(
+        self, grid, tmp_path, monkeypatch, jobs
+    ):
+        cache = MeasurementCache(str(tmp_path / "cache"))
+        k = len(grid) // 2
+        real_run = MeasureCell.run
+
+        def run(cell, *args, **kwargs):
+            if cell == grid[k]:
+                raise RuntimeError("cell failed")
+            return real_run(cell, *args, **kwargs)
+
+        monkeypatch.setattr(MeasureCell, "run", run)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            run_cells(grid, jobs=jobs, memo={}, cache=cache)
+        monkeypatch.undo()
+        assert len(cache) == k
+
+        _, stats = run_cells(grid, jobs=1, memo={}, cache=cache)
+        assert stats.cache_hits == k
+        assert stats.executed == len(grid) - k
 
 
 class TestRunnerPlumbing:
