@@ -32,16 +32,14 @@ class AddressSpace:
         self.allocations.append((name, base, nbytes))
         return base
 
-    def alloc_many(
-        self, sizes: Sequence[int], names: Sequence[str], align: int = _ALIGN
-    ) -> List[int]:
+    def alloc_many(self, sizes: Sequence[int], names: Sequence[str]) -> List[int]:
         """Reserve one block per entry of ``sizes``, in order.
 
-        Equivalent to ``[alloc(s, n, align) for s, n in zip(sizes, names)]``
-        -- same bases, same :attr:`allocations` log, same next address --
-        but done in one vectorized bump: every base after the first is
+        Equivalent to ``[alloc(s, n) for s, n in zip(sizes, names)]`` --
+        same bases, same :attr:`allocations` log, same next address -- but
+        done in one vectorized bump: every base after the first is
         aligned, so each next base is the previous one plus its size
-        rounded up to ``align``.  Nothing is reserved if any size is
+        rounded up to the alignment.  Nothing is reserved if any size is
         negative.
         """
         if len(sizes) != len(names):
@@ -52,8 +50,8 @@ class AddressSpace:
         if steps.min() < 0:
             raise ValueError("nbytes must be non-negative")
         nbytes = steps.tolist()
-        steps = -(-steps // align) * align
-        first = -(-self._next // align) * align
+        steps = -(-steps // _ALIGN) * _ALIGN
+        first = -(-self._next // _ALIGN) * _ALIGN
         bases = list(accumulate(steps[:-1].tolist(), initial=first))
         self._next = bases[-1] + nbytes[-1]
         self.allocations.extend(zip(names, bases, nbytes))

@@ -122,18 +122,17 @@ class TestAllocMany:
     @given(
         st.integers(0, 10_000),
         st.lists(st.integers(0, 5000), max_size=50),
-        st.sampled_from([1, 8, 16, 64, 4096]),
         st.integers(0, 3),
     )
     @settings(max_examples=200, deadline=None)
-    def test_equals_sequential_alloc(self, start, sizes, align, prior):
+    def test_equals_sequential_alloc(self, start, sizes, prior):
         names = [f"block{i % 3}" for i in range(len(sizes))]
         one_by_one, batched = AddressSpace(start), AddressSpace(start)
         for space in (one_by_one, batched):
             for k in range(prior):
                 space.alloc(7 * k + 3, name="prior")
-        expected = [one_by_one.alloc(s, n, align) for s, n in zip(sizes, names)]
-        assert batched.alloc_many(sizes, names, align) == expected
+        expected = [one_by_one.alloc(s, n) for s, n in zip(sizes, names)]
+        assert batched.alloc_many(sizes, names) == expected
         assert batched.allocations == one_by_one.allocations
         assert batched._next == one_by_one._next
         assert batched.total_allocated() == one_by_one.total_allocated()

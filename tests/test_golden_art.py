@@ -20,6 +20,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.bench.cells import MeasureCell, freeze_config
+from test_golden_regression import assert_matches_golden, cell_of
 
 HERE = os.path.dirname(__file__)
 GOLDEN_PATH = os.path.join(HERE, "data", "golden_art.json")
@@ -59,17 +60,8 @@ def record_of(cell: MeasureCell, m) -> dict:
     }
 
 
-def cell_of(record: dict) -> MeasureCell:
-    fields = {k: record[k] for k in MeasureCell.__dataclass_fields__}
-    return MeasureCell(**dict(fields, config=freeze_config(record["config"])))
-
-
-def _load():
-    with open(GOLDEN_PATH) as f:
-        return json.load(f)
-
-
-GOLDEN = _load() if os.path.exists(GOLDEN_PATH) else []
+with open(GOLDEN_PATH) as f:
+    GOLDEN = json.load(f)
 
 
 @pytest.mark.parametrize(
@@ -82,7 +74,7 @@ GOLDEN = _load() if os.path.exists(GOLDEN_PATH) else []
     ],
 )
 def test_art_cell_matches_golden(record):
-    assert record_of(cell_of(record), cell_of(record).run()) == record
+    assert_matches_golden(cell_of(record).run(), record)
 
 
 def test_golden_covers_the_sweep():
