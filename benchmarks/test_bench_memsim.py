@@ -1,7 +1,8 @@
-"""Memsim engine companion: wall-clock speed of the simulated CPU.
+"""Memsim companion: wall-clock speed of the simulated CPU.
 
 Distils the engine speedups into ``BENCH_memsim.json`` so CI can track
-the perf trajectory of the tentpole (fast engine + trace replay):
+the perf trajectory.  The reference engine, the oracle tests hold the
+others to, is built directly as an object:
 
 * ``hot_*`` — the memsim access microbenchmark: a sequential 8-byte
   scan of an L1-resident 16 KiB buffer (7 of 8 accesses re-touch the
@@ -14,9 +15,10 @@ the perf trajectory of the tentpole (fast engine + trace replay):
   branches and instr events in their natural proportions), in raw
   events/second on both engines.
 * ``cell_*`` — a representative fig7-style measurement cell end to
-  end: steady-state ``measure(..., replay=True)`` under each engine,
-  plus the pre-engine baseline (reference engine, no replay) that
-  ``cell_speedup`` is measured against.
+  end: steady-state ``measure`` on the product path (the batched path
+  for this RMI cell), the per-lookup loop with trace replay on the fast
+  engine and on the reference oracle, and the reference oracle without
+  replay that ``cell_speedup`` is measured against.
 
 Set ``BENCH_MEMSIM_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -31,7 +33,14 @@ import pytest
 
 from repro.bench.harness import build_index, measure
 from repro.datasets import make_dataset, make_workload
-from repro.memsim import PerfTracer, SiteInterner, TraceRecorder
+from repro.memsim import (
+    FastEngine,
+    PerfTracer,
+    ReferenceEngine,
+    SiteInterner,
+    TraceRecorder,
+    Tracer,
+)
 from repro.search.last_mile import SEARCH_FUNCTIONS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -59,10 +68,10 @@ def _write_bench_memsim_json():
             )
     if (
         "cell_ref_direct_cells_per_sec" in r
-        and "cell_fast_replay_cells_per_sec" in r
+        and "cell_product_cells_per_sec" in r
     ):
         r["cell_speedup"] = (
-            r["cell_fast_replay_cells_per_sec"]
+            r["cell_product_cells_per_sec"]
             / r["cell_ref_direct_cells_per_sec"]
         )
     path = os.environ.get("BENCH_MEMSIM_JSON") or os.path.join(
@@ -94,14 +103,18 @@ def _drive_percall(tracer):
     return tracer
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+#: The two per-event engines, keyed by their rate-name prefix.
+ENGINES = {"ref": ReferenceEngine, "fast": FastEngine}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_hot_access_percall(benchmark, engine):
-    tracer = PerfTracer(engine=engine)
+    tracer = PerfTracer(engine=ENGINES[engine]())
     benchmark(_drive_percall, tracer)
     assert tracer.counters.reads > 0
     if benchmark.stats is not None:
         ns = benchmark.stats.stats.mean / len(_HOT_ADDRS) * 1e9
-        _RATES[f"hot_{'ref' if engine == 'reference' else 'fast'}_percall_ns_per_access"] = ns
+        _RATES[f"hot_{engine}_percall_ns_per_access"] = ns
 
 
 def test_hot_access_fast_replay(benchmark):
@@ -110,7 +123,7 @@ def test_hot_access_fast_replay(benchmark):
     rec = TraceRecorder(sites=sites)
     _drive_percall(rec)
     trace = rec.finish()
-    tracer = PerfTracer(engine="fast", sites=sites)
+    tracer = PerfTracer(sites=sites)
     benchmark(tracer.replay, trace)
     assert tracer.counters.reads >= len(_HOT_ADDRS)
     if benchmark.stats is not None:
@@ -124,8 +137,9 @@ def test_hot_access_fast_replay(benchmark):
 # --------------------------------------------------------------------
 
 
-class _CountingTee:
-    """Forwarding tracer that counts raw (uncompressed) events."""
+class _CountingTee(Tracer):
+    """Forwarding tracer that counts raw (uncompressed) events (phase
+    markers are not events: the inherited no-op drops them)."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -157,15 +171,14 @@ def mixed_trace(amzn, workload):
     return tee.inner.finish(), sites, tee.n
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_mixed_trace_replay(benchmark, mixed_trace, engine):
     trace, sites, n_raw = mixed_trace
-    tracer = PerfTracer(engine=engine, sites=sites)
+    tracer = PerfTracer(engine=ENGINES[engine](sites=sites))
     benchmark(tracer.replay, trace)
     if benchmark.stats is not None:
         rate = n_raw / benchmark.stats.stats.mean
-        key = "ref" if engine == "reference" else "fast"
-        _RATES[f"mixed_{key}_replay_events_per_sec"] = rate
+        _RATES[f"mixed_{engine}_replay_events_per_sec"] = rate
 
 
 # --------------------------------------------------------------------
@@ -182,23 +195,23 @@ def cell_inputs():
     return ds, wl
 
 
-@pytest.mark.parametrize(
-    "engine,replay",
-    [("reference", False), ("reference", True), ("fast", True)],
-    ids=["ref-direct", "ref-replay", "fast-replay"],
-)
-def test_cell_steady_state(benchmark, cell_inputs, engine, replay):
+#: id -> (measure's engine argument, replay): None is the product path.
+_CELL_CASES = {
+    "ref_direct": (ReferenceEngine, False),
+    "ref_replay": (ReferenceEngine, True),
+    "fast_replay": (FastEngine, True),
+    "product": (None, False),
+}
+
+
+@pytest.mark.parametrize("case", _CELL_CASES)
+def test_cell_steady_state(benchmark, cell_inputs, case):
     """Steady-state measurement of one RMI/amzn cell (post-record)."""
+    engine, replay = _CELL_CASES[case]
     ds, wl = cell_inputs
     built = build_index(ds, "RMI", {"branching": 1024})
     measure(built, wl, engine=engine, replay=replay, **_CELL_KW)  # record
     m = benchmark(measure, built, wl, engine=engine, replay=replay, **_CELL_KW)
     assert m.latency_ns > 0
     if benchmark.stats is not None:
-        rate = 1.0 / benchmark.stats.stats.mean
-        key = {
-            ("reference", False): "cell_ref_direct_cells_per_sec",
-            ("reference", True): "cell_ref_replay_cells_per_sec",
-            ("fast", True): "cell_fast_replay_cells_per_sec",
-        }[(engine, replay)]
-        _RATES[key] = rate
+        _RATES[f"cell_{case}_cells_per_sec"] = 1.0 / benchmark.stats.stats.mean

@@ -8,7 +8,10 @@ PR 4 promise — *observability off by default is (near) free*:
   the inherited no-op on :class:`~repro.memsim.tracer.Tracer`.  We
   count how many such calls one representative fig7-style cell makes,
   benchmark the no-op itself, benchmark the cell, and assert the
-  estimated marker share of cell wall time stays under 2%.
+  estimated marker share of cell wall time stays under 2%.  The cell
+  runs the per-lookup loop on the fast engine, the path whose lookups
+  execute the markers (``measure`` would take the batched path for
+  RMI, which runs no index code and so no markers at all).
 * ``profile_on_*`` — informational: the same cell with ``profile=True``
   (PhaseTracer attribution + replay disabled), as a slowdown factor.
 * ``sink_*`` — ``JsonlSink`` span-record throughput.
@@ -32,6 +35,7 @@ import pytest
 
 from repro.bench.harness import build_index, measure
 from repro.datasets import make_dataset, make_workload
+from repro.memsim import FastEngine
 from repro.memsim.tracer import PerfTracer, Tracer
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -95,7 +99,7 @@ def _write_bench_obs_json():
 # The representative cell every number below is relative to.
 # --------------------------------------------------------------------
 
-_CELL_KW = dict(n_lookups=800, warmup=300, replay=False)
+_CELL_KW = dict(n_lookups=800, warmup=300, replay=False, engine=FastEngine)
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +273,7 @@ def test_serve_sim_plain(benchmark):
 
     service, arrivals = _sim_inputs()
     result = benchmark(
-        simulate_open_loop, service, arrivals, 2, engine="event"
+        simulate_open_loop, service, arrivals, 2
     )
     assert len(result.requests) == _SIM_N_REQUESTS
     assert result.telemetry is None
@@ -285,8 +289,7 @@ def test_serve_sim_telemetry_on(benchmark):
     service, arrivals = _sim_inputs()
     cfg = TelemetryConfig(window_ns=float(arrivals[-1]) / 12.0)
     result = benchmark(
-        simulate_open_loop, service, arrivals, 2, engine="event",
-        telemetry=cfg,
+        simulate_open_loop, service, arrivals, 2, telemetry=cfg,
     )
     assert result.telemetry is not None
     if benchmark.stats is not None:

@@ -5,13 +5,11 @@ headline rates into ``BENCH_serving.json`` so CI can track a perf
 trajectory for the serving subsystem:
 
 * ``cells_per_sec`` — full ext_serving measurement cells, end to end;
-* ``sim_events_per_sec`` / ``sim_events_per_sec_fast`` — discrete
-  events per second through each serving engine on the single-queue
-  open-loop microbench (the fast engine runs the vectorized Lindley
-  kernel there);
-* ``cluster_requests_per_sec_event`` / ``_fast`` — sharded-cluster
-  simulation throughput per engine (the fast engine's sealed event
-  queue; the kernel does not apply);
+* ``sim_events_per_sec`` — discrete events per second through the
+  event loop on a 4-core open-loop run (the core count ``ext_serving``
+  simulates);
+* ``cluster_requests_per_sec`` — sharded, replicated, hedged cluster
+  simulation throughput;
 * ``selector_sweep_*_seconds`` — wall-clock of an SLO candidate sweep
   routed through ``run_sim_tasks``: cold at ``--jobs 1``, cold at
   ``--jobs 4``, and replayed from a warm ``SimResultCache``.
@@ -53,10 +51,6 @@ def _write_bench_serving_json():
     yield
     if not _RATES:  # e.g. --benchmark-disable: no stats to record
         return
-    if "sim_events_per_sec" in _RATES and "sim_events_per_sec_fast" in _RATES:
-        _RATES["fast_engine_speedup"] = (
-            _RATES["sim_events_per_sec_fast"] / _RATES["sim_events_per_sec"]
-        )
     cold = _RATES.get("selector_sweep_cold_jobs1_seconds")
     warm = _RATES.get("selector_sweep_warm_jobs4_seconds")
     if cold and warm:
@@ -70,8 +64,10 @@ def _write_bench_serving_json():
 
 
 # ---------------------------------------------------------------------------
-# open-loop engines
+# open loop
 # ---------------------------------------------------------------------------
+
+OPEN_LOOP_CORES = 4
 
 
 @pytest.fixture(scope="module")
@@ -80,31 +76,28 @@ def rmi_service(amzn, workload):
     return m, ServiceModel(m.counters)
 
 
-@pytest.mark.parametrize("engine", ["event", "fast"])
-def test_open_loop_engine(benchmark, rmi_service, engine):
-    """Single-queue open loop at 70% load: the fast engine's Lindley
-    kernel vs the reference heapq event loop."""
+def test_open_loop(benchmark, rmi_service):
+    """4-core open loop at 70% of saturation throughput."""
     m, service = rmi_service
-    rate = 0.7 * throughput(m, 1).lookups_per_sec
+    rate = 0.7 * throughput(m, OPEN_LOOP_CORES).lookups_per_sec
     arrivals = poisson_arrivals(rate, 5_000, seed=0)
     result = benchmark(
-        simulate_open_loop, service, arrivals, n_cores=1, engine=engine
+        simulate_open_loop, service, arrivals, n_cores=OPEN_LOOP_CORES
     )
     assert len(result.requests) == 5_000
     if benchmark.stats is not None:
         events = 2 * len(result.requests) + result.total_steals
-        key = "sim_events_per_sec" + ("" if engine == "event" else "_fast")
-        _RATES[key] = events / benchmark.stats.stats.mean
+        _RATES["sim_events_per_sec"] = events / benchmark.stats.stats.mean
 
 
 # ---------------------------------------------------------------------------
-# sharded cluster engines
+# sharded cluster
 # ---------------------------------------------------------------------------
 
 N_CLUSTER_REQ = 2_500
 
 
-def _cluster_run(engine):
+def _cluster_run():
     rate = 4e6
     span = N_CLUSTER_REQ / rate * 1e9
     cluster = Cluster(
@@ -120,17 +113,15 @@ def _cluster_run(engine):
     )
     arrivals = poisson_arrivals(rate, N_CLUSTER_REQ, seed=0)
     keys = [(13 * i) % 1000 for i in range(N_CLUSTER_REQ)]
-    return simulate_cluster(cluster, arrivals, keys, engine=engine)
+    return simulate_cluster(cluster, arrivals, keys)
 
 
-@pytest.mark.parametrize("engine", ["event", "fast"])
-def test_cluster_engine(benchmark, engine):
-    """Sharded, replicated, hedged cluster: the kernel never applies, so
-    this times the sealed-queue event loop against the reference."""
-    result = benchmark(_cluster_run, engine)
+def test_cluster(benchmark):
+    """Sharded, replicated, hedged cluster on one event queue."""
+    result = benchmark(_cluster_run)
     assert len(result.records) == N_CLUSTER_REQ
     if benchmark.stats is not None:
-        _RATES[f"cluster_requests_per_sec_{engine}"] = (
+        _RATES["cluster_requests_per_sec"] = (
             N_CLUSTER_REQ / benchmark.stats.stats.mean
         )
 

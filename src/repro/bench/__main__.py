@@ -22,8 +22,10 @@ from repro.bench.experiments import EXPERIMENTS
 from repro.bench.parallel import collect_cells, resolve_jobs, run_cells
 from repro.bench.report import format_runner_stats
 from repro.datasets.loader import DATASET_NAMES
-from repro.memsim.engine import ENGINE_NAMES
-from repro.serve.fastsim import SERVE_ENGINE_NAMES
+
+#: Process-wide switches ``--profile`` and ``--obs-dir`` turn on for pool
+#: workers to inherit; :func:`main` restores them before it returns.
+_AMBIENT_ENV = ("REPRO_OBS_PROFILE", "REPRO_OBS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,22 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent measurement cache",
     )
     parser.add_argument(
-        "--memsim-engine",
-        choices=ENGINE_NAMES,
-        default=None,
-        help="simulated-CPU engine (default: $REPRO_MEMSIM_ENGINE or "
-        "reference); engines are counter-identical, so this only "
-        "changes wall-clock speed",
-    )
-    parser.add_argument(
-        "--serve-engine",
-        choices=SERVE_ENGINE_NAMES,
-        default=None,
-        help="serving-simulation engine (default: $REPRO_SERVE_ENGINE or "
-        "event); engines are byte-identical, so this only changes "
-        "wall-clock speed",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="attribute per-lookup counters to model/search phases "
@@ -120,7 +106,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Smallest value each size option accepts: an index needs two keys to
+#: have a key range, a measurement at least one lookup, and warmup counts
+#: lookups so it cannot be negative.
+_MIN_SIZES = (("n_keys", 2), ("n_lookups", 1), ("warmup", 0))
+
+
 def settings_from_args(args) -> BenchSettings:
+    for field_name, minimum in _MIN_SIZES:
+        value = getattr(args, field_name)
+        if value is not None and value < minimum:
+            raise ValueError(
+                f"--{field_name.replace('_', '-')} must be at least "
+                f"{minimum}, got {value}"
+            )
     settings = BenchSettings.quick() if args.quick else BenchSettings()
     for field_name, arg in (
         ("n_keys", args.n_keys),
@@ -138,21 +137,6 @@ def settings_from_args(args) -> BenchSettings:
         settings.cache_dir = None
     else:
         settings.cache_dir = args.cache_dir or default_cache_dir()
-    if args.memsim_engine is not None:
-        settings.memsim_engine = args.memsim_engine
-        # The engine choice travels as ambient state so pool workers
-        # (spawned by run_cells) inherit it along with in-process code.
-        import os
-
-        os.environ["REPRO_MEMSIM_ENGINE"] = args.memsim_engine
-    if args.serve_engine is not None:
-        settings.serve_engine = args.serve_engine
-        # Same ambient pattern as the memsim engine: simulation pool
-        # workers (repro.serve.sweep) inherit the choice via the
-        # environment, and it stays out of every cache key.
-        import os
-
-        os.environ["REPRO_SERVE_ENGINE"] = args.serve_engine
     if args.profile:
         settings.profile = True
         # Same ambient pattern: workers see REPRO_OBS_PROFILE and
@@ -162,8 +146,6 @@ def settings_from_args(args) -> BenchSettings:
         set_profiling(True)
     if args.obs_dir is not None:
         settings.obs_dir = args.obs_dir
-        import os
-
         os.environ["REPRO_OBS"] = "1"  # workers inherit span recording
     return settings
 
@@ -171,6 +153,19 @@ def settings_from_args(args) -> BenchSettings:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # An in-process caller's next run must start from its own settings.
+    saved_env = {name: os.environ.get(name) for name in _AMBIENT_ENV}
+    try:
+        return _run(parser, args, argv)
+    finally:
+        for name, value in saved_env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _run(parser, args, argv) -> int:
     try:
         settings = settings_from_args(args)
     except ValueError as exc:

@@ -120,9 +120,7 @@ def sim_key(task, schema_version: Optional[int] = None) -> str:
     ``task`` is any object with a ``key_fields() -> dict`` of JSON
     scalars (the :mod:`repro.serve.sweep` task dataclasses).  Like
     :func:`cache_key`, the hash canonicalizes ordering and embeds the
-    schema version.  The serving engine is deliberately NOT part of any
-    task's key fields: engines are byte-identical, so one cached record
-    serves both (``tests/test_serve_sweep.py`` pins this invariance).
+    schema version.
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION

@@ -128,18 +128,14 @@ class MeasureCell:
         self,
         dataset: Optional[Dataset] = None,
         workload: Optional[Workload] = None,
-        engine: Optional[str] = None,
         profile: Optional[bool] = None,
     ) -> Measurement:
         """Execute the cell; pass dataset/workload to reuse built objects.
 
-        ``engine`` selects the memsim engine for this execution (None =
-        ambient default).  It is deliberately NOT part of the cell's
-        identity or :meth:`key_fields`: both engines are
-        counter-identical, so the same cached measurement serves either.
-        ``profile`` likewise (None = ambient ``REPRO_OBS_PROFILE``):
-        phase attribution annotates a measurement without changing any
-        of its counters.
+        ``profile`` (None = ambient ``REPRO_OBS_PROFILE``) is deliberately
+        NOT part of the cell's identity or :meth:`key_fields`: phase
+        attribution annotates a measurement without changing any of its
+        counters, so the same cached measurement serves either.
         """
         if dataset is None or workload is None:
             dataset, workload = self.materialize()
@@ -152,6 +148,5 @@ class MeasureCell:
             warmup=self.warmup,
             warm=self.warm,
             search=self.search,
-            engine=engine,
             profile=profile,
         )

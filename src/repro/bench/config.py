@@ -33,17 +33,6 @@ class BenchSettings:
     #: Directory of the persistent measurement cache (None = disabled;
     #: CLI: ``--cache-dir`` / ``REPRO_CACHE_DIR``, ``--no-cache``).
     cache_dir: Optional[str] = None
-    #: Memsim engine for this run (CLI: ``--memsim-engine`` /
-    #: ``REPRO_MEMSIM_ENGINE``; None = ambient default).  Both engines
-    #: are counter-identical, so this changes wall-clock only -- it is
-    #: never part of a measurement-cache key.
-    memsim_engine: Optional[str] = None
-    #: Serving-simulation engine for this run (CLI: ``--serve-engine`` /
-    #: ``REPRO_SERVE_ENGINE``; None = ambient default).  Both engines
-    #: produce byte-identical ServingResult/ClusterResult records, so
-    #: this changes wall-clock only -- it is never part of a simulation
-    #: cache key.
-    serve_engine: Optional[str] = None
     #: Attribute per-lookup counters to model/search phases (CLI:
     #: ``--profile`` / ``REPRO_OBS_PROFILE``).  Annotates measurements
     #: without changing any counter, so it too stays out of cache keys.

@@ -29,7 +29,7 @@ function of (spec, topology, horizon), the scenario+reconfig pair is
 content-keyed data, runs fan out through
 :class:`~repro.serve.sweep.ScenarioTask` (``--jobs`` processes,
 persistent cache), and the published time-series are byte-identical
-across serve engines (the CI smoke diffs ``timeseries.jsonl``).
+serial vs ``--jobs N`` (the CI smoke diffs ``timeseries.jsonl``).
 """
 
 from __future__ import annotations

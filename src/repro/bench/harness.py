@@ -27,10 +27,10 @@ from repro.datasets.workload import Workload
 from repro.learned import kernels
 from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
 from repro.memsim.counters import PerfCounters, PerfCountersF
-from repro.memsim.engine import default_engine_name
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.trace import TraceRecorder, TraceStore
 from repro.memsim.tracer import PerfTracer
+from repro.memsim.vector import VectorEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.phase import PhaseTracer, phase_window, profiling_enabled
@@ -58,7 +58,7 @@ class BuiltIndex:
     #: Lazily created by ``measure(..., replay=True)``: recorded lookup
     #: event streams, keyed by (search, key), replayed on repeat lookups.
     traces: Optional[TraceStore] = None
-    #: Lazily created by the vector-engine batched measure path:
+    #: Lazily created by the batched measure path:
     #: synthesized :class:`~repro.learned.kernels.BatchLookups` plus the
     #: assembled warmup/measured mega-traces, keyed by
     #: ``(search, warmup, n_lookups)`` and pinned to the workload object
@@ -135,7 +135,7 @@ def measure(
     search: str = "binary",
     cost_model: CostModel = XEON_GOLD_6230,
     verify: bool = True,
-    engine: Optional[str] = None,
+    engine=None,
     replay: bool = False,
     profile: Optional[bool] = None,
 ) -> Measurement:
@@ -145,14 +145,20 @@ def measure(
     and TLB are flushed before every measured lookup (the branch predictor
     stays warm, matching the paper's method of flushing only the cache).
 
-    ``engine`` selects the memsim engine (None -> ambient default, see
-    ``repro.memsim.engine``); both engines are counter-identical, so the
-    choice never changes the measurement.  ``replay=True`` records each
-    (search, key) lookup's event stream into ``built.traces`` on first
-    execution and replays it on repeats -- sound because tracer calls
-    return ``None``, so the stream is independent of simulator state.
-    Repeat-heavy callers (``measure_repeated``, warm/cold pairs over one
-    build) get the speedup; one-shot grid cells default to off.
+    The execution path follows from the inputs alone.  Indexes the
+    lookup kernels support (``kernels.supports``) take the batched path
+    unless profiling, a non-batch search, or mutating lookups rule it
+    out; everything else runs the per-lookup loop on a fast engine.
+    Both paths produce the same counters, byte for byte.  ``engine`` is
+    the test oracle hook: an engine class (called with ``sites=``, e.g.
+    ``ReferenceEngine``) that runs the per-lookup loop instead.
+
+    On the per-lookup loop, ``replay=True`` records each (search, key)
+    lookup's event stream into ``built.traces`` on first execution and
+    replays it on repeats -- sound because tracer calls return ``None``,
+    so the stream is independent of simulator state.  Repeat-heavy
+    callers (``measure_repeated``, warm/cold pairs over one build) get
+    the speedup; one-shot grid cells default to off.
 
     ``profile`` (None -> ambient ``REPRO_OBS_PROFILE``, the CLI's
     ``--profile``) attributes counters to lookup phases via a
@@ -174,23 +180,22 @@ def measure(
         profile = profiling_enabled()
 
     if (
-        not profile
+        engine is None
+        and not profile
         and n_work > 0
         and search in kernels.BATCH_SEARCHES
         and kernels.supports(index)
         and not getattr(index, "mutating_lookups", False)
-        and _engine_name(engine) == "vector"
     ):
         # Batched path: one kernel call synthesizes every distinct
         # lookup's event stream, then the vector engine replays the
         # warmup and measured windows wholesale.  Counter-identical to
         # the loop below (same event stream at both snapshot points);
         # unsupported indexes/searches, mutating lookups, and profiling
-        # fall back to the per-lookup loop (whose per-event path under
-        # the vector engine is the fast engine's).
+        # fall back to the per-lookup loop.
         return _measure_batched(
             built, workload, n_lookups, warmup, warm, search,
-            cost_model, verify, engine,
+            cost_model, verify,
         )
 
     store = None
@@ -198,8 +203,10 @@ def measure(
         if built.traces is None:
             built.traces = TraceStore()
         store = built.traces
+    sites = store.sites if store is not None else None
     tracer = PerfTracer(
-        engine=engine, sites=store.sites if store is not None else None
+        engine=engine(sites=sites) if engine is not None else None,
+        sites=sites,
     )
     if profile:
         tracer = PhaseTracer(tracer)
@@ -304,15 +311,6 @@ def measure(
     )
 
 
-def _engine_name(engine) -> Optional[str]:
-    """Resolve ``measure``'s engine argument to an engine name."""
-    if engine is None:
-        return default_engine_name()
-    if isinstance(engine, str):
-        return engine
-    return getattr(engine, "name", None)
-
-
 def _measure_batched(
     built: BuiltIndex,
     workload: Workload,
@@ -322,7 +320,6 @@ def _measure_batched(
     search: str,
     cost_model: CostModel,
     verify: bool,
-    engine,
 ) -> Measurement:
     """Vectorized measure: kernel-synthesized streams + batch replay.
 
@@ -340,7 +337,7 @@ def _measure_batched(
     n_work = len(keys)
     point_only = index.point_only
 
-    tracer = PerfTracer(engine=engine)
+    tracer = PerfTracer(engine=VectorEngine())
     # Synthesis and mega-trace assembly are pure functions of the
     # (index, workload, window) tuple, so they are cached on the built
     # index; repeat measures then hit the traces' compiled plans and

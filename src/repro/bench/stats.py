@@ -67,7 +67,7 @@ def _sorted_array(values: Sequence[float]) -> np.ndarray:
 def _interpolate(xs: np.ndarray, q: float) -> float:
     """The exact interpolation step, in scalar Python-float arithmetic
     (bit-identical to the historical pure-Python implementation, which
-    ``tests/test_fastsim.py`` pins with a hypothesis parity suite)."""
+    ``tests/test_stats.py`` pins with a hypothesis parity suite)."""
     n = int(xs.size)
     if n == 1:
         return float(xs[0])

@@ -26,14 +26,7 @@ from repro.memsim.counters import PerfCounters
 from repro.memsim.tracer import NULL_TRACER, NullTracer, PerfTracer, Tracer
 from repro.memsim.cache import Cache, CacheHierarchy
 from repro.memsim.branch import BranchPredictor
-from repro.memsim.engine import (
-    ENGINE_NAMES,
-    FastEngine,
-    ReferenceEngine,
-    SiteInterner,
-    default_engine_name,
-    make_engine,
-)
+from repro.memsim.engine import FastEngine, ReferenceEngine, SiteInterner
 from repro.memsim.trace import Trace, TraceRecorder, TraceStore
 from repro.memsim.vector import VectorEngine
 from repro.memsim.memory import AddressSpace, TracedArray
@@ -48,13 +41,10 @@ __all__ = [
     "Cache",
     "CacheHierarchy",
     "BranchPredictor",
-    "ENGINE_NAMES",
     "FastEngine",
     "ReferenceEngine",
     "VectorEngine",
     "SiteInterner",
-    "default_engine_name",
-    "make_engine",
     "Trace",
     "TraceRecorder",
     "TraceStore",

@@ -1,4 +1,4 @@
-"""Pluggable memsim engines: reference (executable spec) and fast.
+"""Memsim engines: reference (executable spec) and fast.
 
 Every number the benchmark produces flows through the simulated CPU, and
 Section 4.3 of the paper argues lookup latency is a linear function of
@@ -9,8 +9,7 @@ freedom is what this module exploits:
 * :class:`ReferenceEngine` wraps the pure-Python component classes
   (:class:`~repro.memsim.cache.CacheHierarchy`,
   :class:`~repro.memsim.branch.BranchPredictor`,
-  :class:`~repro.memsim.tlb.TLB`) exactly as ``PerfTracer`` always has.
-  It is the executable specification.
+  :class:`~repro.memsim.tlb.TLB`).  It is the executable specification.
 * :class:`FastEngine` re-implements the same state machines as flat
   per-set structures behind closure-bound functions, with interned
   branch sites (integer ids into a flat 2-bit-counter table), the TLB
@@ -20,16 +19,14 @@ freedom is what this module exploits:
   ``tests/test_memsim_differential.py`` enforces that with hypothesis,
   and the committed golden grids must pass under it unchanged.
 
-Engine selection is ambient by design: the measurement-cache key does
-*not* include the engine (both engines are the same measurement), so the
-choice travels via ``PerfTracer(engine=...)``, the ``--memsim-engine``
-CLI flag, or the ``REPRO_MEMSIM_ENGINE`` environment variable -- the
-last of which is what parallel workers inherit.  See ``docs/memsim.md``.
+There is no engine switch.  ``PerfTracer`` always runs a
+:class:`FastEngine`, and the harness's batched measure path runs a
+:class:`~repro.memsim.vector.VectorEngine` (see ``docs/memsim.md``).
+:class:`ReferenceEngine` is built only by tests, which pass it to
+``PerfTracer(engine=...)`` as the oracle the other two must match.
 """
 
 from __future__ import annotations
-
-import os
 
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
@@ -38,24 +35,6 @@ from repro.memsim.branch import BranchPredictor
 from repro.memsim.cache import LINE_SIZE, CacheHierarchy
 from repro.memsim.counters import PerfCounters
 from repro.memsim.tlb import PAGE_SHIFT, TLB
-
-#: Engine names accepted by :func:`make_engine` and ``REPRO_MEMSIM_ENGINE``.
-ENGINE_NAMES = ("reference", "fast", "vector")
-
-_ENV_VAR = "REPRO_MEMSIM_ENGINE"
-
-
-def default_engine_name() -> str:
-    """Ambient engine choice: ``REPRO_MEMSIM_ENGINE`` or ``reference``."""
-    name = os.environ.get(_ENV_VAR, "").strip().lower()
-    if not name:
-        return "reference"
-    if name not in ENGINE_NAMES:
-        raise ValueError(
-            f"{_ENV_VAR}={name!r}: expected one of {ENGINE_NAMES}"
-        )
-    return name
-
 
 class SiteInterner:
     """Bijective branch-site-string <-> small-integer-id mapping.
@@ -248,7 +227,7 @@ class FastEngine:
     def _no_components(self) -> None:
         raise AttributeError(
             "the fast engine has no reference component objects; construct "
-            "PerfTracer(engine='reference') to inspect caches/predictor/tlb"
+            "PerfTracer(engine=ReferenceEngine()) to inspect caches/predictor/tlb"
         )
 
     @property
@@ -643,38 +622,3 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         "_get_hot": _get_hot,
         "_set_hot": _set_hot,
     }
-
-
-def make_engine(
-    name: Optional[str] = None,
-    caches: Optional[CacheHierarchy] = None,
-    predictor: Optional[BranchPredictor] = None,
-    tlb: Optional[TLB] = None,
-    sites: Optional[SiteInterner] = None,
-):
-    """Build an engine by name (``None`` -> :func:`default_engine_name`).
-
-    Custom component objects imply the reference engine: they carry
-    their own state, which the flat fast structures cannot adopt.
-    """
-    if name is None:
-        name = default_engine_name()
-    if name == "reference":
-        return ReferenceEngine(
-            caches=caches, predictor=predictor, tlb=tlb, sites=sites
-        )
-    if name in ("fast", "vector"):
-        if caches is not None or predictor is not None or tlb is not None:
-            raise ValueError(
-                "custom cache/predictor/TLB objects require "
-                "engine='reference' (the fast and vector engines only "
-                "support geometry parameters)"
-            )
-        if name == "fast":
-            return FastEngine(sites=sites)
-        # Imported lazily: vector.py imports this module for the fast
-        # namespace it builds on.
-        from repro.memsim.vector import VectorEngine
-
-        return VectorEngine(sites=sites)
-    raise ValueError(f"unknown memsim engine {name!r}: expected {ENGINE_NAMES}")

@@ -6,22 +6,22 @@ paper-shape experiments a :class:`PerfTracer` (cache hierarchy + branch
 predictor + instruction counter) is passed.  There are deliberately no
 separate "fast" and "measured" code paths that could diverge.
 
-:class:`PerfTracer` delegates the actual simulation to a pluggable
-engine (``repro.memsim.engine``): the pure-Python reference engine is
-the executable spec, and the flat-structure fast engine is its
-counter-identical optimization.  ``read``/``instr``/``branch`` are
-bound straight off the engine in ``__init__`` so the hot path pays no
-per-event delegation.
+:class:`PerfTracer` delegates the actual simulation to an engine
+(``repro.memsim.engine``): the flat-structure fast engine unless the
+caller passes another engine object (the harness's vector engine, or
+the reference engine tests use as an oracle).  ``read``/``instr``/
+``branch`` are bound straight off the engine in ``__init__`` so the hot
+path pays no per-event delegation.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.cache import CacheHierarchy
 from repro.memsim.counters import PerfCounters
-from repro.memsim.engine import SiteInterner, default_engine_name, make_engine
+from repro.memsim.engine import FastEngine, SiteInterner
 from repro.memsim.tlb import TLB
 
 
@@ -83,48 +83,23 @@ NULL_TRACER = NullTracer()
 
 
 class PerfTracer(Tracer):
-    """Counting tracer backed by a pluggable memsim engine.
+    """Counting tracer backed by a memsim engine.
 
-    ``engine`` may be an engine name (``"reference"`` / ``"fast"``), a
-    prebuilt engine instance, or ``None`` for the ambient default
-    (``REPRO_MEMSIM_ENGINE``, else reference).  Passing custom
-    ``caches``/``predictor``/``tlb`` component objects implies the
-    reference engine, which is built around them exactly as before.
-
+    ``engine`` is a prebuilt engine object, or ``None`` for a fresh
+    :class:`~repro.memsim.engine.FastEngine` over ``sites``.
     ``counters``/``caches``/``predictor``/``tlb`` delegate to the
-    engine; the fast engine raises ``AttributeError`` for the component
-    objects it does not have.
+    engine; only the reference engine has the component objects, the
+    others raise ``AttributeError``.
     """
 
     __slots__ = ("engine", "read", "instr", "branch")
 
     def __init__(
         self,
-        caches: Optional[CacheHierarchy] = None,
-        predictor: Optional[BranchPredictor] = None,
-        tlb: Optional[TLB] = None,
-        engine: Union[str, object, None] = None,
+        engine: Optional[object] = None,
         sites: Optional[SiteInterner] = None,
     ):
-        if engine is None or isinstance(engine, str):
-            name = engine
-            if name is None:
-                has_components = (
-                    caches is not None
-                    or predictor is not None
-                    or tlb is not None
-                )
-                name = "reference" if has_components else default_engine_name()
-            eng = make_engine(
-                name, caches=caches, predictor=predictor, tlb=tlb, sites=sites
-            )
-        else:
-            if caches is not None or predictor is not None or tlb is not None:
-                raise ValueError(
-                    "pass components when naming an engine, not alongside a "
-                    "prebuilt engine instance"
-                )
-            eng = engine
+        eng = engine if engine is not None else FastEngine(sites=sites)
         self.engine = eng
         self.read = eng.read
         self.instr = eng.instr

@@ -589,7 +589,7 @@ class VectorEngine:
     def _no_components(self) -> None:
         raise AttributeError(
             "the vector engine has no reference component objects; construct "
-            "PerfTracer(engine='reference') to inspect caches/predictor/tlb"
+            "PerfTracer(engine=ReferenceEngine()) to inspect caches/predictor/tlb"
         )
 
     @property

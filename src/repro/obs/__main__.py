@@ -106,9 +106,8 @@ def summarize(run_dir: str, top: int = 10) -> str:
         with open(manifest_path) as f:
             manifest = json.load(f)
         parts.append(
-            "run: git={git} engine={engine} seed={seed} config={cfg}".format(
+            "run: git={git} seed={seed} config={cfg}".format(
                 git=(manifest.get("git_sha") or "?")[:12],
-                engine=manifest.get("memsim_engine", "?"),
                 seed=manifest.get("seed", "?"),
                 cfg=manifest.get("config_hash", "?"),
             )

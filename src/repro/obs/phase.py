@@ -15,7 +15,8 @@ per-event overhead) and, on each phase *transition*, attributes the
 engine counter delta since the previous transition to the phase just
 left.  Attribution is a telescoping sum of integer snapshots, so the
 per-phase counters sum **byte-exactly** to the unphased totals
-(``tests/test_obs_phase.py`` holds both engines to that).
+(``tests/test_obs_phase.py`` holds the fast and reference engines to
+that).
 
 The phase vocabulary is deliberately small:
 
@@ -49,10 +50,9 @@ _ENV_VAR = "REPRO_OBS_PROFILE"
 def profiling_enabled() -> bool:
     """Ambient profile switch (``--profile`` exports ``REPRO_OBS_PROFILE``).
 
-    Environment-driven so pool workers inherit the choice, exactly like
-    ``REPRO_MEMSIM_ENGINE``; deliberately *not* part of measurement-cache
-    keys -- profiling never changes a measurement's counters, it only
-    adds the per-phase split.
+    Environment-driven so pool workers inherit the choice; deliberately
+    *not* part of measurement-cache keys -- profiling never changes a
+    measurement's counters, it only adds the per-phase split.
     """
     return os.environ.get(_ENV_VAR, "") not in ("", "0")
 

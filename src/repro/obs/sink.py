@@ -3,8 +3,8 @@
 Every observed run writes three artifacts next to its exports, so a
 results directory explains itself months later:
 
-* ``manifest.json`` -- git SHA, settings + their content hash, memsim
-  engine, seed, interpreter/numpy versions, argv, schema version.
+* ``manifest.json`` -- git SHA, settings + their content hash, seed,
+  interpreter/numpy versions, argv, schema version.
 * ``spans.jsonl`` -- one span record per line, parent-linked.
 * ``metrics.json`` -- the final :class:`~repro.obs.metrics.MetricsRegistry`
   snapshot.
@@ -114,12 +114,9 @@ def run_manifest(
     and their content hash so two result directories can be compared at
     a glance.
     """
-    from repro.memsim.engine import default_engine_name
-
     manifest = {
         "schema": OBS_SCHEMA_VERSION,
         "git_sha": _git_sha(),
-        "memsim_engine": default_engine_name(),
         "python": platform.python_version(),
         "platform": platform.platform(),
         "argv": list(sys.argv) if argv is None else list(argv),
@@ -156,29 +153,29 @@ def write_run(
     :func:`repro.serve.telemetry.publish`) written as
     ``timeseries.jsonl`` -- the stream ``python -m repro.obs timeline``
     renders.
+
+    Each file written is truncated first, so reusing ``obs_dir`` leaves
+    one run's records, never a mix (streaming callers that want append
+    semantics use :class:`JsonlSink` directly).
     """
     os.makedirs(obs_dir, exist_ok=True)
     paths = {}
-    if manifest is not None:
-        path = os.path.join(obs_dir, MANIFEST_FILENAME)
+    for key, filename, payload, jsonl in (
+        ("manifest", MANIFEST_FILENAME, manifest, False),
+        ("spans", SPANS_FILENAME, spans, True),
+        ("metrics", METRICS_FILENAME, metrics_snapshot, False),
+        ("timeseries", TIMESERIES_FILENAME, timeseries, True),
+    ):
+        if payload is None:
+            continue
+        path = os.path.join(obs_dir, filename)
         with open(path, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
-        paths["manifest"] = path
-    if spans is not None:
-        path = os.path.join(obs_dir, SPANS_FILENAME)
-        with JsonlSink(path) as sink:
-            sink.emit_many(spans)
-        paths["spans"] = path
-    if metrics_snapshot is not None:
-        path = os.path.join(obs_dir, METRICS_FILENAME)
-        with open(path, "w") as f:
-            json.dump(metrics_snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
-        paths["metrics"] = path
-    if timeseries is not None:
-        path = os.path.join(obs_dir, TIMESERIES_FILENAME)
-        with JsonlSink(path) as sink:
-            sink.emit_many(timeseries)
-        paths["timeseries"] = path
+            if jsonl:
+                for record in payload:
+                    f.write(json.dumps(record, sort_keys=True))
+                    f.write("\n")
+            else:
+                json.dump(payload, f, indent=2, sort_keys=True)
+                f.write("\n")
+        paths[key] = path
     return paths

@@ -10,8 +10,8 @@ is appended to a process-local buffer as a plain JSON-able dict.
 Observability is **off by default**: :func:`span` then returns a shared
 inert context manager and records nothing, so instrumented code pays
 one truthiness test per region.  Enablement is ambient via the
-``REPRO_OBS`` environment variable (inherited by pool workers, exactly
-like ``REPRO_MEMSIM_ENGINE``) or explicit via :func:`enable`.
+``REPRO_OBS`` environment variable (inherited by pool workers) or
+explicit via :func:`enable`.
 
 Multiprocess use follows a record-and-ship model: each worker captures
 into its own buffer (:func:`capture` swaps in a fresh one, which also

@@ -11,7 +11,8 @@ deliver, and which index should serve a given load under a
 * :mod:`repro.serve.contention` -- the machine + memory-contention model
   (shared with Figure 16, which is now a thin client of it).
 * :mod:`repro.serve.core` -- the event loop: per-core FIFO queues, work
-  stealing, contention-frozen service times.
+  stealing, contention-frozen service times, one batch-sorted event
+  queue; see ``docs/serving.md``.
 * :mod:`repro.serve.metrics` -- p50/p95/p99/p99.9 accounting.
 * :mod:`repro.serve.selector` -- SLO-aware index selection (single-node
   and cluster-wide).
@@ -27,16 +28,12 @@ deliver, and which index should serve a given load under a
   epoch-versioned shard splits/merges with key-range handoff,
   background rebuild-and-swap, and a reactive autoscaler, all as
   deterministic as the fault schedules; see ``docs/reconfig.md``.
-* :mod:`repro.serve.fastsim` -- the ``fast`` serving engine: a
-  vectorized Lindley-recursion kernel plus batch-sorted event queues,
-  byte-identical to the event loop (``--serve-engine`` /
-  ``REPRO_SERVE_ENGINE``); see ``docs/serving_fast.md``.
 * :mod:`repro.serve.sweep` -- simulations as picklable tasks: process-
-  pool fan-out with a persistent, engine-invariant result cache.
+  pool fan-out with a persistent result cache.
 * :mod:`repro.serve.telemetry` -- deterministic in-run telemetry:
   windowed time-series, opt-in request traces rendered as ``repro.obs``
-  spans, and SLO burn-rate accounting; byte-identical across engines
-  and serial vs ``--jobs N``; see ``docs/observability.md``.
+  spans, and SLO burn-rate accounting; byte-identical serial vs
+  ``--jobs N``; see ``docs/observability.md``.
 
 Driven end-to-end by the ``ext_serving``, ``ext_cluster`` and
 ``ext_tenants`` experiments (``python -m repro.bench --experiment
@@ -67,11 +64,6 @@ from repro.serve.core import (
 )
 from repro.serve.cluster import Cluster, ClusterResult, simulate_cluster
 from repro.serve.faults import FaultConfig, FaultEvent, fault_schedule
-from repro.serve.fastsim import (
-    SERVE_ENGINE_NAMES,
-    default_serve_engine_name,
-    resolve_serve_engine,
-)
 from repro.serve.metrics import LatencySummary, summarize, summarize_result
 from repro.serve.reconfig import (
     AutoscaleSpec,
@@ -199,9 +191,6 @@ __all__ = [
     "should_shed",
     "simulate_scenario",
     "replay_trace",
-    "SERVE_ENGINE_NAMES",
-    "default_serve_engine_name",
-    "resolve_serve_engine",
     "OpenLoopTask",
     "ClusterTask",
     "ScenarioTask",

@@ -5,8 +5,8 @@ this module scales it out.  A cluster is ``n_shards`` key ranges, each
 served by ``n_replicas`` independent replicas (every replica is a full
 :class:`~repro.serve.core._EventLoop` machine with its own cores and the
 shard's :class:`~repro.serve.core.ServiceModel`), all interleaved on one
-global :class:`~repro.serve.core.EventHeap` so the whole cluster shares a
-single deterministic clock.
+global :class:`~repro.serve.core.SealedEventQueue` so the whole cluster
+shares a single deterministic clock.
 
 The router (:mod:`repro.serve.router`) maps each request's key to its
 shard by binary search and picks the least-backlog healthy replica.
@@ -54,8 +54,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.serve.core import (
     _ARRIVAL,
     _FINISH,
-    EventHeap,
     Request,
+    SealedEventQueue,
     ServiceModel,
     _EventLoop,
 )
@@ -315,36 +315,26 @@ class ClusterResult:
 class _ClusterSim:
     """One run's mutable state; :func:`simulate_cluster` drives it.
 
-    ``engine`` selects the event-queue implementation (``None`` = the
-    ambient default): the fast engine's :class:`~repro.serve.fastsim.
-    SealedEventQueue` batch-sorts the up-front events -- every arrival
-    plus the merged fault timeline -- in one pass instead of heap-pushing
-    them individually, and pops the identical total order, so results
-    are byte-identical across engines.
+    Every arrival plus the merged fault timeline is pushed before the
+    first pop, so the :class:`~repro.serve.core.SealedEventQueue` sorts
+    them in one pass.
     """
 
     def __init__(
         self,
         cluster: Cluster,
         horizon_ns: float,
-        engine: Optional[str] = None,
         telemetry: Optional[TelemetryConfig] = None,
     ):
-        from repro.serve import fastsim
-
         self.cluster = cluster
         # The cluster owns the collector (replica loops keep theirs None
-        # so completions are not double counted); all hooks fire from
-        # shared code paths, so telemetry is engine-identical here too.
+        # so completions are not double counted).
         self.telemetry: Optional[TelemetryCollector] = (
             TelemetryCollector(telemetry, n_shards=cluster.n_shards)
             if telemetry is not None
             else None
         )
-        if fastsim.resolve_serve_engine(engine) == "fast":
-            self.events = fastsim.SealedEventQueue()
-        else:
-            self.events = EventHeap()
+        self.events = SealedEventQueue()
         self.replicas: List[List[_Replica]] = []
         for shard in range(cluster.n_shards):
             row = []
@@ -747,7 +737,6 @@ def simulate_cluster(
     arrivals_ns: Sequence[float],
     keys: Sequence[int],
     fault_horizon_ns: Optional[float] = None,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ClusterResult:
     """Run one open-loop trace through the cluster; fully deterministic.
@@ -756,10 +745,8 @@ def simulate_cluster(
     ``arrivals_ns[i]``; the router shards on it.  ``fault_horizon_ns``
     bounds the fault schedule (default: last arrival plus 25% drain
     slack) -- it only changes which faults exist, never how any given
-    schedule is replayed.  ``engine`` picks the serving engine (``None``
-    = ambient default); engines produce byte-identical results.
-    ``telemetry`` collects a windowed time-series (and, opt-in, attempt
-    traces) without perturbing the run.
+    schedule is replayed.  ``telemetry`` collects a windowed time-series
+    (and, opt-in, attempt traces) without perturbing the run.
     """
     if len(arrivals_ns) != len(keys):
         raise ValueError(
@@ -773,7 +760,6 @@ def simulate_cluster(
     sim = _ClusterSim(
         cluster,
         horizon_ns=fault_horizon_ns,
-        engine=engine,
         telemetry=telemetry,
     )
     sim.load(arrivals_ns, keys)

@@ -33,34 +33,61 @@ _ARRIVAL = 0
 _FINISH = 1
 
 
-class EventHeap:
+class SealedEventQueue:
     """Deterministic event queue ordered by ``(time, kind, seq)``.
 
     The sequence number is assigned at push time, so simultaneous events
     of the same kind pop in FIFO order and the payload is never compared.
-    A single heap can be shared by several :class:`_EventLoop` instances
+    A single queue can be shared by several :class:`_EventLoop` instances
     (the cluster simulator runs one loop per replica on one global
-    heap), which is why finish payloads carry their owning loop.
+    queue), which is why finish payloads carry their owning loop.
+
+    Pushes before the first pop (the bulk: pre-generated arrivals, the
+    merged fault timeline, a declarative reconfig schedule) accumulate
+    in a plain list that is sorted once ("sealed"); later pushes
+    (finishes, retries, hedges, rebuild completions) go to a small side
+    heap.  Popping the minimum of the two streams yields exactly the
+    order one big heap would, so every simulation result is that of a
+    plain heap by construction (``tests/test_serving.py`` pins it
+    against ``heapq``).
     """
 
-    __slots__ = ("_heap", "_seq")
+    __slots__ = ("_static", "_cursor", "_heap", "_seq", "_sealed")
 
     def __init__(self) -> None:
+        self._static: list = []
+        self._cursor = 0
         self._heap: list = []
         self._seq = 0
+        self._sealed = False
 
     def push(self, time_ns: float, kind: int, payload) -> None:
-        heapq.heappush(self._heap, (time_ns, kind, self._seq, payload))
+        entry = (time_ns, kind, self._seq, payload)
         self._seq += 1
+        if self._sealed:
+            heapq.heappush(self._heap, entry)
+        else:
+            self._static.append(entry)
 
     def pop(self):
+        if not self._sealed:
+            # Unique seqs make (time, kind, seq) a total order, so the
+            # sort never reaches the payload element.
+            self._static.sort()
+            self._sealed = True
+        cursor = self._cursor
+        if cursor < len(self._static):
+            entry = self._static[cursor]
+            if not self._heap or entry <= self._heap[0]:
+                self._cursor = cursor + 1
+                return entry
         return heapq.heappop(self._heap)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return (len(self._static) - self._cursor) + len(self._heap)
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return self._cursor < len(self._static) or bool(self._heap)
 
 
 class ServiceModel:
@@ -161,13 +188,13 @@ class _Core:
 
 
 class _EventLoop:
-    """Shared event-heap machinery for open- and closed-loop runs.
+    """Shared event-queue machinery for open- and closed-loop runs.
 
-    ``events`` may be a shared :class:`EventHeap` so several loops (the
-    cluster's replicas) interleave on one global clock; ``on_finish`` is
-    called after a request completes and its core has pulled the next
-    one (the cluster router hooks completions there); ``slow_factor``
-    scales service times (a degraded replica).  The defaults reproduce
+    ``events`` may be a shared :class:`SealedEventQueue` so several
+    loops (the cluster's replicas) interleave on one global clock;
+    ``on_finish`` is called after a request completes and its core has
+    pulled the next one (the cluster router hooks completions there);
+    ``slow_factor`` scales service times (a degraded replica).  The defaults reproduce
     the original single-node behaviour exactly -- same events, same
     order, same float arithmetic.
     """
@@ -176,13 +203,13 @@ class _EventLoop:
         self,
         service: ServiceModel,
         n_cores: int,
-        events: Optional[EventHeap] = None,
+        events: Optional[SealedEventQueue] = None,
     ):
         if n_cores < 1:
             raise ValueError(f"need at least one core, got {n_cores}")
         self.service = service
         self.cores = [_Core(cid) for cid in range(n_cores)]
-        self.events = events if events is not None else EventHeap()
+        self.events = events if events is not None else SealedEventQueue()
         self.done: List[Request] = []
         self.steals = 0
         self.makespan = 0.0
@@ -261,31 +288,14 @@ def simulate_open_loop(
     service: ServiceModel,
     arrivals_ns: Sequence[float],
     n_cores: int,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ServingResult:
     """Serve pre-generated arrival timestamps (open loop).
 
-    ``engine`` picks the simulation engine (``None`` = the ambient
-    default, ``$REPRO_SERVE_ENGINE`` or ``"event"``).  Engines are
-    byte-identical; the fast engine uses the vectorized Lindley kernel
-    where it applies (:func:`repro.serve.fastsim.kernel_applies`) and
-    otherwise falls back to this event loop over a batch-sorted queue.
     ``telemetry`` additionally collects a windowed time-series (and,
-    opt-in, attempt traces) without perturbing the simulation; the
-    telemetry too is byte-identical across engines.
+    opt-in, attempt traces) without perturbing the simulation.
     """
-    from repro.serve import fastsim
-
-    events = None
-    if fastsim.resolve_serve_engine(engine) == "fast":
-        result = fastsim.lindley_open_loop(
-            service, arrivals_ns, n_cores, telemetry=telemetry
-        )
-        if result is not None:
-            return result
-        events = fastsim.SealedEventQueue()
-    loop = _EventLoop(service, n_cores, events=events)
+    loop = _EventLoop(service, n_cores)
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
     for rid, t in enumerate(arrivals_ns):
@@ -306,26 +316,17 @@ def simulate_closed_loop(
     mean_think_ns: float,
     seed: int,
     n_cores: int,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> ServingResult:
     """Closed loop: each client re-issues after completion + think time.
 
     Exactly ``n_requests`` requests are issued in total, spread over
     ``n_clients`` concurrent clients (client ``i`` gets its own seeded
-    think-time sequence); all clients start at time zero.  Closed-loop
-    arrivals depend on completions, so both engines run this event loop
-    (the fast engine swaps in the batch-sorted queue); results are
-    byte-identical either way.
+    think-time sequence); all clients start at time zero.
     """
     if n_clients < 1:
         raise ValueError(f"need at least one client, got {n_clients}")
-    from repro.serve import fastsim
-
-    events = None
-    if fastsim.resolve_serve_engine(engine) == "fast":
-        events = fastsim.SealedEventQueue()
-    loop = _EventLoop(service, n_cores, events=events)
+    loop = _EventLoop(service, n_cores)
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
     per_client = (n_requests + n_clients - 1) // n_clients

@@ -33,8 +33,8 @@ Determinism contract (the ``faults.py`` rules):
   horizon is a bit-identical prefix of the schedule for a longer one.
 * Everything the runtime does downstream of a trigger is a pure
   function of simulator state, so runs replay byte-identically across
-  seeds, serial vs ``--jobs N``, and the ``event`` vs ``fast`` engines
-  (reconfig triggers ride the same batch-sorted event queue as faults).
+  seeds and serial vs ``--jobs N`` (reconfig triggers ride the same
+  batch-sorted event queue as faults).
 * :class:`ReconfigSpec` is versioned, JSON round-trippable data with a
   ``content_key()``, and composes into
   :class:`~repro.serve.scenario.ScenarioSpec`; cache keys gain a

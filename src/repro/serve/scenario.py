@@ -10,12 +10,7 @@ losslessly through JSON and hashes to a stable content key.  New
 scenarios become spec values instead of new experiment modules, and a
 serialized spec is a complete, reproducible description of a run (the
 simulators are deterministic, so spec + measurements => identical
-results, bit for bit).  Content keys are serving-engine-invariant by
-the same argument: both engines (``event`` and ``fast``, see
-:mod:`repro.serve.fastsim`) produce byte-identical results, so neither
-the spec key nor :func:`repro.bench.cache.scenario_key` (nor the
-simulation-result keys of :mod:`repro.serve.sweep`) mentions the
-engine.
+results, bit for bit).
 
 Layering: this module only *describes* scenarios; :mod:`repro.serve.tenancy`
 executes them, and :mod:`repro.serve.trace` records/reloads the merged

@@ -13,12 +13,9 @@ seeds -- all pure functions -- so a task produces the identical result
 record in any process, and :func:`run_sim_tasks` returns records aligned
 with the input order regardless of completion order.
 
-Determinism contract, inherited from the engines: simulations are
-byte-identical across serial runs, ``--jobs N``, cache replay, and the
-``event``/``fast`` serving engines.  The serving engine is therefore
-ambient (``$REPRO_SERVE_ENGINE``, inherited by pool workers) and is
-deliberately NOT part of any task's identity: a cache warmed under one
-engine serves the other verbatim (``tests/test_serve_sweep.py``).
+Determinism contract, inherited from the simulators: simulations are
+byte-identical across serial runs, ``--jobs N`` and cache replay
+(``tests/test_serve_sweep.py``).
 
 Result records are plain dicts of JSON scalars.  :class:`ClusterRunStats`
 and :class:`TenancyRunStats` wrap the cluster/tenancy records back into
@@ -913,8 +910,7 @@ class SimRunnerStats:
 
 
 def _execute_task(task: SimTask) -> dict:
-    """Worker entry point: always computes.  The serving engine is
-    ambient (``$REPRO_SERVE_ENGINE``), inherited by the pool worker."""
+    """Worker entry point: always computes."""
     return task.run()
 
 

@@ -27,13 +27,8 @@ three layers, all of them pure data:
   :class:`TimeSeries`: per-window error-budget burn, cumulative budget
   consumed, and time-to-exhaustion, per tenant class or cluster-wide.
 
-Determinism contract (the PR 3/6/8 bar): telemetry is **byte-identical
-across engines** -- the event loop's hooks and the Lindley kernel's
-vectorized aggregation (:func:`open_loop_series`) bin the same times
-with the same float division and run the same percentile code on the
-same multisets, and the :class:`~repro.serve.fastsim.SealedEventQueue`
-paths execute the hook code itself -- and identical serial vs ``--jobs
-N`` (the series rides the task records of :mod:`repro.serve.sweep`).
+Determinism contract: telemetry is identical serial vs ``--jobs N``
+(the series rides the task records of :mod:`repro.serve.sweep`).
 With ``telemetry=None`` every hook site is a single ``is not None``
 check, results are bit-for-bit what they were, and no task cache key
 changes (``key_fields`` omits the telemetry entry entirely).
@@ -69,8 +64,6 @@ __all__ = [
     "BurnWindow",
     "BurnRateReport",
     "burn_rate_report",
-    "open_loop_series",
-    "open_loop_traces",
     "spans_from_traces",
     "publish",
     "drain_published",
@@ -371,8 +364,7 @@ class TelemetryCollector:
     Every hook is observation-only -- no simulator state is read back
     out, so enabling telemetry cannot perturb a run.  Events at time
     ``t`` land in window ``int(t / window_ns)`` (one IEEE division plus
-    a truncation, the exact arithmetic the vectorized kernel path in
-    :func:`open_loop_series` performs), so both engines bin identically.
+    a truncation).
     """
 
     __slots__ = ("config", "window_ns", "n_shards", "traces", "_acc", "_max")
@@ -560,99 +552,6 @@ class TelemetryCollector:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized aggregation for the Lindley kernel path
-# ---------------------------------------------------------------------------
-
-
-def open_loop_series(
-    config: TelemetryConfig,
-    arrivals,
-    start,
-    finish,
-    depth,
-) -> TimeSeries:
-    """Windowed series straight from the kernel's arrays.
-
-    The Lindley kernel never executes per-event code, so its telemetry
-    is computed from the (arrival, start, finish, dispatch-depth) arrays
-    instead -- with the *same* binning arithmetic (one float64 division,
-    truncate) and the *same* percentile code on the same per-window
-    latency multisets as :class:`TelemetryCollector`, which is what
-    makes the engines byte-identical (``tests/test_telemetry_differential
-    .py`` pins it).  ``depth[i]`` is the backlog at request ``i``'s
-    dispatch instant, exactly what the event loop samples.
-    """
-    import numpy as np
-
-    from repro.bench.stats import percentiles
-
-    w = config.window_ns
-    n = int(arrivals.shape[0])
-    if n == 0:
-        return TimeSeries(window_ns=w, n_shards=1, windows=())
-    w_arr = (arrivals / w).astype(np.int64)
-    w_fin = (finish / w).astype(np.int64)
-    n_win = int(max(w_arr[-1], w_fin[-1])) + 1
-    lat = finish - arrivals
-    completed = np.bincount(w_fin, minlength=n_win)
-    if config.slo_p99_ns is not None:
-        over = w_fin[lat > config.slo_p99_ns]
-        violations = np.bincount(over, minlength=n_win)
-    else:
-        violations = np.zeros(n_win, dtype=np.int64)
-    depth_max = np.zeros(n_win, dtype=np.int64)
-    np.maximum.at(depth_max, w_arr, depth)
-    # Finish times are strictly increasing (s > 0), so per-window
-    # latencies are contiguous slices.
-    bounds = np.searchsorted(w_fin, np.arange(n_win + 1))
-    windows = []
-    for idx in range(n_win):
-        lo, hi = int(bounds[idx]), int(bounds[idx + 1])
-        c = int(completed[idx])
-        if c:
-            ps = percentiles(lat[lo:hi], (50.0, 99.0))
-            p50_ns: Optional[float] = float(ps[50.0])
-            p99_ns: Optional[float] = float(ps[99.0])
-        else:
-            p50_ns = p99_ns = None
-        windows.append(
-            WindowStats(
-                index=idx,
-                completed=c,
-                violations=int(violations[idx]),
-                max_queue_depth=int(depth_max[idx]),
-                p50_ns=p50_ns,
-                p99_ns=p99_ns,
-                shard_completed=(c,),
-                shard_failed=(0,),
-            )
-        )
-    return TimeSeries(window_ns=w, n_shards=1, windows=tuple(windows))
-
-
-def open_loop_traces(arrivals, start, finish) -> Tuple[AttemptTrace, ...]:
-    """Kernel-path attempt traces: single core, finishes in rid order."""
-    a = arrivals.tolist()
-    st = start.tolist()
-    f = finish.tolist()
-    return tuple(
-        AttemptTrace(
-            rid=i,
-            attempt=1,
-            shard=0,
-            replica=0,
-            core=0,
-            cause="arrival",
-            dispatch_ns=a[i],
-            start_ns=st[i],
-            finish_ns=f[i],
-            status="completed",
-        )
-        for i in range(len(a))
-    )
-
-
-# ---------------------------------------------------------------------------
 # SLO burn rate: pure functions of a TimeSeries
 # ---------------------------------------------------------------------------
 
@@ -730,7 +629,7 @@ def burn_rate_report(
     """Pure error-budget accounting over a windowed time-series.
 
     Deterministic scalar arithmetic only -- the report is a function of
-    the series, so it inherits the series' cross-engine byte-identity.
+    the series, so it inherits the series' byte-identity.
     """
     if not 0.0 < budget_fraction <= 1.0:
         raise ValueError(

@@ -229,10 +229,9 @@ class _TenantSim(_ClusterSim):
         horizon_ns: float,
         spec: ScenarioSpec,
         trace: TenantTrace,
-        engine: Optional[str] = None,
         telemetry: Optional[TelemetryConfig] = None,
     ):
-        super().__init__(cluster, horizon_ns, engine=engine, telemetry=telemetry)
+        super().__init__(cluster, horizon_ns, telemetry=telemetry)
         self.spec = spec
         self.trace = trace
 
@@ -301,7 +300,6 @@ def replay_trace(
     services: Sequence,
     keys: Optional[Sequence[int]] = None,
     shard_map: Optional[ShardMap] = None,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> TenancyResult:
     """Replay a materialized trace under a spec's topology and policies.
@@ -310,8 +308,6 @@ def replay_trace(
     saved trace reproduces a run byte for byte.  ``shard_map`` defaults
     to the equal-count split of ``keys`` (one of the two must be given);
     ``services[s]`` is shard ``s``'s :class:`~repro.serve.core.ServiceModel`.
-    ``engine`` picks the serving engine (``None`` = ambient default);
-    engines are byte-identical, so it never changes the result.
     """
     if trace.tenant_names != tuple(t.name for t in spec.tenants):
         raise ValueError(
@@ -340,7 +336,6 @@ def replay_trace(
         horizon_ns=horizon,
         spec=spec,
         trace=trace,
-        engine=engine,
         telemetry=telemetry,
     )
     sim.load([float(t) for t in trace.arrivals_ns], trace.keys)
@@ -358,7 +353,6 @@ def simulate_scenario(
     services: Sequence,
     keys: Sequence[int],
     shard_map: Optional[ShardMap] = None,
-    engine: Optional[str] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ) -> TenancyResult:
     """Materialize and run a scenario against a served key array.
@@ -374,6 +368,5 @@ def simulate_scenario(
         services,
         keys=keys,
         shard_map=shard_map,
-        engine=engine,
         telemetry=telemetry,
     )

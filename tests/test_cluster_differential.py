@@ -10,11 +10,6 @@ The report half mirrors ``test_serving_determinism.py``: the
 ``ext_cluster`` report must be identical whether its per-shard
 measurement grid was computed serially, on a 2-process pool, or replayed
 from the persistent cache.
-
-Every byte-identity class runs under both serving engines (``event``
-and ``fast``, via the ``engine`` fixture), and
-``TestCrossEngineByteIdentity`` compares the engines against *each
-other* on degenerate, faulted, and hedged runs.
 """
 
 from __future__ import annotations
@@ -30,16 +25,8 @@ from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.core import ServiceModel, simulate_open_loop
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.faults import FaultConfig
-from repro.serve.fastsim import SERVE_ENGINE_NAMES
 from repro.serve.metrics import summarize, summarize_result
 from repro.serve.router import RouterPolicy, ShardMap
-
-
-@pytest.fixture(params=SERVE_ENGINE_NAMES)
-def engine(request, monkeypatch):
-    """Run the test under each serving engine's ambient default."""
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", request.param)
-    return request.param
 
 
 def counters(instructions=50, llc_misses=3.0, branch_misses=1.0):
@@ -71,7 +58,7 @@ def degenerate_pair(arrivals, n_cores):
 class TestDegenerateByteIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("n_cores", [1, 3])
-    def test_request_stream_identical(self, seed, n_cores, engine):
+    def test_request_stream_identical(self, seed, n_cores):
         arrivals = poisson_arrivals(6e6, 400, seed=seed)
         single, clustered = degenerate_pair(arrivals, n_cores)
         assert len(clustered.records) == len(single.requests)
@@ -88,7 +75,7 @@ class TestDegenerateByteIdentity:
             assert c.completed and not c.failed
             assert c.attempts == 1 and c.retries == 0 and not c.hedged
 
-    def test_aggregates_identical(self, engine):
+    def test_aggregates_identical(self):
         arrivals = poisson_arrivals(6e6, 500, seed=3)
         single, clustered = degenerate_pair(arrivals, 2)
         assert clustered.makespan_ns == single.makespan_ns
@@ -96,7 +83,7 @@ class TestDegenerateByteIdentity:
         assert clustered.latencies_ns == single.latencies_ns
         assert clustered.throughput_per_sec == single.throughput_per_sec
 
-    def test_latency_summary_identical(self, engine):
+    def test_latency_summary_identical(self):
         arrivals = poisson_arrivals(6e6, 500, seed=5)
         single, clustered = degenerate_pair(arrivals, 2)
         assert clustered.summary() == summarize_result(single)
@@ -104,7 +91,7 @@ class TestDegenerateByteIdentity:
             single.latencies_ns, single.throughput_per_sec
         )
 
-    def test_identity_breaks_with_faults(self, engine):
+    def test_identity_breaks_with_faults(self):
         """Sanity: the identity is a property of the degenerate config,
         not an artifact of the comparison."""
         arrivals = poisson_arrivals(6e6, 400, seed=0)
@@ -120,101 +107,6 @@ class TestDegenerateByteIdentity:
         )
         clustered = simulate_cluster(cluster, arrivals, [50] * 400)
         assert clustered.latencies_ns != single.latencies_ns
-
-
-def record_tuple(r):
-    return (
-        r.rid,
-        r.key,
-        r.shard,
-        r.arrival_ns,
-        r.attempts,
-        r.retries,
-        r.hedged,
-        r.completed,
-        r.failed,
-        r.start_ns,
-        r.finish_ns,
-        r.replica,
-        r.core,
-    )
-
-
-class TestCrossEngineByteIdentity:
-    """The two engines must agree with each other, not just with the
-    single-node simulator -- including on runs where the kernel falls
-    back to the event loop (faults, hedging, retries)."""
-
-    def both(self, build):
-        return build(engine="event"), build(engine="fast")
-
-    @pytest.mark.parametrize("seed", [0, 11])
-    def test_degenerate_cluster(self, seed):
-        arrivals = poisson_arrivals(6e6, 400, seed=seed)
-
-        def build(engine):
-            cluster = Cluster(
-                shard_map=ShardMap([0]),
-                services=[ServiceModel(counters())],
-                n_replicas=1,
-                n_cores=2,
-            )
-            return simulate_cluster(
-                cluster, arrivals, [50] * 400, engine=engine
-            )
-
-        a, b = self.both(build)
-        assert [record_tuple(r) for r in a.records] == [
-            record_tuple(r) for r in b.records
-        ]
-        assert a.summary() == b.summary()
-
-    def test_faulted_hedged_cluster(self):
-        arrivals = poisson_arrivals(4e6, 500, seed=2)
-        keys = [(37 * i) % 100 for i in range(500)]
-        span = 500 / 4e6 * 1e9
-
-        def build(engine):
-            cluster = Cluster(
-                shard_map=ShardMap([0, 50]),
-                services=[
-                    ServiceModel(counters()),
-                    ServiceModel(counters(80)),
-                ],
-                n_replicas=2,
-                n_cores=2,
-                policy=RouterPolicy(
-                    hedge_after_ns=span / 100.0,
-                    backoff_base_ns=span / 50.0,
-                    backoff_cap_ns=span / 5.0,
-                ),
-                faults=FaultConfig(
-                    crash_mttf_ns=span / 2.0,
-                    crash_mttr_ns=span / 10.0,
-                    slow_mttf_ns=span / 2.0,
-                    slow_mttr_ns=span / 8.0,
-                    slow_factor=6.0,
-                    seed=5,
-                ),
-            )
-            return simulate_cluster(
-                cluster, arrivals, keys, fault_horizon_ns=1.5 * span,
-                engine=engine,
-            )
-
-        a, b = self.both(build)
-        assert a.crashes > 0 or a.slow_events > 0
-        assert [record_tuple(r) for r in a.records] == [
-            record_tuple(r) for r in b.records
-        ]
-        assert (a.crashes, a.slow_events, a.total_retries, a.total_hedges) == (
-            b.crashes,
-            b.slow_events,
-            b.total_retries,
-            b.total_hedges,
-        )
-        assert a.fault_events == b.fault_events
-        assert a.summary() == b.summary()
 
 
 @pytest.fixture(autouse=True)
@@ -272,10 +164,3 @@ class TestReportDeterminism:
             assert index_name in report
         assert "-> chosen:" in report
         assert "avail" in report
-
-    def test_report_identical_across_engines(self, settings, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "event")
-        event_report, _ = fresh_report(settings, jobs=1)
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "fast")
-        fast_report, _ = fresh_report(settings, jobs=1)
-        assert event_report == fast_report

@@ -6,7 +6,9 @@ pre-refactor harness (``common.dataset_and_workload`` +
 that also appear -- at the paper's full scale -- in ``results_full.json``.
 A fresh run today, serial or parallel, must reproduce those counters
 exactly; any mismatch means the refactor changed measurement behavior,
-not just its plumbing.
+not just its plumbing.  The cells run the product path: ``measure``
+picks the batched path for kernel-supported indexes and the per-lookup
+loop otherwise.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ class TestGoldenCells:
         assert stats.executed == len(GOLDEN)
         for measurement, record in zip(measurements, GOLDEN):
             assert_matches_golden(measurement, record)
+
+    def test_repeat_run_hits_replay_memo_and_matches(self):
+        """Back-to-back runs reuse cached batches/plans/memos exactly."""
+        record = GOLDEN[0]
+        cell = cell_of(record)
+        assert_matches_golden(cell.run(), record)
+        assert_matches_golden(cell.run(), record)
 
 
 class TestGoldenProvenance:

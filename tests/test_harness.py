@@ -1,7 +1,10 @@
 """Measurement harness."""
 
+import dataclasses
+
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (
     LookupError_,
     Measurement,
@@ -10,6 +13,7 @@ from repro.bench.harness import (
     measure_index,
 )
 from repro.datasets import make_dataset, make_workload
+from repro.memsim import ReferenceEngine, TracedArray
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +51,17 @@ class TestMeasure:
         assert m.n_lookups == 100
 
     def test_verification_catches_broken_index(self, ds, wl):
+        """Zeroed error bounds around shifted predictions: the batched
+        path and the per-lookup loop both read the corrupted leaves."""
         built = build_index(ds, "RMI", {"branching": 64})
-        from repro.core.bounds import SearchBound
-
-        built.index.lookup = lambda key, tracer=None: SearchBound(0, 1)
-        with pytest.raises(LookupError_):
-            measure(built, wl, n_lookups=50, warmup=0)
+        recs = built.index._records
+        leaves = recs.values.reshape(-1, 5).copy()
+        leaves[:, 1] += 1e6  # intercept
+        leaves[:, 2] = 0.0  # error bound
+        built.index._records = TracedArray(leaves.ravel(), recs.base, recs.name)
+        for engine in (None, ReferenceEngine):
+            with pytest.raises(LookupError_):
+                measure(built, wl, n_lookups=50, warmup=0, engine=engine)
 
     def test_cold_slower_than_warm(self, ds, wl):
         warm = measure_index(ds, wl, "BTree", {"gap": 1}, n_lookups=150, warmup=100)
@@ -86,3 +95,45 @@ class TestMeasure:
         m = measure_index(ds, wl, "BS", {}, n_lookups=80)
         assert m.size_bytes == 0
         assert m.counters.reads > 8  # all work in the last mile
+
+
+class TestMeasureDispatch:
+    """``measure`` picks its path from the index alone, and both paths
+    equal the reference engine oracle byte for byte."""
+
+    CONFIGS = {
+        "RMI": {"branching": 64},
+        "PGM": {"epsilon": 16},
+        "RS": {"epsilon": 16, "radix_bits": 8},
+        "BTree": {"gap": 4},
+        "ART": {"gap": 4},
+    }
+    BATCHED = ("RMI", "PGM", "RS")
+
+    @pytest.mark.parametrize("index", CONFIGS)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_batched_exactly_where_kernels_apply(
+        self, ds, wl, monkeypatch, index, warm
+    ):
+        config = self.CONFIGS[index]
+        batched = index in self.BATCHED
+        entered = []
+        real = harness._measure_batched
+
+        def spy(*args, **kwargs):
+            entered.append(args[0].index.name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_measure_batched", spy)
+        kw = dict(n_lookups=120, warmup=60, warm=warm)
+        product = measure(build_index(ds, index, config), wl, **kw)
+        assert entered == ([index] if batched else [])
+        oracle = measure(
+            build_index(ds, index, config), wl, engine=ReferenceEngine, **kw
+        )
+        assert entered == ([index] if batched else [])
+        for f in dataclasses.fields(product):
+            if f.name != "build_seconds":
+                assert getattr(product, f.name) == getattr(oracle, f.name), (
+                    f.name
+                )

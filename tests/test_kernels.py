@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 from repro.bench.harness import _LOOP_INSTR, build_index
 from repro.datasets.loader import Dataset
 from repro.learned import kernels
-from repro.memsim import PerfTracer, SiteInterner, TraceRecorder
+from repro.memsim import (
+    PerfTracer,
+    ReferenceEngine,
+    SiteInterner,
+    TraceRecorder,
+)
 from repro.search.last_mile import SEARCH_FUNCTIONS
 
 _CONFIGS = [
@@ -81,9 +86,9 @@ def _assert_batch_matches_scalar(built, probes):
         assert pos_l[r] == pos, key
         # Same stream, counter-wise: replay both on fresh reference
         # engines (the stream is state-independent by construction).
-        t_scalar = PerfTracer(engine="reference", sites=sites)
+        t_scalar = PerfTracer(engine=ReferenceEngine(sites=sites))
         t_scalar.replay(trace)
-        t_batch = PerfTracer(engine="reference", sites=sites)
+        t_batch = PerfTracer(engine=ReferenceEngine(sites=sites))
         t_batch.replay(batch.trace_for(r))
         assert t_batch.snapshot() == t_scalar.snapshot(), key
 
@@ -127,7 +132,7 @@ def test_batch_bounds_alone_matches_lookup():
     )
     lo, hi = kernels.batch_bounds(built.index, probes)
     for r, key in enumerate(probes.tolist()):
-        bound = built.index.lookup(key, PerfTracer(engine="reference"))
+        bound = built.index.lookup(key, PerfTracer(engine=ReferenceEngine()))
         assert (int(lo[r]), int(hi[r])) == (bound.lo, bound.hi), key
 
 

@@ -24,19 +24,30 @@ from hypothesis import strategies as st
 from repro.memsim import (
     Cache,
     CacheHierarchy,
-    ENGINE_NAMES,
     PerfTracer,
+    ReferenceEngine,
     SiteInterner,
     TraceRecorder,
     VectorEngine,
-    make_engine,
 )
 from repro.memsim.engine import FastEngine
 from repro.memsim.tlb import TLB
 from repro.memsim.trace import K_REPEAT
 
+#: Every engine, the reference (the oracle) first.
+ENGINES = {
+    "reference": ReferenceEngine,
+    "fast": FastEngine,
+    "vector": VectorEngine,
+}
+_NAMES = tuple(ENGINES)
+
 #: The engines differentially tested against the reference.
-_ALT_ENGINES = tuple(n for n in ENGINE_NAMES if n != "reference")
+_ALT_ENGINES = _NAMES[1:]
+
+
+def _tracer(name, sites=None):
+    return PerfTracer(engine=ENGINES[name](sites=sites))
 
 _SITES = ["bs.cmp", "btree.descend", "rmi.clamp", "loop"]
 
@@ -92,19 +103,21 @@ def _drive(tracer, events):
 @given(_events())
 @settings(max_examples=150, deadline=None)
 def test_engines_are_counter_identical(events):
-    ref_snaps = _drive(PerfTracer(engine="reference"), events)
+    ref_snaps = _drive(_tracer("reference"), events)
     for name in _ALT_ENGINES:
-        assert _drive(PerfTracer(engine=name), events) == ref_snaps, name
+        assert _drive(_tracer(name), events) == ref_snaps, name
 
 
 def _tiny_reference():
     return PerfTracer(
-        caches=CacheHierarchy(
-            l1=Cache(2 * 64, 2, "L1"),
-            l2=Cache(8 * 64, 2, "L2"),
-            l3=Cache(16 * 64, 4, "L3"),
-        ),
-        tlb=TLB(l1_entries=2, l2_entries=4),
+        engine=ReferenceEngine(
+            caches=CacheHierarchy(
+                l1=Cache(2 * 64, 2, "L1"),
+                l2=Cache(8 * 64, 2, "L2"),
+                l3=Cache(16 * 64, 4, "L3"),
+            ),
+            tlb=TLB(l1_entries=2, l2_entries=4),
+        )
     )
 
 
@@ -127,12 +140,14 @@ def test_engines_identical_under_tiny_geometry(events):
 def test_engines_identical_under_degenerate_geometry(events):
     """1-set/1-way caches and a 1-entry TLB: everything evicts, always."""
     ref = PerfTracer(
-        caches=CacheHierarchy(
-            l1=Cache(64, 1, "L1"),
-            l2=Cache(2 * 64, 2, "L2"),
-            l3=Cache(4 * 64, 4, "L3"),
-        ),
-        tlb=TLB(l1_entries=1, l2_entries=1),
+        engine=ReferenceEngine(
+            caches=CacheHierarchy(
+                l1=Cache(64, 1, "L1"),
+                l2=Cache(2 * 64, 2, "L2"),
+                l3=Cache(4 * 64, 4, "L3"),
+            ),
+            tlb=TLB(l1_entries=1, l2_entries=1),
+        )
     )
     kw = dict(l1=(64, 1), l2=(2 * 64, 2), l3=(4 * 64, 4), tlb_entries=(1, 1))
     ref_snaps = _drive(ref, events)
@@ -152,17 +167,17 @@ def test_replay_equals_direct_execution(events):
     _apply(recorder, stream)
     trace = recorder.finish()
 
-    direct = PerfTracer(engine="reference", sites=sites)
+    direct = _tracer("reference", sites)
     _apply(direct, stream)
     expected = direct.snapshot()
 
-    for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
+    for name in _NAMES:
+        t = _tracer(name, sites)
         t.replay(trace)
         assert t.snapshot() == expected, name
         # A second fresh engine replaying the same trace object takes
         # the vector engine's memoized path; still byte-identical.
-        t2 = PerfTracer(engine=name, sites=sites)
+        t2 = _tracer(name, sites)
         t2.replay(trace)
         assert t2.snapshot() == expected, name
 
@@ -182,8 +197,8 @@ def test_replay_composes_with_live_events(events, events2):
     trace2 = recorder2.finish()
 
     results = []
-    for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
+    for name in _NAMES:
+        t = _tracer(name, sites)
         t.replay(trace)  # from pristine state (vector: memoizable)
         snaps = [t.snapshot()]
         t.replay(trace2)  # chained replay (vector: token chain)
@@ -197,7 +212,7 @@ def test_replay_composes_with_live_events(events, events2):
         t.replay(trace)
         snaps.append(t.snapshot())
         results.append(snaps)
-    for name, snaps in zip(ENGINE_NAMES[1:], results[1:]):
+    for name, snaps in zip(_NAMES[1:], results[1:]):
         assert snaps == results[0], name
 
 
@@ -227,11 +242,11 @@ def test_repeat_compression_boundaries(run_len, offset, branch_between):
     trace = recorder.finish()
     assert K_REPEAT in trace.kinds.tolist()
 
-    direct = PerfTracer(engine="reference", sites=sites)
+    direct = _tracer("reference", sites)
     _apply(direct, stream)
     expected = direct.snapshot()
-    for name in ENGINE_NAMES:
-        t = PerfTracer(engine=name, sites=sites)
+    for name in _NAMES:
+        t = _tracer(name, sites)
         t.replay(trace)
         assert t.snapshot() == expected, name
 
@@ -249,8 +264,8 @@ def test_vector_replay_resolves_leading_repeat_against_live_state():
     trace = recorder.finish()
     for warm_addr in (4096, 1 << 20):  # MRU-matching and not
         snaps = []
-        for name in ENGINE_NAMES:
-            t = PerfTracer(engine=name, sites=sites)
+        for name in _NAMES:
+            t = _tracer(name, sites)
             t.read(warm_addr, 8)
             t.replay(trace)
             snaps.append(t.snapshot())
@@ -259,17 +274,17 @@ def test_vector_replay_resolves_leading_repeat_against_live_state():
 
 def test_branch_site_count_matches_across_engines():
     events = [("branch", s, t) for s in _SITES for t in (True, False, True)]
-    engines = [make_engine(name) for name in ENGINE_NAMES]
+    engines = [cls() for cls in ENGINES.values()]
     for _, site, taken in events:
         for e in engines:
             e.branch(site, taken)
     assert {e.n_branch_sites() for e in engines} == {len(_SITES)}
 
 
-@pytest.mark.parametrize("engine", list(ENGINE_NAMES))
+@pytest.mark.parametrize("engine", _NAMES)
 def test_multiline_and_page_crossing_reads(engine):
     """Deterministic spot-check: a read spanning lines and pages."""
-    t = PerfTracer(engine=engine)
+    t = _tracer(engine)
     t.read(4096 - 32, 64)  # crosses a line AND a page boundary
     c = t.counters
     assert c.reads == 1

@@ -1,7 +1,7 @@
 """Unit tests for the memsim engine layer (`repro.memsim.engine`).
 
-Engine selection semantics, the SiteInterner, API parity between
-PerfTracer-over-reference and PerfTracer-over-fast, and the
+The tracer's default engine, the SiteInterner, API parity between
+PerfTracer over the reference, fast and vector engines, and the
 BranchPredictor table-materialization regression.  Counter *equivalence*
 between engines lives in ``tests/test_memsim_differential.py``.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.memsim import (
-    ENGINE_NAMES,
     BranchPredictor,
     Cache,
     CacheHierarchy,
@@ -20,10 +19,15 @@ from repro.memsim import (
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
-    default_engine_name,
-    make_engine,
+    VectorEngine,
 )
 from repro.memsim.tlb import TLB
+
+ENGINES = {
+    "reference": ReferenceEngine,
+    "fast": FastEngine,
+    "vector": VectorEngine,
+}
 
 
 class TestSiteInterner:
@@ -37,61 +41,38 @@ class TestSiteInterner:
 
     def test_shared_interner_agrees_across_engines(self):
         si = SiteInterner()
-        ref = make_engine("reference", sites=si)
-        fast = make_engine("fast", sites=si)
+        ref = ReferenceEngine(sites=si)
+        fast = FastEngine(sites=si)
         assert ref.sites is si and fast.sites is si
 
 
 class TestEngineSelection:
-    def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEMSIM_ENGINE", raising=False)
-        assert default_engine_name() == "reference"
-        assert PerfTracer().engine.name == "reference"
+    def test_default_is_fast_engine(self):
+        si = SiteInterner()
+        t = PerfTracer(sites=si)
+        assert isinstance(t.engine, FastEngine)
+        assert t.sites is si
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
-    def test_env_var_selects_engine(self, monkeypatch, name):
-        monkeypatch.setenv("REPRO_MEMSIM_ENGINE", name)
-        assert default_engine_name() == name
-        assert PerfTracer().engine.name == name
-
-    def test_env_var_rejects_unknown_engine(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMSIM_ENGINE", "warp9")
-        with pytest.raises(ValueError, match="warp9"):
-            default_engine_name()
-
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMSIM_ENGINE", "fast")
-        assert PerfTracer(engine="reference").engine.name == "reference"
-
-    def test_custom_components_imply_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEMSIM_ENGINE", "fast")
+    def test_custom_components_imply_reference(self):
+        """Custom component objects exist only on the reference engine,
+        which the caller builds and passes in."""
         caches = CacheHierarchy(l1=Cache(4096, 4, "tiny"))
-        t = PerfTracer(caches=caches)
+        t = PerfTracer(engine=ReferenceEngine(caches=caches))
         assert t.engine.name == "reference"
         assert t.caches is caches
-
-    def test_fast_engine_rejects_component_objects(self):
-        with pytest.raises(ValueError, match="reference"):
-            make_engine("fast", caches=CacheHierarchy())
-
-    def test_unknown_engine_name_raises(self):
-        with pytest.raises(ValueError, match="hyperspeed"):
-            make_engine("hyperspeed")
 
     def test_prebuilt_engine_instance(self):
         eng = FastEngine()
         t = PerfTracer(engine=eng)
         assert t.engine is eng
-        with pytest.raises(ValueError):
-            PerfTracer(engine=eng, tlb=TLB())
 
 
 class TestTracerApiParity:
-    """Both engines expose the same PerfTracer surface."""
+    """Every engine exposes the same PerfTracer surface."""
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", ENGINES)
     def test_counters_snapshot_flush(self, name):
-        t = PerfTracer(engine=name)
+        t = PerfTracer(engine=ENGINES[name]())
         t.read(0x1000, 8)
         t.instr(5)
         t.branch("x", True)
@@ -111,20 +92,20 @@ class TestTracerApiParity:
         assert t.counters.llc_misses == before + 2
 
     def test_reference_exposes_components(self):
-        t = PerfTracer(engine="reference")
+        t = PerfTracer(engine=ReferenceEngine())
         assert isinstance(t.caches, CacheHierarchy)
         assert isinstance(t.predictor, BranchPredictor)
         assert isinstance(t.tlb, TLB)
 
     def test_fast_engine_has_no_component_objects(self):
-        t = PerfTracer(engine="fast")
+        t = PerfTracer()
         for attr in ("caches", "predictor", "tlb"):
-            with pytest.raises(AttributeError, match="reference"):
+            with pytest.raises(AttributeError, match="ReferenceEngine"):
                 getattr(t, attr)
 
-    @pytest.mark.parametrize("name", ENGINE_NAMES)
+    @pytest.mark.parametrize("name", ENGINES)
     def test_n_branch_sites_counts_distinct_sites(self, name):
-        eng = make_engine(name)
+        eng = ENGINES[name]()
         for site, taken in [("a", True), ("a", True), ("b", False)]:
             eng.branch(site, taken)
         assert eng.n_branch_sites() == 2
@@ -132,7 +113,7 @@ class TestTracerApiParity:
     def test_fast_n_branch_sites_ignores_interned_but_unbranched(self):
         si = SiteInterner()
         si.intern("never-branched")
-        eng = make_engine("fast", sites=si)
+        eng = FastEngine(sites=si)
         eng.branch("real", True)
         assert eng.n_branch_sites() == 1
 

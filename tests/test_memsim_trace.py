@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.memsim import PerfTracer, SiteInterner, TraceRecorder, TraceStore
+from repro.memsim import (
+    FastEngine,
+    PerfTracer,
+    ReferenceEngine,
+    SiteInterner,
+    TraceRecorder,
+    TraceStore,
+)
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, K_REPEAT, Trace
 
 
@@ -73,10 +80,10 @@ class TestTraceRecorder:
         assert K_REPEAT in trace.kinds.tolist()
         direct = PerfTracer()
         drive(direct)
-        for engine in ("reference", "fast"):
-            t = PerfTracer(engine=engine)
+        for engine in (ReferenceEngine, FastEngine):
+            t = PerfTracer(engine=engine())
             t.replay(trace)
-            assert t.snapshot() == direct.snapshot(), engine
+            assert t.snapshot() == direct.snapshot(), engine.name
 
     def test_page_crossing_read_blocks_repeat(self):
         # A read whose last line sits outside its first (translated)

@@ -3,8 +3,9 @@
 The load-bearing invariant: wrapping the harness tracer in a
 :class:`~repro.obs.phase.PhaseTracer` never changes any counter, and the
 integer per-phase totals telescope to exactly the unphased totals -- on
-both memsim engines, for every instrumented index.  Golden measurements
-therefore stay byte-identical under ``--profile``.
+the product path and on the reference engine oracle, for every
+instrumented index.  Golden measurements therefore stay byte-identical
+under ``--profile``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.bench.harness import build_index, measure
 from repro.datasets.loader import make_dataset
 from repro.datasets.workload import make_workload
 from repro.memsim.counters import PerfCounters
+from repro.memsim.engine import ReferenceEngine
 from repro.memsim.tracer import PerfTracer
 from repro.obs.phase import (
     PHASE_ORDER,
@@ -30,6 +32,10 @@ from repro.obs.phase import (
 )
 
 INDEXES = ("RMI", "PGM", "RS", "BTree", "IBTree")
+
+#: ``measure``'s ``engine`` argument: the product path (whose profiled
+#: per-lookup loop runs the fast engine) and the reference oracle.
+ENGINES = {"reference": ReferenceEngine, "fast": None}
 
 
 def phase_sum(phases) -> PerfCounters:
@@ -91,7 +97,7 @@ class TestPhaseTracer:
 
 
 class TestMeasureProfiled:
-    """Harness-level invariants, exhaustively over engines x indexes."""
+    """Harness-level invariants, exhaustively over paths x indexes."""
 
     @pytest.fixture(scope="class")
     def setup(self):
@@ -99,12 +105,13 @@ class TestMeasureProfiled:
         wl = make_workload(ds, 300, seed=9)
         return ds, wl
 
-    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    @pytest.mark.parametrize("engine", list(ENGINES))
     @pytest.mark.parametrize("index", INDEXES)
     def test_phases_sum_to_totals_and_counters_unchanged(
         self, setup, engine, index
     ):
         ds, wl = setup
+        engine = ENGINES[engine]
         plain = measure(
             build_index(ds, index),
             wl,
@@ -137,7 +144,7 @@ class TestMeasureProfiled:
 
     @given(
         index=st.sampled_from(INDEXES),
-        engine=st.sampled_from(["reference", "fast"]),
+        engine=st.sampled_from(list(ENGINES.values())),
         seed=st.integers(0, 3),
         search=st.sampled_from(["binary", "linear", "exponential"]),
         warm=st.booleans(),
@@ -167,7 +174,7 @@ class TestMeasureProfiled:
                 wl,
                 n_lookups=150,
                 warmup=40,
-                engine="reference",
+                engine=ReferenceEngine,
                 profile=True,
             )
             fast = measure(
@@ -175,14 +182,13 @@ class TestMeasureProfiled:
                 wl,
                 n_lookups=150,
                 warmup=40,
-                engine="fast",
                 profile=True,
             )
             assert ref.phases == fast.phases, index
 
     def test_profile_disables_replay_but_not_counters(self, setup):
         ds, wl = setup
-        built = build_index(ds, "RMI")
+        built = build_index(ds, "BTree")
         profiled = measure(
             built, wl, n_lookups=150, warmup=40, replay=True, profile=True
         )

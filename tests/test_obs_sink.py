@@ -47,7 +47,6 @@ class TestManifest:
         assert manifest["argv"] == ["--experiment", "fig7"]
         assert manifest["seed"] == settings.seed
         assert manifest["settings"]["n_keys"] == settings.n_keys
-        assert manifest["memsim_engine"] in ("reference", "fast")
         assert manifest["config_hash"] == config_hash(
             manifest["settings"]
         )
@@ -80,6 +79,23 @@ class TestWriteRun:
             "metrics.json",
             "spans.jsonl",
         ]
+
+    def test_reused_dir_holds_only_the_latest_run(self, tmp_path):
+        obs_dir = str(tmp_path / "run")
+        for run in (1, 2):
+            paths = write_run(
+                obs_dir,
+                spans=[{"run": run, "n": i} for i in range(3)],
+                metrics_snapshot={"run": run},
+                manifest={"run": run},
+                timeseries=[{"run": run}],
+            )
+        for key in ("spans", "timeseries"):
+            assert {r["run"] for r in read_jsonl(paths[key])} == {2}, key
+        assert len(read_jsonl(paths["spans"])) == 3
+        for key in ("manifest", "metrics"):
+            with open(paths[key]) as f:
+                assert json.load(f) == {"run": 2}, key
 
     def test_partial_write_is_fine(self, tmp_path):
         obs_dir = str(tmp_path / "run")

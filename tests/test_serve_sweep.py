@@ -1,14 +1,12 @@
 """Tests for the parallel/cached simulation sweep layer.
 
-Pins the layer's contract from ``docs/serving_fast.md``:
+Pins the layer's contract from ``docs/serving.md``:
 
 * routing a selector sweep through tasks (any job count) is
   byte-identical to the inline path;
 * a warm :class:`SimResultCache` replays a sweep with 100% hits and
   zero executions, and the replayed selection is byte-identical;
-* cache keys are serving-engine-invariant -- a cache warmed under the
-  ``event`` engine replays fully under ``fast`` (and vice versa), and
-  no key field mentions the engine;
+* cache keys are stable content hashes that embed the schema version;
 * run records round-trip losslessly (``to_record``/``from_record``)
   and mirror the live result objects' derived values exactly.
 """
@@ -151,51 +149,28 @@ class TestSelectorTaskPath:
         assert (inline.chosen is None) == (routed.chosen is None)
 
 
-class TestEngineInvariantCacheKeys:
+class TestSimCacheKeys:
     def task(self):
         return open_loop_task(
             FakeMeasurement(), 2e6, 200, 7, 1, MachineModel()
         )
 
-    def test_key_fields_never_mention_the_engine(self):
-        fields = self.task().key_fields()
-        flat = repr(fields).lower()
-        assert "engine" not in flat
-        assert "kind" in fields
+    def test_sim_key_stable(self):
+        key = sim_key(self.task())
+        assert key == sim_key(self.task())
+        assert len(key) == 40
+        assert "kind" in self.task().key_fields()
+        assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key
 
-    def test_sim_key_stable_and_engine_free(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "event")
-        key_event = sim_key(self.task())
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "fast")
-        key_fast = sim_key(self.task())
-        assert key_event == key_fast
-        assert len(key_event) == 40
-        assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key_event
-
-    @pytest.mark.parametrize(
-        "warm_engine,replay_engine", [("event", "fast"), ("fast", "event")]
-    )
-    def test_cross_engine_cache_replay(
-        self, warm_engine, replay_engine, tmp_path, monkeypatch
-    ):
+    def test_cache_replay(self, tmp_path):
         cache = SimResultCache(str(tmp_path / "serving"))
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", warm_engine)
         warm = run_sim_tasks([self.task()], cache=cache)[0]
         clear_sim_results()
         cache.reset_stats()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", replay_engine)
         replayed = run_sim_tasks([self.task()], cache=cache)[0]
         assert cache.hits == 1 and cache.misses == 0
         assert replayed == warm
-
-    def test_engines_write_identical_records(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "event")
-        a = run_sim_tasks([self.task()])[0]
-        clear_sim_results()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", "fast")
-        b = run_sim_tasks([self.task()])[0]
-        assert a == b
-        assert open_loop_summary(a) == open_loop_summary(b)
+        assert open_loop_summary(replayed) == open_loop_summary(warm)
 
 
 class TestRunnerSemantics:

@@ -1,6 +1,10 @@
 """Unit tests for the repro.serve subsystem (arrivals, core, selector)."""
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memsim.counters import PerfCountersF
 from repro.memsim.costmodel import XEON_GOLD_6230
@@ -19,6 +23,7 @@ from repro.serve import (
     think_times_ns,
     throughput,
 )
+from repro.serve.core import SealedEventQueue
 
 
 def counters(instructions=50, llc_misses=3.0, branch_misses=1.0):
@@ -146,6 +151,38 @@ class TestEventLoop:
         assert first.latency_ns == pytest.approx(s)
         assert second.start_ns == pytest.approx(first.finish_ns)
         assert second.latency_ns == pytest.approx(2 * s)
+
+    @given(
+        gaps=st.lists(
+            st.integers(min_value=0, max_value=8).map(lambda g: 64.0 * g),
+            min_size=1,
+            max_size=150,
+        ),
+        scale=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_single_core_matches_fifo_recursion(self, gaps, scale):
+        """One core never steals and never sees contention, so service
+        starts at ``max(arrival, previous finish)`` and takes the
+        constant 1-core time.  Gaps and service time share a 64 ns grid,
+        so arrivals often land exactly on finish times (the tie rule:
+        the arrival queues, then starts at that same instant)."""
+        svc = ServiceModel(PerfCountersF(instructions=64.0 * scale))
+        s = svc.service_ns(1)
+        arrivals, t = [], 0.0
+        for g in gaps:
+            t += g
+            arrivals.append(t)
+        result = simulate_open_loop(svc, arrivals, n_cores=1)
+        finish = 0.0
+        for a, req in zip(arrivals, result.requests):
+            start = max(a, finish)
+            finish = start + s
+            assert (req.arrival_ns, req.start_ns, req.finish_ns, req.core) == (
+                a, start, finish, 0
+            )
+        assert result.makespan_ns == finish
+        assert result.total_steals == 0
 
     def test_simultaneous_arrivals_spread_across_cores(self):
         svc = ServiceModel(counters())
@@ -347,3 +384,58 @@ class TestSelector:
         for c in sel.candidates:
             assert isinstance(c.summary, LatencySummary)
             assert c.saturation_per_sec > 0
+
+
+#: (time, kind) events; kinds 0-2 mirror arrival/finish/fault ordering.
+queue_events = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.integers(min_value=0, max_value=2),
+    ),
+    min_size=0,
+    max_size=200,
+)
+
+
+class TestSealedEventQueue:
+    """The event loop's queue against its oracle, a plain ``heapq``."""
+
+    @given(up_front=queue_events, late=queue_events)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_heapq_order(self, up_front, late):
+        """Batch-sorted up-front events interleaved with a side heap of
+        late pushes pop in exactly heapq's (time, kind, seq) order."""
+        sealed = SealedEventQueue()
+        reference: list = []
+        seq = 0
+        for t, kind in up_front:
+            sealed.push(t, kind, payload=("p", seq))
+            heapq.heappush(reference, (t, kind, seq, ("p", seq)))
+            seq += 1
+        popped = []
+        expected = []
+        # Drain half, then push the late events mid-stream; the
+        # reference heap follows the same pop/push schedule.
+        drain_first = len(up_front) // 2
+        for _ in range(drain_first):
+            popped.append(sealed.pop())
+            expected.append(heapq.heappop(reference))
+        for t, kind in late:
+            sealed.push(t, kind, payload=("p", seq))
+            heapq.heappush(reference, (t, kind, seq, ("p", seq)))
+            seq += 1
+        while sealed:
+            popped.append(sealed.pop())
+            expected.append(heapq.heappop(reference))
+        assert popped == expected
+        assert not reference
+        assert len(sealed) == 0 and not sealed
+
+    def test_len_and_bool(self):
+        q = SealedEventQueue()
+        assert not q and len(q) == 0
+        q.push(1.0, 0, None)
+        q.push(0.5, 1, None)
+        assert q and len(q) == 2
+        assert q.pop()[0] == 0.5
+        assert len(q) == 1

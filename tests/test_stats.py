@@ -1,10 +1,11 @@
 """OLS regression statistics and percentile helpers."""
 
+import math
 import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.stats import (
@@ -178,3 +179,41 @@ class TestCorrelations:
 
         with pytest.raises(ValueError):
             correlations({"x": [1.0, 2.0]}, [1.0, 2.0, 3.0])
+
+
+def _percentile_reference(values, q):
+    """The pure-Python sorted-list interpolation the numpy path replaced."""
+    xs = sorted(float(v) for v in values)
+    n = len(xs)
+    if n == 1:
+        return xs[0]
+    rank = (q / 100.0) * (n - 1)
+    lo = math.floor(rank)
+    hi = min(lo + 1, n - 1)
+    frac = rank - lo
+    return xs[lo] + (xs[hi] - xs[lo]) * frac
+
+
+latency_lists = st.lists(
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    min_size=1,
+    max_size=400,
+)
+
+
+class TestPercentileParity:
+    @given(values=latency_lists, q=st.floats(min_value=0.0, max_value=100.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_pure_python(self, values, q):
+        assert percentile(values, q) == _percentile_reference(values, q)
+
+    @given(values=latency_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_tail_percentiles_share_one_sort(self, values):
+        got = percentiles(values, TAIL_PERCENTILES)
+        assert got == {
+            q: _percentile_reference(values, q) for q in TAIL_PERCENTILES
+        }
+
+    def test_single_element(self):
+        assert percentile([42.0], 99.9) == 42.0

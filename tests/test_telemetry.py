@@ -1,6 +1,6 @@
 """Unit tests for serving telemetry: windows, burn rate, traces, spans.
 
-The cross-engine and serial-vs-jobs byte-identity guarantees live in
+The serial-vs-jobs and cache-replay byte-identity guarantees live in
 ``tests/test_telemetry_differential.py``; this file pins the module's
 local contracts: config validation, totals telescoping, JSON round
 trips, windowed percentiles against a manual recompute, the SRE

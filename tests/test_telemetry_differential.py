@@ -1,17 +1,14 @@
-"""Byte-identity tests for serving telemetry across engines and runners.
+"""Byte-identity tests for serving telemetry across runs and runners.
 
 The hard bar from ``docs/observability.md``: telemetry is an *observer*.
 
-* The ``event`` and ``fast`` engines produce byte-identical windowed
-  aggregates and attempt traces -- on the vectorized Lindley-kernel
-  path (1 core), the batch-sorted SealedEventQueue path (multi-core,
-  closed-loop, cluster, tenancy), and everything in between;
-* a degenerate 1-shard/1-replica no-fault cluster reports the *same*
+* A degenerate 1-shard/1-replica no-fault cluster reports the *same*
   series as the equivalent open-loop run;
 * attaching telemetry never perturbs the simulation results, and
   telemetry-off cache keys don't mention telemetry at all;
+* faulted, hedged and shedding runs surface in the series and traces;
 * sweep-task records carry the series through the JSON round trip and
-  are identical serial vs ``jobs=2`` vs cross-engine cache replay.
+  are identical serial vs ``jobs=2`` vs cache replay.
 
 Every comparison below is exact ``==`` -- no approx anywhere.
 """
@@ -25,11 +22,7 @@ from repro.bench.cache import SimResultCache, sim_key
 from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
-from repro.serve.core import (
-    ServiceModel,
-    simulate_closed_loop,
-    simulate_open_loop,
-)
+from repro.serve.core import ServiceModel, simulate_open_loop
 from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
@@ -95,58 +88,17 @@ def assert_series_equal(a: TimeSeries, b: TimeSeries):
     assert a.to_json() == b.to_json()
 
 
-class TestOpenLoopCrossEngine:
-    """Event loop vs the vectorized Lindley kernel / sealed queue."""
-
-    def run_both(self, n_cores, **tel_kwargs):
-        arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
-        cfg = tel(**tel_kwargs)
-        return [
-            simulate_open_loop(
-                service(), arrivals, n_cores, engine=engine, telemetry=cfg
-            )
-            for engine in ("event", "fast")
-        ]
-
-    def test_kernel_path_single_core(self):
-        event, fast = self.run_both(1, traces=True, slo_p99_ns=9_000.0)
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
-        assert event.requests == fast.requests
-
-    def test_sealed_queue_path_multi_core(self):
-        event, fast = self.run_both(4, traces=True)
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
-
-    def test_closed_loop(self):
-        results = [
-            simulate_closed_loop(
-                service(),
-                n_clients=8,
-                n_requests=N_REQ,
-                mean_think_ns=500.0,
-                seed=3,
-                n_cores=2,
-                engine=engine,
-                telemetry=tel(traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
-        assert_series_equal(results[0].telemetry, results[1].telemetry)
-        assert results[0].traces == results[1].traces
-
+class TestOpenLoopTelemetry:
     def test_telemetry_does_not_perturb_results(self):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
-        for engine in ("event", "fast"):
-            plain = simulate_open_loop(service(), arrivals, 2, engine=engine)
-            observed = simulate_open_loop(
-                service(), arrivals, 2, engine=engine, telemetry=tel(True)
-            )
-            assert observed.requests == plain.requests
-            assert observed.max_queue_depth == plain.max_queue_depth
-            assert observed.makespan_ns == plain.makespan_ns
-            assert observed.total_steals == plain.total_steals
+        plain = simulate_open_loop(service(), arrivals, 2)
+        observed = simulate_open_loop(
+            service(), arrivals, 2, telemetry=tel(True)
+        )
+        assert observed.requests == plain.requests
+        assert observed.max_queue_depth == plain.max_queue_depth
+        assert observed.makespan_ns == plain.makespan_ns
+        assert observed.total_steals == plain.total_steals
 
 
 def faulty_cluster(keys, hedge_after_ns=None):
@@ -176,42 +128,33 @@ def faulty_cluster(keys, hedge_after_ns=None):
     )
 
 
-class TestClusterCrossEngine:
-    def run_both(self, keys, hedge_after_ns=None):
+class TestClusterTelemetry:
+    def run(self, keys, hedge_after_ns=None):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=5)
         lookup = request_keys(keys, N_REQ, seed=5)
-        return [
-            simulate_cluster(
-                faulty_cluster(keys, hedge_after_ns),
-                arrivals,
-                lookup,
-                fault_horizon_ns=1.5 * SPAN_NS,
-                engine=engine,
-                telemetry=tel(traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
+        return simulate_cluster(
+            faulty_cluster(keys, hedge_after_ns),
+            arrivals,
+            lookup,
+            fault_horizon_ns=1.5 * SPAN_NS,
+            telemetry=tel(traces=True),
+        )
 
     def test_faulted_cluster_series_and_traces(self, keys):
-        event, fast = self.run_both(keys)
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
+        result = self.run(keys)
+        assert_series_equal(result.telemetry, self.run(keys).telemetry)
         # The scenario actually exercises the fault machinery.
-        ts = event.telemetry
+        ts = result.telemetry
         assert ts.retries > 0
-        assert any(t.status != "completed" for t in event.traces)
+        assert any(t.status != "completed" for t in result.traces)
 
     def test_hedged_cluster_series_and_traces(self, keys):
-        event, fast = self.run_both(
-            keys, hedge_after_ns=4.0 * service().service_ns(2)
-        )
-        assert_series_equal(event.telemetry, fast.telemetry)
-        assert event.traces == fast.traces
-        assert event.telemetry.hedges > 0
-        assert any(t.cause == "hedge" for t in event.traces)
+        result = self.run(keys, hedge_after_ns=4.0 * service().service_ns(2))
+        assert result.telemetry.hedges > 0
+        assert any(t.cause == "hedge" for t in result.traces)
 
     def test_totals_telescope_to_cluster_result(self, keys):
-        result, _ = self.run_both(keys)
+        result = self.run(keys)
         ts = result.telemetry
         assert ts.completed == result.completed
         assert ts.failed == result.failed
@@ -242,11 +185,10 @@ class TestClusterCrossEngine:
 class TestDegenerateClusterMatchesOpenLoop:
     """A 1x1 fault-free cluster IS the open loop -- telemetry included."""
 
-    @pytest.mark.parametrize("engine", ["event", "fast"])
-    def test_series_match(self, keys, engine):
+    def test_series_match(self, keys):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=9)
         open_result = simulate_open_loop(
-            service(), arrivals, 2, engine=engine, telemetry=tel()
+            service(), arrivals, 2, telemetry=tel()
         )
         cluster = Cluster(
             shard_map=ShardMap.from_keys(keys, 1),
@@ -258,13 +200,12 @@ class TestDegenerateClusterMatchesOpenLoop:
             cluster,
             arrivals,
             request_keys(keys, N_REQ, seed=9),
-            engine=engine,
             telemetry=tel(),
         )
         assert_series_equal(open_result.telemetry, cluster_result.telemetry)
 
 
-class TestTenancyCrossEngine:
+class TestTenancyTelemetry:
     def spec(self):
         svc_ns = service().service_ns(1)
         rate = 0.9 * 1e9 / svc_ns
@@ -303,19 +244,14 @@ class TestTenancyCrossEngine:
         spec = self.spec()
         n_total = sum(t.arrivals.n_requests for t in spec.tenants)
         window = (n_total / spec.tenants[0].arrivals.rate_per_sec) * 1e9 / 10
-        results = [
-            simulate_scenario(
-                spec,
-                [service()],
-                keys,
-                engine=engine,
-                telemetry=TelemetryConfig(window_ns=window, traces=True),
-            )
-            for engine in ("event", "fast")
-        ]
-        assert_series_equal(results[0].telemetry, results[1].telemetry)
-        assert results[0].traces == results[1].traces
-        ts = results[0].telemetry
+        result = simulate_scenario(
+            spec,
+            [service()],
+            keys,
+            telemetry=TelemetryConfig(window_ns=window, traces=True),
+        )
+        assert result.traces
+        ts = result.telemetry
         # Admission control fired, and per-class stats are recorded.
         assert ts.shed > 0
         assert ts.classes == ("bronze", "gold")
@@ -420,20 +356,13 @@ class TestSweepTelemetry:
         on_rest = {k: v for k, v in on.items() if k != "telemetry"}
         assert on_rest == off
 
-    @pytest.mark.parametrize(
-        "warm_engine,replay_engine", [("event", "fast"), ("fast", "event")]
-    )
-    def test_cross_engine_cache_replay_with_telemetry(
-        self, keys, warm_engine, replay_engine, tmp_path, monkeypatch
-    ):
+    def test_cache_replay_with_telemetry(self, keys, tmp_path):
         cache = SimResultCache(str(tmp_path / "serving"))
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", warm_engine)
         warm = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]
         clear_sim_results()
         cache.reset_stats()
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", replay_engine)
         replayed = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]

@@ -11,11 +11,6 @@ and every percentile table must be *byte-identical* (exact ``==``, no
 approx).  This holds with sharded/replicated topologies, non-default
 router policies, and fault injection; only admission control (the new
 behaviour) is allowed to break it.
-
-Every byte-identity test runs under both serving engines (``event`` and
-``fast``); ``TestCrossEngineByteIdentity`` additionally compares the
-engines against each other -- including on admission-control runs,
-where both engines must shed the *same* requests.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.core import ServiceModel
-from repro.serve.fastsim import SERVE_ENGINE_NAMES
 from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
@@ -46,13 +40,6 @@ from repro.serve.trace import TenantTrace
 
 RATE = 3e5
 N_REQ = 400
-
-
-@pytest.fixture(params=SERVE_ENGINE_NAMES)
-def engine(request, monkeypatch):
-    """Run the test under each serving engine's ambient default."""
-    monkeypatch.setenv("REPRO_SERVE_ENGINE", request.param)
-    return request.param
 
 
 def counters(instructions=500):
@@ -134,7 +121,7 @@ def assert_records_identical(tenancy_records, cluster_records):
 
 class TestDegenerateByteIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_single_shard_fault_free(self, keys, seed, engine):
+    def test_single_shard_fault_free(self, keys, seed):
         topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=2)
         spec = single_tenant_spec(
             rate_per_sec=RATE, n_requests=N_REQ, seed=seed, topology=topology
@@ -151,7 +138,7 @@ class TestDegenerateByteIdentity:
         assert result.cluster.latencies_ns == direct.latencies_ns
         assert result.summary() == direct.summary()
 
-    def test_sharded_replicated_topology(self, keys, engine):
+    def test_sharded_replicated_topology(self, keys):
         topology = TopologySpec(n_shards=4, n_replicas=2, n_cores=2)
         spec = single_tenant_spec(
             rate_per_sec=RATE, n_requests=N_REQ, seed=3, topology=topology
@@ -167,7 +154,7 @@ class TestDegenerateByteIdentity:
         assert only.shed == 0
         assert sorted(only.latencies_ns) == sorted(direct.latencies_ns)
 
-    def test_with_policy_and_faults(self, keys, engine):
+    def test_with_policy_and_faults(self, keys):
         """The identity survives retries, hedging and fault injection --
         the tenancy layer adds tenant identity, not behaviour."""
         topology = TopologySpec(n_shards=2, n_replicas=2, n_cores=2)
@@ -204,7 +191,7 @@ class TestDegenerateByteIdentity:
         assert result.cluster.fault_events == direct.fault_events
         assert result.summary() == direct.summary()
 
-    def test_identity_breaks_with_admission(self, keys, engine):
+    def test_identity_breaks_with_admission(self, keys):
         """Sanity: admission control is the one thing allowed to
         diverge -- a tight gold threshold changes the run."""
         topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=1)
@@ -221,56 +208,8 @@ class TestDegenerateByteIdentity:
         assert result.total_shed > 0
 
 
-class TestCrossEngineByteIdentity:
-    """The engines must agree with each other through the tenancy
-    layer, admission control included: shedding decisions read queue
-    state, so identical shed sets prove identical event interleaving."""
-
-    def run_under(self, spec, keys, n_shards, monkeypatch, engine_name):
-        monkeypatch.setenv("REPRO_SERVE_ENGINE", engine_name)
-        return simulate_scenario(
-            spec, services(n_shards), keys,
-            shard_map=ShardMap.from_keys(keys, n_shards),
-        )
-
-    def test_multi_tenant_run(self, keys, monkeypatch):
-        topology = TopologySpec(n_shards=2, n_replicas=2, n_cores=2)
-        spec = single_tenant_spec(
-            rate_per_sec=RATE, n_requests=N_REQ, seed=4, topology=topology
-        )
-        a = self.run_under(spec, keys, 2, monkeypatch, "event")
-        b = self.run_under(spec, keys, 2, monkeypatch, "fast")
-        assert_records_identical(a.cluster.records, b.cluster.records)
-        assert a.trace == b.trace
-        assert a.summary() == b.summary()
-
-    def test_admission_control_sheds_identically(self, keys, monkeypatch):
-        topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=1)
-        spec = single_tenant_spec(
-            rate_per_sec=20.0 * RATE,
-            n_requests=N_REQ,
-            seed=0,
-            topology=topology,
-        ).with_admission(AdmissionSpec(enabled=True, gold_depth=1))
-        a = self.run_under(spec, keys, 1, monkeypatch, "event")
-        b = self.run_under(spec, keys, 1, monkeypatch, "fast")
-        assert a.total_shed > 0
-        assert a.total_shed == b.total_shed
-        assert [r.rid for r in a.cluster.records if r.shed] == [
-            r.rid for r in b.cluster.records if r.shed
-        ]
-        assert [
-            (r.rid, r.arrival_ns, r.start_ns, r.finish_ns, r.shed)
-            for r in a.cluster.records
-        ] == [
-            (r.rid, r.arrival_ns, r.start_ns, r.finish_ns, r.shed)
-            for r in b.cluster.records
-        ]
-        assert a.summary() == b.summary()
-
-
 class TestTraceReplayIdentity:
-    def test_serialized_trace_replays_byte_identically(self, keys, tmp_path, engine):
+    def test_serialized_trace_replays_byte_identically(self, keys, tmp_path):
         spec = single_tenant_spec(
             rate_per_sec=RATE,
             n_requests=N_REQ,

@@ -20,7 +20,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim import PerfTracer, SiteInterner, TraceRecorder, TraceStore
+from repro.memsim import (
+    PerfTracer,
+    ReferenceEngine,
+    SiteInterner,
+    TraceRecorder,
+    TraceStore,
+)
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, K_REPEAT, Trace
 
 _SITES = ["a.cmp", "b.descend", "c.clamp"]
@@ -89,10 +95,10 @@ def test_recorder_compression_is_counter_lossless(stream):
     _apply(rec, stream)
     trace = rec.finish()
 
-    direct = PerfTracer(engine="reference", sites=sites)
+    direct = PerfTracer(engine=ReferenceEngine(sites=sites))
     _apply(direct, stream)
 
-    replayed = PerfTracer(engine="reference", sites=sites)
+    replayed = PerfTracer(engine=ReferenceEngine(sites=sites))
     replayed.replay(trace)
     assert replayed.snapshot() == direct.snapshot()
 
@@ -102,10 +108,10 @@ def test_recorder_compression_is_counter_lossless(stream):
 def test_recorder_tee_preserves_inner_counters(stream):
     """The recorder forwards every event to its inner tracer unchanged."""
     sites = SiteInterner()
-    plain = PerfTracer(engine="reference", sites=sites)
+    plain = PerfTracer(engine=ReferenceEngine(sites=sites))
     _apply(plain, stream)
 
-    teed = PerfTracer(engine="reference", sites=sites)
+    teed = PerfTracer(engine=ReferenceEngine(sites=sites))
     rec = TraceRecorder(inner=teed, sites=sites)
     _apply(rec, stream)
     assert teed.snapshot() == plain.snapshot()
