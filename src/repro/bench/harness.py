@@ -135,7 +135,7 @@ def measure(
     search: str = "binary",
     cost_model: CostModel = XEON_GOLD_6230,
     verify: bool = True,
-    engine=None,
+    engine: Optional[type] = None,
     replay: bool = False,
     profile: Optional[bool] = None,
 ) -> Measurement:
