@@ -7,6 +7,7 @@ import pytest
 
 from repro.datasets import make_dataset, make_workload
 from repro.memsim import AddressSpace, TracedArray
+from serve_reference import EVENT_QUEUES, use_event_queue
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +66,18 @@ def extreme_probe_keys(amzn_small):
         2**63,
         2**64 - 1,
     ]
+
+
+@pytest.fixture(params=EVENT_QUEUES)
+def event_queue(request, monkeypatch):
+    """Run a serving test on each event queue.
+
+    ``fast`` is the simulators' own sealed queue; ``event`` swaps in the
+    plain-heap oracle (``serve_reference.HeapEventQueue``).  Every
+    assertion must hold on both, and an ``event`` run must actually
+    have simulated on the oracle.
+    """
+    built = use_event_queue(monkeypatch, request.param)
+    yield request.param
+    if request.param == "event":
+        assert built, "no simulation in this test ran on the oracle queue"

@@ -10,6 +10,11 @@ The report half mirrors ``test_serving_determinism.py``: the
 ``ext_cluster`` report must be identical whether its per-shard
 measurement grid was computed serially, on a 2-process pool, or replayed
 from the persistent cache.
+
+Every byte-identity test runs on both event queues (the ``event_queue``
+fixture): the simulators' sealed queue and the plain-heap oracle.
+``TestCrossEngineByteIdentity`` compares the two queues' runs against
+*each other* on degenerate, faulted, and hedged clusters.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from repro.serve.arrivals import poisson_arrivals
 from repro.serve.faults import FaultConfig
 from repro.serve.metrics import summarize, summarize_result
 from repro.serve.router import RouterPolicy, ShardMap
+from serve_reference import run_on_both_queues
 
 
 def counters(instructions=50, llc_misses=3.0, branch_misses=1.0):
@@ -58,7 +64,7 @@ def degenerate_pair(arrivals, n_cores):
 class TestDegenerateByteIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 42])
     @pytest.mark.parametrize("n_cores", [1, 3])
-    def test_request_stream_identical(self, seed, n_cores):
+    def test_request_stream_identical(self, seed, n_cores, event_queue):
         arrivals = poisson_arrivals(6e6, 400, seed=seed)
         single, clustered = degenerate_pair(arrivals, n_cores)
         assert len(clustered.records) == len(single.requests)
@@ -75,7 +81,7 @@ class TestDegenerateByteIdentity:
             assert c.completed and not c.failed
             assert c.attempts == 1 and c.retries == 0 and not c.hedged
 
-    def test_aggregates_identical(self):
+    def test_aggregates_identical(self, event_queue):
         arrivals = poisson_arrivals(6e6, 500, seed=3)
         single, clustered = degenerate_pair(arrivals, 2)
         assert clustered.makespan_ns == single.makespan_ns
@@ -83,7 +89,7 @@ class TestDegenerateByteIdentity:
         assert clustered.latencies_ns == single.latencies_ns
         assert clustered.throughput_per_sec == single.throughput_per_sec
 
-    def test_latency_summary_identical(self):
+    def test_latency_summary_identical(self, event_queue):
         arrivals = poisson_arrivals(6e6, 500, seed=5)
         single, clustered = degenerate_pair(arrivals, 2)
         assert clustered.summary() == summarize_result(single)
@@ -91,7 +97,7 @@ class TestDegenerateByteIdentity:
             single.latencies_ns, single.throughput_per_sec
         )
 
-    def test_identity_breaks_with_faults(self):
+    def test_identity_breaks_with_faults(self, event_queue):
         """Sanity: the identity is a property of the degenerate config,
         not an artifact of the comparison."""
         arrivals = poisson_arrivals(6e6, 400, seed=0)
@@ -107,6 +113,96 @@ class TestDegenerateByteIdentity:
         )
         clustered = simulate_cluster(cluster, arrivals, [50] * 400)
         assert clustered.latencies_ns != single.latencies_ns
+
+
+def record_tuple(r):
+    return (
+        r.rid,
+        r.key,
+        r.shard,
+        r.arrival_ns,
+        r.attempts,
+        r.retries,
+        r.hedged,
+        r.completed,
+        r.failed,
+        r.start_ns,
+        r.finish_ns,
+        r.replica,
+        r.core,
+    )
+
+
+class TestCrossEngineByteIdentity:
+    """The cluster on its sealed queue must agree with itself on the
+    plain-heap oracle, not just with the single-node simulator --
+    including faulted, hedged and retried runs, whose late pushes
+    interleave with the up-front arrivals and fault timeline."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_degenerate_cluster(self, seed, monkeypatch):
+        arrivals = poisson_arrivals(6e6, 400, seed=seed)
+
+        def build():
+            cluster = Cluster(
+                shard_map=ShardMap([0]),
+                services=[ServiceModel(counters())],
+                n_replicas=1,
+                n_cores=2,
+            )
+            return simulate_cluster(cluster, arrivals, [50] * 400)
+
+        a, b = run_on_both_queues(monkeypatch, build)
+        assert [record_tuple(r) for r in a.records] == [
+            record_tuple(r) for r in b.records
+        ]
+        assert a.summary() == b.summary()
+
+    def test_faulted_hedged_cluster(self, monkeypatch):
+        arrivals = poisson_arrivals(4e6, 500, seed=2)
+        keys = [(37 * i) % 100 for i in range(500)]
+        span = 500 / 4e6 * 1e9
+
+        def build():
+            cluster = Cluster(
+                shard_map=ShardMap([0, 50]),
+                services=[
+                    ServiceModel(counters()),
+                    ServiceModel(counters(80)),
+                ],
+                n_replicas=2,
+                n_cores=2,
+                policy=RouterPolicy(
+                    hedge_after_ns=span / 100.0,
+                    backoff_base_ns=span / 50.0,
+                    backoff_cap_ns=span / 5.0,
+                ),
+                faults=FaultConfig(
+                    crash_mttf_ns=span / 2.0,
+                    crash_mttr_ns=span / 10.0,
+                    slow_mttf_ns=span / 2.0,
+                    slow_mttr_ns=span / 8.0,
+                    slow_factor=6.0,
+                    seed=5,
+                ),
+            )
+            return simulate_cluster(
+                cluster, arrivals, keys, fault_horizon_ns=1.5 * span
+            )
+
+        a, b = run_on_both_queues(monkeypatch, build)
+        assert a.crashes > 0 or a.slow_events > 0
+        assert [record_tuple(r) for r in a.records] == [
+            record_tuple(r) for r in b.records
+        ]
+        assert (a.crashes, a.slow_events, a.total_retries, a.total_hedges) == (
+            b.crashes,
+            b.slow_events,
+            b.total_retries,
+            b.total_hedges,
+        )
+        assert a.fault_events == b.fault_events
+        assert a.summary() == b.summary()
 
 
 @pytest.fixture(autouse=True)

@@ -8,7 +8,8 @@ A fresh run today, serial or parallel, must reproduce those counters
 exactly; any mismatch means the refactor changed measurement behavior,
 not just its plumbing.  The cells run the product path: ``measure``
 picks the batched path for kernel-supported indexes and the per-lookup
-loop otherwise.
+loop otherwise.  ``TestPerLookupLoop`` switches the batched path off and
+checks the same goldens, and the fig16 report, on the per-lookup loop.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ import os
 import pytest
 
 from repro.bench.cells import MeasureCell, freeze_config
+from repro.bench.config import BenchSettings
+from repro.bench.experiments import common, fig16_multithread
 from repro.bench.parallel import run_cells
+from repro.learned import kernels
+from test_fig16_golden import GOLDEN_PATH as FIG16_GOLDEN_PATH
+from test_fig16_golden import GOLDEN_SETTINGS as FIG16_SETTINGS
 
 HERE = os.path.dirname(__file__)
 GOLDEN_PATH = os.path.join(HERE, "data", "golden_measurements.json")
@@ -27,6 +33,10 @@ RESULTS_FULL_PATH = os.path.join(HERE, "..", "results_full.json")
 
 with open(GOLDEN_PATH) as f:
     GOLDEN = json.load(f)
+
+GOLDEN_IDS = [
+    f"{r['index']}-{r['dataset']}-{r['key_bits']}bit" for r in GOLDEN
+]
 
 
 def cell_of(record: dict) -> MeasureCell:
@@ -55,13 +65,7 @@ def assert_matches_golden(measurement, record: dict) -> None:
 
 
 class TestGoldenCells:
-    @pytest.mark.parametrize(
-        "record",
-        GOLDEN,
-        ids=[
-            f"{r['index']}-{r['dataset']}-{r['key_bits']}bit" for r in GOLDEN
-        ],
-    )
+    @pytest.mark.parametrize("record", GOLDEN, ids=GOLDEN_IDS)
     def test_serial_run_matches_recorded_counters(self, record):
         assert_matches_golden(cell_of(record).run(), record)
 
@@ -78,6 +82,44 @@ class TestGoldenCells:
         cell = cell_of(record)
         assert_matches_golden(cell.run(), record)
         assert_matches_golden(cell.run(), record)
+
+
+@pytest.fixture
+def per_lookup_loop(monkeypatch):
+    """Switch the batched path off for one test, on fresh caches.
+
+    Yields what ``kernels.supports`` would have answered at each call,
+    so a test can check that some measurement really changed path.
+    """
+    supports = kernels.supports
+    answers = []
+
+    def refuse(index):
+        answers.append(supports(index))
+        return False
+
+    monkeypatch.setattr(kernels, "supports", refuse)
+    common.set_active_cache(None)
+    common.clear_caches()
+    yield answers
+    common.clear_caches()
+
+
+class TestPerLookupLoop:
+    """Every measurement on the per-lookup fast-engine loop reproduces
+    the goldens the product path does."""
+
+    @pytest.mark.parametrize("record", GOLDEN, ids=GOLDEN_IDS)
+    def test_matches_recorded_counters(self, record, per_lookup_loop):
+        assert_matches_golden(cell_of(record).run(), record)
+
+    def test_fig16_report_matches_golden(self, per_lookup_loop):
+        with open(FIG16_GOLDEN_PATH) as f:
+            golden = f.read()
+        report = fig16_multithread.run(BenchSettings(**FIG16_SETTINGS))
+        assert report == golden
+        # Some of those cells would otherwise have taken the batched path.
+        assert any(per_lookup_loop)
 
 
 class TestGoldenProvenance:

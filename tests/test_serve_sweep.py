@@ -6,7 +6,10 @@ Pins the layer's contract from ``docs/serving.md``:
   byte-identical to the inline path;
 * a warm :class:`SimResultCache` replays a sweep with 100% hits and
   zero executions, and the replayed selection is byte-identical;
-* cache keys are stable content hashes that embed the schema version;
+* cache keys are stable content hashes that embed the schema version
+  and never name the event queue -- a record written on the plain-heap
+  oracle replays fully on the sealed queue (and vice versa) and equals
+  a fresh run there;
 * run records round-trip losslessly (``to_record``/``from_record``)
   and mirror the live result objects' derived values exactly.
 """
@@ -36,6 +39,7 @@ from repro.serve.sweep import (
     run_sim_tasks,
     SimRunnerStats,
 )
+from serve_reference import run_on_both_queues, use_event_queue
 
 
 def counters(instructions=300, llc_misses=2.0):
@@ -149,28 +153,59 @@ class TestSelectorTaskPath:
         assert (inline.chosen is None) == (routed.chosen is None)
 
 
-class TestSimCacheKeys:
+class TestEngineInvariantCacheKeys:
+    """Cache keys name the simulation, never the event queue that ran it
+    (``event``: the plain-heap oracle, ``fast``: the sealed queue)."""
+
     def task(self):
         return open_loop_task(
             FakeMeasurement(), 2e6, 200, 7, 1, MachineModel()
         )
 
+    def test_key_fields_never_mention_the_engine(self):
+        fields = self.task().key_fields()
+        flat = repr(fields).lower()
+        assert "engine" not in flat
+        assert "kind" in fields
+
     def test_sim_key_stable(self):
         key = sim_key(self.task())
         assert key == sim_key(self.task())
         assert len(key) == 40
-        assert "kind" in self.task().key_fields()
         assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key
 
-    def test_cache_replay(self, tmp_path):
+    @pytest.mark.parametrize(
+        "warm_queue,replay_queue", [("event", "fast"), ("fast", "event")]
+    )
+    def test_cross_engine_cache_replay(
+        self, warm_queue, replay_queue, tmp_path, monkeypatch
+    ):
+        """A record warmed on one event queue replays with full hits
+        and equals a fresh run on the other."""
         cache = SimResultCache(str(tmp_path / "serving"))
+        warm_built = use_event_queue(monkeypatch, warm_queue)
         warm = run_sim_tasks([self.task()], cache=cache)[0]
         clear_sim_results()
         cache.reset_stats()
+        replay_built = use_event_queue(monkeypatch, replay_queue)
         replayed = run_sim_tasks([self.task()], cache=cache)[0]
         assert cache.hits == 1 and cache.misses == 0
         assert replayed == warm
         assert open_loop_summary(replayed) == open_loop_summary(warm)
+        clear_sim_results()
+        fresh = run_sim_tasks([self.task()])[0]
+        assert fresh == replayed
+        # One of the two simulations really ran on the oracle queue.
+        assert warm_built or replay_built
+
+    def test_engines_write_identical_records(self, monkeypatch):
+        def run():
+            clear_sim_results()
+            return run_sim_tasks([self.task()])[0]
+
+        a, b = run_on_both_queues(monkeypatch, run)
+        assert a == b
+        assert open_loop_summary(a) == open_loop_summary(b)
 
 
 class TestRunnerSemantics:

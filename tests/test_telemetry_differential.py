@@ -2,13 +2,17 @@
 
 The hard bar from ``docs/observability.md``: telemetry is an *observer*.
 
-* A degenerate 1-shard/1-replica no-fault cluster reports the *same*
-  series as the equivalent open-loop run;
+* The simulators on their sealed queue and on the plain-heap oracle
+  produce byte-identical windowed aggregates and attempt traces --
+  open and closed loop, faulted and hedged clusters, shedding tenancy
+  runs;
+* a degenerate 1-shard/1-replica no-fault cluster reports the *same*
+  series as the equivalent open-loop run, on either queue;
 * attaching telemetry never perturbs the simulation results, and
   telemetry-off cache keys don't mention telemetry at all;
 * faulted, hedged and shedding runs surface in the series and traces;
 * sweep-task records carry the series through the JSON round trip and
-  are identical serial vs ``jobs=2`` vs cache replay.
+  are identical serial vs ``jobs=2`` vs cache replay across queues.
 
 Every comparison below is exact ``==`` -- no approx anywhere.
 """
@@ -22,7 +26,11 @@ from repro.bench.cache import SimResultCache, sim_key
 from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
-from repro.serve.core import ServiceModel, simulate_open_loop
+from repro.serve.core import (
+    ServiceModel,
+    simulate_closed_loop,
+    simulate_open_loop,
+)
 from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
@@ -41,6 +49,7 @@ from repro.serve.sweep import (
 )
 from repro.serve.telemetry import TelemetryConfig, TimeSeries
 from repro.serve.tenancy import simulate_scenario
+from serve_reference import run_on_both_queues, use_event_queue
 
 RATE = 3e5
 N_REQ = 400
@@ -88,7 +97,41 @@ def assert_series_equal(a: TimeSeries, b: TimeSeries):
     assert a.to_json() == b.to_json()
 
 
-class TestOpenLoopTelemetry:
+class TestOpenLoopCrossEngine:
+    """Event loop on the sealed queue vs on the plain-heap oracle."""
+
+    def run_both(self, n_cores, monkeypatch, **tel_kwargs):
+        arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
+        cfg = tel(**tel_kwargs)
+        return run_on_both_queues(
+            monkeypatch,
+            lambda: simulate_open_loop(
+                service(), arrivals, n_cores, telemetry=cfg
+            ),
+        )
+
+    def test_sealed_queue_path_multi_core(self, monkeypatch):
+        heap, sealed = self.run_both(4, monkeypatch, traces=True)
+        assert_series_equal(heap.telemetry, sealed.telemetry)
+        assert heap.traces == sealed.traces
+        assert heap.requests == sealed.requests
+
+    def test_closed_loop(self, monkeypatch):
+        heap, sealed = run_on_both_queues(
+            monkeypatch,
+            lambda: simulate_closed_loop(
+                service(),
+                n_clients=8,
+                n_requests=N_REQ,
+                mean_think_ns=500.0,
+                seed=3,
+                n_cores=2,
+                telemetry=tel(traces=True),
+            ),
+        )
+        assert_series_equal(heap.telemetry, sealed.telemetry)
+        assert heap.traces == sealed.traces
+
     def test_telemetry_does_not_perturb_results(self):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=7)
         plain = simulate_open_loop(service(), arrivals, 2)
@@ -128,33 +171,44 @@ def faulty_cluster(keys, hedge_after_ns=None):
     )
 
 
-class TestClusterTelemetry:
-    def run(self, keys, hedge_after_ns=None):
+class TestClusterCrossEngine:
+    """Faulted and hedged clusters on the sealed queue vs on the
+    plain-heap oracle."""
+
+    def run_both(self, keys, monkeypatch, hedge_after_ns=None):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=5)
         lookup = request_keys(keys, N_REQ, seed=5)
-        return simulate_cluster(
-            faulty_cluster(keys, hedge_after_ns),
-            arrivals,
-            lookup,
-            fault_horizon_ns=1.5 * SPAN_NS,
-            telemetry=tel(traces=True),
+        return run_on_both_queues(
+            monkeypatch,
+            lambda: simulate_cluster(
+                faulty_cluster(keys, hedge_after_ns),
+                arrivals,
+                lookup,
+                fault_horizon_ns=1.5 * SPAN_NS,
+                telemetry=tel(traces=True),
+            ),
         )
 
-    def test_faulted_cluster_series_and_traces(self, keys):
-        result = self.run(keys)
-        assert_series_equal(result.telemetry, self.run(keys).telemetry)
+    def test_faulted_cluster_series_and_traces(self, keys, monkeypatch):
+        heap, sealed = self.run_both(keys, monkeypatch)
+        assert_series_equal(heap.telemetry, sealed.telemetry)
+        assert heap.traces == sealed.traces
         # The scenario actually exercises the fault machinery.
-        ts = result.telemetry
+        ts = heap.telemetry
         assert ts.retries > 0
-        assert any(t.status != "completed" for t in result.traces)
+        assert any(t.status != "completed" for t in heap.traces)
 
-    def test_hedged_cluster_series_and_traces(self, keys):
-        result = self.run(keys, hedge_after_ns=4.0 * service().service_ns(2))
-        assert result.telemetry.hedges > 0
-        assert any(t.cause == "hedge" for t in result.traces)
+    def test_hedged_cluster_series_and_traces(self, keys, monkeypatch):
+        heap, sealed = self.run_both(
+            keys, monkeypatch, hedge_after_ns=4.0 * service().service_ns(2)
+        )
+        assert_series_equal(heap.telemetry, sealed.telemetry)
+        assert heap.traces == sealed.traces
+        assert heap.telemetry.hedges > 0
+        assert any(t.cause == "hedge" for t in heap.traces)
 
-    def test_totals_telescope_to_cluster_result(self, keys):
-        result = self.run(keys)
+    def test_totals_telescope_to_cluster_result(self, keys, monkeypatch):
+        _, result = self.run_both(keys, monkeypatch)
         ts = result.telemetry
         assert ts.completed == result.completed
         assert ts.failed == result.failed
@@ -183,9 +237,10 @@ class TestClusterTelemetry:
 
 
 class TestDegenerateClusterMatchesOpenLoop:
-    """A 1x1 fault-free cluster IS the open loop -- telemetry included."""
+    """A 1x1 fault-free cluster IS the open loop -- telemetry included,
+    on either event queue."""
 
-    def test_series_match(self, keys):
+    def test_series_match(self, keys, event_queue):
         arrivals = poisson_arrivals(RATE, N_REQ, seed=9)
         open_result = simulate_open_loop(
             service(), arrivals, 2, telemetry=tel()
@@ -205,7 +260,10 @@ class TestDegenerateClusterMatchesOpenLoop:
         assert_series_equal(open_result.telemetry, cluster_result.telemetry)
 
 
-class TestTenancyTelemetry:
+class TestTenancyCrossEngine:
+    """A shedding tenancy run on the sealed queue vs on the plain-heap
+    oracle."""
+
     def spec(self):
         svc_ns = service().service_ns(1)
         rate = 0.9 * 1e9 / svc_ns
@@ -240,18 +298,23 @@ class TestTenancyTelemetry:
             admission=AdmissionSpec(enabled=True, bronze_depth=4),
         )
 
-    def test_shedding_run_series_and_traces(self, keys):
+    def test_shedding_run_series_and_traces(self, keys, monkeypatch):
         spec = self.spec()
         n_total = sum(t.arrivals.n_requests for t in spec.tenants)
         window = (n_total / spec.tenants[0].arrivals.rate_per_sec) * 1e9 / 10
-        result = simulate_scenario(
-            spec,
-            [service()],
-            keys,
-            telemetry=TelemetryConfig(window_ns=window, traces=True),
+        heap, sealed = run_on_both_queues(
+            monkeypatch,
+            lambda: simulate_scenario(
+                spec,
+                [service()],
+                keys,
+                telemetry=TelemetryConfig(window_ns=window, traces=True),
+            ),
         )
-        assert result.traces
-        ts = result.telemetry
+        assert_series_equal(heap.telemetry, sealed.telemetry)
+        assert heap.traces == sealed.traces
+        assert heap.traces
+        ts = heap.telemetry
         # Admission control fired, and per-class stats are recorded.
         assert ts.shed > 0
         assert ts.classes == ("bronze", "gold")
@@ -356,13 +419,22 @@ class TestSweepTelemetry:
         on_rest = {k: v for k, v in on.items() if k != "telemetry"}
         assert on_rest == off
 
-    def test_cache_replay_with_telemetry(self, keys, tmp_path):
+    @pytest.mark.parametrize(
+        "warm_queue,replay_queue", [("event", "fast"), ("fast", "event")]
+    )
+    def test_cross_engine_cache_replay_with_telemetry(
+        self, keys, warm_queue, replay_queue, tmp_path, monkeypatch
+    ):
+        """A record warmed on one event queue replays with full hits
+        and equals a fresh run on the other, series included."""
         cache = SimResultCache(str(tmp_path / "serving"))
+        warm_built = use_event_queue(monkeypatch, warm_queue)
         warm = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]
         clear_sim_results()
         cache.reset_stats()
+        replay_built = use_event_queue(monkeypatch, replay_queue)
         replayed = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
         )[0]
@@ -371,3 +443,7 @@ class TestSweepTelemetry:
         assert TimeSeries.from_dict(
             replayed["telemetry"]
         ) == TimeSeries.from_dict(warm["telemetry"])
+        clear_sim_results()
+        assert run_sim_tasks([self.task(keys, telemetry=tel())])[0] == warm
+        # One of the two simulations really ran on the oracle queue.
+        assert warm_built or replay_built

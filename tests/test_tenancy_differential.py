@@ -11,6 +11,12 @@ and every percentile table must be *byte-identical* (exact ``==``, no
 approx).  This holds with sharded/replicated topologies, non-default
 router policies, and fault injection; only admission control (the new
 behaviour) is allowed to break it.
+
+Every byte-identity test runs on both event queues (the ``event_queue``
+fixture): the simulators' sealed queue and the plain-heap oracle.
+``TestCrossEngineByteIdentity`` additionally compares the two queues'
+runs against each other -- including on admission-control runs, where
+both must shed the *same* requests.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from repro.serve.scenario import (
 )
 from repro.serve.tenancy import replay_trace, simulate_scenario
 from repro.serve.trace import TenantTrace
+from serve_reference import run_on_both_queues
 
 RATE = 3e5
 N_REQ = 400
@@ -121,7 +128,7 @@ def assert_records_identical(tenancy_records, cluster_records):
 
 class TestDegenerateByteIdentity:
     @pytest.mark.parametrize("seed", [0, 7, 42])
-    def test_single_shard_fault_free(self, keys, seed):
+    def test_single_shard_fault_free(self, keys, seed, event_queue):
         topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=2)
         spec = single_tenant_spec(
             rate_per_sec=RATE, n_requests=N_REQ, seed=seed, topology=topology
@@ -138,7 +145,7 @@ class TestDegenerateByteIdentity:
         assert result.cluster.latencies_ns == direct.latencies_ns
         assert result.summary() == direct.summary()
 
-    def test_sharded_replicated_topology(self, keys):
+    def test_sharded_replicated_topology(self, keys, event_queue):
         topology = TopologySpec(n_shards=4, n_replicas=2, n_cores=2)
         spec = single_tenant_spec(
             rate_per_sec=RATE, n_requests=N_REQ, seed=3, topology=topology
@@ -154,7 +161,7 @@ class TestDegenerateByteIdentity:
         assert only.shed == 0
         assert sorted(only.latencies_ns) == sorted(direct.latencies_ns)
 
-    def test_with_policy_and_faults(self, keys):
+    def test_with_policy_and_faults(self, keys, event_queue):
         """The identity survives retries, hedging and fault injection --
         the tenancy layer adds tenant identity, not behaviour."""
         topology = TopologySpec(n_shards=2, n_replicas=2, n_cores=2)
@@ -191,7 +198,7 @@ class TestDegenerateByteIdentity:
         assert result.cluster.fault_events == direct.fault_events
         assert result.summary() == direct.summary()
 
-    def test_identity_breaks_with_admission(self, keys):
+    def test_identity_breaks_with_admission(self, keys, event_queue):
         """Sanity: admission control is the one thing allowed to
         diverge -- a tight gold threshold changes the run."""
         topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=1)
@@ -208,8 +215,59 @@ class TestDegenerateByteIdentity:
         assert result.total_shed > 0
 
 
+class TestCrossEngineByteIdentity:
+    """The sealed queue must agree with the plain-heap oracle through the
+    tenancy layer, admission control included: shedding decisions read
+    queue state, so identical shed sets prove identical event
+    interleaving."""
+
+    def run_both(self, spec, keys, n_shards, monkeypatch):
+        return run_on_both_queues(
+            monkeypatch,
+            lambda: simulate_scenario(
+                spec, services(n_shards), keys,
+                shard_map=ShardMap.from_keys(keys, n_shards),
+            ),
+        )
+
+    def test_multi_tenant_run(self, keys, monkeypatch):
+        topology = TopologySpec(n_shards=2, n_replicas=2, n_cores=2)
+        spec = single_tenant_spec(
+            rate_per_sec=RATE, n_requests=N_REQ, seed=4, topology=topology
+        )
+        a, b = self.run_both(spec, keys, 2, monkeypatch)
+        assert_records_identical(a.cluster.records, b.cluster.records)
+        assert a.trace == b.trace
+        assert a.summary() == b.summary()
+
+    def test_admission_control_sheds_identically(self, keys, monkeypatch):
+        topology = TopologySpec(n_shards=1, n_replicas=1, n_cores=1)
+        spec = single_tenant_spec(
+            rate_per_sec=20.0 * RATE,
+            n_requests=N_REQ,
+            seed=0,
+            topology=topology,
+        ).with_admission(AdmissionSpec(enabled=True, gold_depth=1))
+        a, b = self.run_both(spec, keys, 1, monkeypatch)
+        assert a.total_shed > 0
+        assert a.total_shed == b.total_shed
+        assert [r.rid for r in a.cluster.records if r.shed] == [
+            r.rid for r in b.cluster.records if r.shed
+        ]
+        assert [
+            (r.rid, r.arrival_ns, r.start_ns, r.finish_ns, r.shed)
+            for r in a.cluster.records
+        ] == [
+            (r.rid, r.arrival_ns, r.start_ns, r.finish_ns, r.shed)
+            for r in b.cluster.records
+        ]
+        assert a.summary() == b.summary()
+
+
 class TestTraceReplayIdentity:
-    def test_serialized_trace_replays_byte_identically(self, keys, tmp_path):
+    def test_serialized_trace_replays_byte_identically(
+        self, keys, tmp_path, event_queue
+    ):
         spec = single_tenant_spec(
             rate_per_sec=RATE,
             n_requests=N_REQ,
