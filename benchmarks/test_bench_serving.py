@@ -12,7 +12,7 @@ trajectory for the serving subsystem:
   simulation throughput;
 * ``selector_sweep_*_seconds`` — wall-clock of an SLO candidate sweep
   routed through ``run_sim_tasks``: cold at ``--jobs 1``, cold at
-  ``--jobs 4``, and replayed from a warm ``SimResultCache``.
+  ``--jobs 4``, and replayed from a warm ``MeasurementCache``.
 
 Set ``BENCH_SERVING_JSON`` to redirect the output path (defaults to
 the repo root).
@@ -25,7 +25,7 @@ import os
 
 import pytest
 
-from repro.bench.cache import SimResultCache
+from repro.bench.cache import MeasurementCache
 from repro.bench.experiments import ext_serving
 from repro.bench.harness import measure_index
 from repro.memsim.counters import PerfCountersF
@@ -164,7 +164,7 @@ SWEEP_KW = dict(
 
 @pytest.fixture(scope="module")
 def sweep_cache(tmp_path_factory):
-    return SimResultCache(str(tmp_path_factory.mktemp("bench") / "serving"))
+    return MeasurementCache(str(tmp_path_factory.mktemp("bench")))
 
 
 def _sweep(jobs, cache):
@@ -183,7 +183,7 @@ def _pedantic_sweep(benchmark, jobs, cache):
 def test_selector_sweep_cold_jobs1(benchmark, tmp_path):
     """10-candidate SLO sweep, serial, empty cache: the baseline."""
     mean = _pedantic_sweep(
-        benchmark, 1, SimResultCache(str(tmp_path / "serving"))
+        benchmark, 1, MeasurementCache(str(tmp_path))
     )
     if mean is not None:
         _RATES["selector_sweep_cold_jobs1_seconds"] = mean

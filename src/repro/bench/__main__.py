@@ -190,20 +190,11 @@ def _run(parser, args, argv) -> int:
     serve_telemetry.clear_published()
 
     cache = None
-    sim_cache = None
     if settings.cache_dir:
+        # One store for the measurement cells and the serving simulations.
         cache = MeasurementCache(settings.cache_dir)
-        # Simulation results live beside the measurements, in their own
-        # subdirectory so measurement-cache bookkeeping is unaffected.
-        from repro.bench.cache import SimResultCache
-
-        sim_cache = SimResultCache(
-            os.path.join(settings.cache_dir, "serving")
-        )
     previous_cache = common.get_active_cache()
-    previous_sim_cache = common.get_active_sim_cache()
     common.set_active_cache(cache)
-    common.set_active_sim_cache(sim_cache)
     runner_stats = None
     try:
         # Pre-compute the measurement grid of every chosen experiment:
@@ -228,7 +219,6 @@ def _run(parser, args, argv) -> int:
             print()
     finally:
         common.set_active_cache(previous_cache)
-        common.set_active_sim_cache(previous_sim_cache)
 
     if settings.profile:
         from repro.obs.report import format_phase_table

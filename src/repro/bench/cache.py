@@ -1,11 +1,18 @@
-"""Persistent on-disk measurement cache.
+"""Persistent on-disk result store.
 
-Each :class:`~repro.bench.cells.MeasureCell` hashes to a stable content
-key (dataset name/size/seed/key-bits, index name, sorted config, workload
-parameters, plus a cache schema version); its measurement is stored as
-one small JSON file under that key.  Re-runs and interrupted sweeps then
-resume instead of recomputing -- the simulator is deterministic, so a
-cached record is exactly what a fresh run would produce.
+Every cached work item -- a measurement
+:class:`~repro.bench.cells.MeasureCell` or a :mod:`repro.serve.sweep`
+simulation task -- hashes to a stable content key (its ``key_fields()``
+plus a cache schema version); its result is stored as one small JSON
+file under that key.  Re-runs and interrupted sweeps then resume instead
+of recomputing -- the simulators are deterministic, so a cached record
+is exactly what a fresh run would produce.
+
+The store never branches on the kind of item.  Each item class says how
+its result becomes a JSON record (``to_record``) and back
+(``from_record``, which raises on a record it cannot use).  Task key
+fields always carry a ``kind`` and cell key fields never do, so the two
+kinds share one directory without colliding.
 
 The JSON round-trip is lossless: floats survive ``json`` exactly (it
 emits shortest round-trip reprs), and configs are restricted to JSON
@@ -24,10 +31,9 @@ import tempfile
 from dataclasses import fields
 from typing import Optional
 
-from repro.bench.cells import MeasureCell
 from repro.bench.harness import Measurement
 from repro.memsim.counters import PerfCounters, PerfCountersF
-from repro.obs.phase import profiling_enabled
+from repro.obs import metrics as obs_metrics
 
 #: Bump when measurement semantics change (simulator, cost model, or the
 #: record layout); this invalidates every previously cached entry.
@@ -43,18 +49,21 @@ def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
 
 
-def cache_key(cell: MeasureCell, schema_version: Optional[int] = None) -> str:
-    """Stable content hash of a cell's identity fields.
+def _content_hash(payload: dict) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+
+
+def cache_key(cell, schema_version: Optional[int] = None) -> str:
+    """Stable content hash of a work item's identity fields.
 
     Insensitive to config dict ordering (cells freeze configs sorted) and
     to Python hash randomization; sensitive to every field that changes
-    what gets measured, and to the schema version.
+    what gets measured or simulated, and to the schema version.
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "cell": cell.key_fields()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+    return _content_hash({"schema": schema_version, "cell": cell.key_fields()})
 
 
 def scenario_key(spec, schema_version: Optional[int] = None) -> str:
@@ -71,9 +80,9 @@ def scenario_key(spec, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "scenario": spec.to_dict()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
+    return _content_hash(
+        {"schema": schema_version, "scenario": spec.to_dict()}
+    )
 
 
 def measurement_to_record(m: Measurement) -> dict:
@@ -114,42 +123,14 @@ def measurement_from_record(record: dict) -> Measurement:
     return Measurement(**record)
 
 
-def sim_key(task, schema_version: Optional[int] = None) -> str:
-    """Stable content hash of a simulation task's identity fields.
-
-    ``task`` is any object with a ``key_fields() -> dict`` of JSON
-    scalars (the :mod:`repro.serve.sweep` task dataclasses).  Like
-    :func:`cache_key`, the hash canonicalizes ordering and embeds the
-    schema version.
-    """
-    if schema_version is None:
-        schema_version = CACHE_SCHEMA_VERSION
-    payload = {"schema": schema_version, "sim": task.key_fields()}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
-
-
-def _read_record(path: str, field: str) -> Optional[dict]:
-    """The ``field`` object of the cache entry at ``path``, if it has one.
-
-    None when the file is missing, unreadable or not JSON, and also when
-    it is well-formed JSON of the wrong shape (a foreign or hand-edited
-    file).  Callers count every None as a miss; the recomputed result's
-    ``put`` then overwrites the file.
-    """
-    try:
-        with open(path) as f:
-            record = json.load(f)[field]
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
 class MeasurementCache:
-    """Directory of ``<content-key>.json`` measurement records.
+    """Directory of ``<content-key>.json`` result records.
 
-    Writes are atomic (temp file + ``os.replace``), so concurrent runs
-    sharing a cache directory at worst redo a cell, never corrupt one.
+    One store for every work item: each entry is ``{"schema", "cell":
+    <key fields>, "measurement": <the item's record>}``, whatever the
+    item's kind.  Writes are atomic (temp file + ``os.replace``), so
+    concurrent runs sharing a cache directory at worst redo an item,
+    never corrupt one.
     """
 
     def __init__(self, directory: str):
@@ -157,31 +138,37 @@ class MeasurementCache:
         self.hits = 0
         self.misses = 0
 
-    def _path(self, cell: MeasureCell) -> str:
+    def _path(self, cell) -> str:
         return os.path.join(self.directory, cache_key(cell) + ".json")
 
-    def get(self, cell: MeasureCell) -> Optional[Measurement]:
-        record = _read_record(self._path(cell), "measurement")
-        # A caller that wants phase attribution re-executes a record that
-        # predates it (or was produced unprofiled).  The refreshed record
-        # overwrites this one, counters byte-identical.
-        if record is None or (profiling_enabled() and "phases" not in record):
+    def get(self, cell):
+        """``cell``'s stored result, or None for a counted miss.
+
+        A file that is present but unusable -- unreadable, not JSON, or
+        a record ``cell.from_record`` rejects -- is a miss too, counted
+        in ``bench.cache.rejects``; the recomputed result's :meth:`put`
+        overwrites it.
+        """
+        try:
+            with open(self._path(cell)) as f:
+                record = json.load(f)["measurement"]
+            result = cell.from_record(record)
+        except FileNotFoundError:
             self.misses += 1
             return None
-        try:
-            measurement = measurement_from_record(record)
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self.misses += 1  # wrong-shaped record: recompute, overwrite
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            self.misses += 1
+            obs_metrics.get_registry().counter("bench.cache.rejects").inc()
             return None
         self.hits += 1
-        return measurement
+        return result
 
-    def put(self, cell: MeasureCell, measurement: Measurement) -> None:
+    def put(self, cell, result) -> None:
         os.makedirs(self.directory, exist_ok=True)
         entry = {
             "schema": CACHE_SCHEMA_VERSION,
             "cell": cell.key_fields(),
-            "measurement": measurement_to_record(measurement),
+            "measurement": cell.to_record(result),
         }
         fd, tmp = tempfile.mkstemp(
             dir=self.directory, prefix=".tmp-", suffix=".json"
@@ -190,71 +177,6 @@ class MeasurementCache:
             with os.fdopen(fd, "w") as f:
                 json.dump(entry, f, indent=1, sort_keys=True)
             os.replace(tmp, self._path(cell))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def __len__(self) -> int:
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return 0
-        return sum(
-            1
-            for n in names
-            if n.endswith(".json") and not n.startswith(".tmp-")
-        )
-
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-class SimResultCache:
-    """Directory of ``<sim-key>.json`` simulation-result records.
-
-    The serving analogue of :class:`MeasurementCache`: each
-    :mod:`repro.serve.sweep` task stores its (JSON-able) result record
-    under the task's :func:`sim_key`.  Lives in its own subdirectory
-    (conventionally ``<cache_dir>/serving/``) so measurement-cache
-    bookkeeping (``MeasurementCache.__len__``) is unaffected.  Writes
-    are atomic, so concurrent sweeps sharing a directory at worst redo
-    a simulation, never corrupt a record.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = directory
-        self.hits = 0
-        self.misses = 0
-
-    def _path(self, task) -> str:
-        return os.path.join(self.directory, sim_key(task) + ".json")
-
-    def get(self, task) -> Optional[dict]:
-        record = _read_record(self._path(task), "result")
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, task, result: dict) -> None:
-        os.makedirs(self.directory, exist_ok=True)
-        entry = {
-            "schema": CACHE_SCHEMA_VERSION,
-            "sim": task.key_fields(),
-            "result": result,
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f, indent=1, sort_keys=True)
-            os.replace(tmp, self._path(task))
         except BaseException:
             try:
                 os.unlink(tmp)

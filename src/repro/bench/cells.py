@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.bench.cache import measurement_from_record, measurement_to_record
 from repro.bench.harness import Measurement, measure_index
 from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
+from repro.obs.phase import profiling_enabled
 
 
 def freeze_config(config: dict) -> Tuple[Tuple[str, object], ...]:
@@ -31,7 +33,7 @@ def freeze_counters(counters) -> Tuple[Tuple[str, float], ...]:
     the measured counters a service model is derived from.  Works for
     both :class:`~repro.memsim.counters.PerfCounters` and its float
     variant; values are JSON scalars, so the frozen form feeds straight
-    into :func:`repro.bench.cache.sim_key`.
+    into :func:`repro.bench.cache.cache_key`.
     """
     from dataclasses import fields as _fields
 
@@ -110,6 +112,27 @@ class MeasureCell:
             "warm": self.warm,
             "search": self.search,
         }
+
+    def label(self) -> str:
+        """Span and report label: ``index/dataset(sorted config)``."""
+        config = sorted(self.config_dict().items())
+        cfg = ",".join(f"{k}={v}" for k, v in config)
+        label = f"{self.index}/{self.dataset}"
+        return f"{label}({cfg})" if cfg else label
+
+    def to_record(self, measurement: Measurement) -> dict:
+        return measurement_to_record(measurement)
+
+    def from_record(self, record: dict) -> Measurement:
+        """The measurement a stored record holds; raises if unusable.
+
+        A caller that wants phase attribution cannot use a record that
+        predates it (or was produced unprofiled): it re-executes, and the
+        refreshed record overwrites this one, counters byte-identical.
+        """
+        if profiling_enabled() and "phases" not in record:
+            raise ValueError("record has no phase attribution")
+        return measurement_from_record(record)
 
     def materialize(self) -> Tuple[Dataset, Workload]:
         """Rebuild the dataset + workload this cell measures against.

@@ -28,33 +28,19 @@ FIG7_INDEXES = ["RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST"]
 _MEASUREMENTS: Dict[MeasureCell, Measurement] = {}
 _WORKLOADS: Dict[Tuple, Workload] = {}
 
-#: Process-wide persistent cache handle (None = memo only).
+#: Process-wide persistent cache handle (None = memo only): measurement
+#: cells and the serving experiments' simulation tasks share it.
 _ACTIVE_CACHE: Optional[MeasurementCache] = None
-
-#: Process-wide persistent simulation-result cache handle
-#: (:class:`repro.bench.cache.SimResultCache`; None = memo only).
-_ACTIVE_SIM_CACHE = None
 
 
 def set_active_cache(cache: Optional[MeasurementCache]) -> None:
-    """Install (or remove, with None) the persistent measurement cache."""
+    """Install (or remove, with None) the persistent result cache."""
     global _ACTIVE_CACHE
     _ACTIVE_CACHE = cache
 
 
 def get_active_cache() -> Optional[MeasurementCache]:
     return _ACTIVE_CACHE
-
-
-def set_active_sim_cache(cache) -> None:
-    """Install (or remove, with None) the persistent simulation cache
-    the serving experiments route their sweeps through."""
-    global _ACTIVE_SIM_CACHE
-    _ACTIVE_SIM_CACHE = cache
-
-
-def get_active_sim_cache():
-    return _ACTIVE_SIM_CACHE
 
 
 def dataset_and_workload(

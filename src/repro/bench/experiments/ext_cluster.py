@@ -40,7 +40,7 @@ cache-replay (pinned by ``tests/test_cluster_differential.py``).
 Each replay is a picklable :class:`repro.serve.sweep.ClusterTask`;
 ``run()`` batches them in two phases through
 :func:`repro.serve.sweep.run_sim_tasks` (``--jobs`` processes plus the
-persistent simulation cache): phase one covers the fault scenarios and
+persistent result cache): phase one covers the fault scenarios and
 the hedging-off runs, phase two the hedging-on runs whose hedge
 threshold derives from phase one's healthy baseline -- which is the
 same task as the ``none`` scenario, so the memo deduplicates it.
@@ -55,7 +55,7 @@ from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     fastest,
-    get_active_sim_cache,
+    get_active_cache,
     resolve_cell,
     sweep_cells,
 )
@@ -313,7 +313,7 @@ def run_scenario_stats(
         shard_map, per_shard, keys, offered_per_sec, settings, machine,
         policy, faults,
     )
-    record = run_sim_tasks([task], cache=get_active_sim_cache())[0]
+    record = run_sim_tasks([task], cache=get_active_cache())[0]
     return ClusterRunStats.from_record(record)
 
 
@@ -352,7 +352,7 @@ def fault_rate_series(
                 faults=faults,
             )
         )
-    records = run_sim_tasks(tasks, jobs=jobs, cache=get_active_sim_cache())
+    records = run_sim_tasks(tasks, jobs=jobs, cache=get_active_cache())
     return [
         (rate, ClusterRunStats.from_record(record))
         for rate, record in zip(rates, records)
@@ -380,7 +380,7 @@ def run(settings: BenchSettings) -> str:
         f"({N_SHARDS} shards x {N_REPLICAS} replicas x {SIM_CORES} cores, "
         f"{n_req} requests per run, seed {settings.seed})\n"
     ]
-    sim_cache = get_active_sim_cache()
+    sim_cache = get_active_cache()
     for ds_name in _datasets(settings):
         ds = make_dataset(
             ds_name, settings.n_keys, seed=settings.seed, key_bits=64

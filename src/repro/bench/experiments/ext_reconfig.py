@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.bench.config import BenchSettings
-from repro.bench.experiments.common import get_active_sim_cache
+from repro.bench.experiments.common import get_active_cache
 from repro.bench.experiments.ext_cluster import (
     N_REPLICAS,
     N_SHARDS,
@@ -246,7 +246,7 @@ def run(settings: BenchSettings) -> str:
                 for _, spec in scenarios
             ],
             jobs=settings.jobs,
-            cache=get_active_sim_cache(),
+            cache=get_active_cache(),
         )
 
         for (label, spec), record in zip(scenarios, records):

@@ -27,7 +27,7 @@ driver is cheap once cells are resolved, and fully seed-deterministic.
 Every open-loop point is expressed as a picklable
 :class:`repro.serve.sweep.OpenLoopTask`; ``run()`` primes the whole
 dataset's task list through :func:`repro.serve.sweep.run_sim_tasks`
-(``--jobs`` processes, persistent simulation cache), after which the
+(``--jobs`` processes, persistent result cache), after which the
 per-table helpers below hit the in-process memo.  Records are
 byte-identical whether computed inline, pooled, or replayed from cache.
 """
@@ -41,7 +41,7 @@ from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     dataset_and_workload,
     fastest,
-    get_active_sim_cache,
+    get_active_cache,
     sweep,
     sweep_cells,
 )
@@ -161,7 +161,7 @@ def latency_curve(
     """
     points = curve_tasks(measurement, settings, machine, fractions, n_cores)
     records = run_sim_tasks(
-        [task for _, _, task in points], cache=get_active_sim_cache()
+        [task for _, _, task in points], cache=get_active_cache()
     )
     return [
         (frac, offered, open_loop_summary(record)[0])
@@ -184,7 +184,7 @@ def arrival_shape_summaries(
     """
     records = run_sim_tasks(
         shape_tasks(measurement, settings, machine, load_fraction, n_cores),
-        cache=get_active_sim_cache(),
+        cache=get_active_cache(),
     )
     out: Dict[str, LatencySummary] = {
         name: open_loop_summary(record)[0]
@@ -217,7 +217,7 @@ def run(settings: BenchSettings) -> str:
         f"({SIM_CORES} cores, {n_req} requests per point, "
         f"seed {settings.seed})\n"
     ]
-    sim_cache = get_active_sim_cache()
+    sim_cache = get_active_cache()
     for ds_name in _datasets(settings):
         ds, wl = dataset_and_workload(ds_name, settings)
         sweeps = {

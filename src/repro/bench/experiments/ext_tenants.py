@@ -33,7 +33,7 @@ bit-identical across serial runs, ``--jobs N``, and cache replay.
 
 The flash-crowd comparisons and the depth sweep route through
 :class:`repro.serve.sweep.ScenarioTask` batches (``--jobs`` processes,
-persistent simulation cache); the mixed-tenant day runs inline because
+persistent result cache); the mixed-tenant day runs inline because
 the record-replay table needs its actual :class:`TenantTrace`, not just
 the summary record.
 """
@@ -45,7 +45,7 @@ from typing import Dict, List, Sequence, Tuple
 from repro.bench.cache import scenario_key
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
-from repro.bench.experiments.common import get_active_sim_cache, sweep_cells
+from repro.bench.experiments.common import get_active_cache, sweep_cells
 from repro.bench.experiments.ext_cluster import (
     N_REPLICAS,
     N_SHARDS,
@@ -402,7 +402,7 @@ def run(settings: BenchSettings) -> str:
                 for _, spec in flash
             ],
             jobs=settings.jobs,
-            cache=get_active_sim_cache(),
+            cache=get_active_cache(),
         )
         rows = []
         for (label, spec), record in zip(flash, records):
@@ -581,7 +581,7 @@ def depth_sweep_series(
             for spec in specs
         ],
         jobs=settings.jobs,
-        cache=get_active_sim_cache(),
+        cache=get_active_cache(),
     )
     p99_points: List[Tuple[float, float]] = []
     shed_points: List[Tuple[float, float]] = []

@@ -1,17 +1,20 @@
-"""Parallel experiment execution: fan measurement cells over processes.
+"""Parallel experiment execution: fan work items over processes.
 
 The experiment grid is embarrassingly parallel, so the runner is simple
-by design: dedupe the requested cells, resolve what it can from the
+by design: dedupe the requested items, resolve what it can from the
 in-process memo and the persistent cache, execute the rest either inline
-(``jobs <= 1``) or on a ``ProcessPoolExecutor``, and return measurements
-re-ordered to match the input cells -- completion order never leaks into
-results.  Workers recompute datasets and workloads from their seeds, and
-the simulated CPU is deterministic, so a cell produces identical counters
-in any process (``tests/test_parallel_determinism.py`` holds the harness
-to that).
+(one job or one pending item) or on a ``ProcessPoolExecutor``, and
+return results re-ordered to match the input -- completion order never
+leaks into results.  Workers recompute datasets, workloads and arrival
+processes from their seeds, and the simulators are deterministic, so an
+item produces identical results in any process
+(``tests/test_parallel_determinism.py`` holds the harness to that).
 
-``--jobs N`` on the CLI and :func:`resolve_jobs` honour the
-``REPRO_JOBS`` environment variable.
+One ladder (:func:`_resolve`) serves two entry points: :func:`run_cells`
+for measurement cells and :func:`repro.serve.sweep.run_sim_tasks` for
+simulation tasks.  Each picks its memo and publishes its own metrics.
+Both take the job count from :func:`resolve_jobs`: an explicit value,
+else the ``REPRO_JOBS`` environment variable, else 1.
 """
 
 from __future__ import annotations
@@ -67,18 +70,17 @@ class RunnerStats:
         return sum(s for _, s in self.cell_seconds)
 
 
-def cell_label(cell: MeasureCell) -> str:
-    config = dict(cell.config)
-    cfg = ",".join(f"{k}={v}" for k, v in sorted(config.items()))
-    label = f"{cell.index}/{cell.dataset}"
-    return f"{label}({cfg})" if cfg else label
+def cell_label(cell) -> str:
+    """A work item's ``cell`` span label: ``index/dataset(config)`` for a
+    measurement cell, the task kind for a simulation task."""
+    return cell.label()
 
 
-def _execute_cell(cell: MeasureCell) -> Tuple[Measurement, float, int, List[dict]]:
+def _execute(cell) -> Tuple[object, float, int, List[dict]]:
     """Worker entry point: always computes (memo/cache checks happen in
     the parent, before dispatch).
 
-    Returns ``(measurement, seconds, worker_pid, span_records)``.  Span
+    Returns ``(result, seconds, worker_pid, span_records)``.  Span
     records are captured into a private buffer (isolating any records a
     fork inherited from the parent) and shipped back with the result;
     the parent injects them in deterministic dispatch order.
@@ -86,8 +88,94 @@ def _execute_cell(cell: MeasureCell) -> Tuple[Measurement, float, int, List[dict
     start = time.perf_counter()
     with obs_spans.capture() as cap:
         with obs_spans.span("cell", label=cell_label(cell)):
-            measurement = cell.run()
-    return measurement, time.perf_counter() - start, os.getpid(), cap.records
+            result = cell.run()
+    return result, time.perf_counter() - start, os.getpid(), cap.records
+
+
+def _resolve(
+    cells: Sequence, jobs: Optional[int], cache, memo: dict
+) -> Tuple[list, RunnerStats]:
+    """Memo -> cache -> execute every work item, for both entry points.
+
+    A work item is a measurement cell or a simulation task: hashable,
+    picklable, with ``run()``, ``label()`` and the ``key_fields()``/
+    ``to_record``/``from_record`` the cache needs.  Returns
+    ``(results aligned with cells, RunnerStats)``.
+    """
+    jobs = resolve_jobs(jobs)
+    start = time.perf_counter()
+    stats = RunnerStats(total_cells=len(cells), jobs=jobs)
+
+    # Dedupe preserving first-occurrence order (determinism: results and
+    # memo insertion follow input order, never completion order).
+    unique = list(dict.fromkeys(cells))
+    stats.unique_cells = len(unique)
+
+    pid = os.getpid()
+    resolved = {}
+    pending = []
+    for cell in unique:
+        result = memo.get(cell)
+        if result is not None:
+            stats.memo_hits += 1
+            resolved[cell] = result
+            continue
+        if cache is not None:
+            t0 = time.perf_counter_ns()
+            result = cache.get(cell)
+            if result is not None:
+                elapsed_ns = time.perf_counter_ns() - t0
+                stats.cache_hits += 1
+                stats.worker_cells.append(
+                    (pid, cell_label(cell), elapsed_ns, True)
+                )
+                obs_spans.record(
+                    "cell",
+                    time.monotonic_ns(),
+                    elapsed_ns,
+                    label=cell_label(cell),
+                    cache_hit=True,
+                )
+                resolved[cell] = result
+                continue
+        pending.append(cell)
+
+    executed = {}
+    if pending:
+        with_pool = jobs > 1 and len(pending) > 1
+        if with_pool:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+            results = pool.map(_execute, pending)
+        else:
+            results = map(_execute, pending)
+        # zip over `pending` order (pool.map preserves it): executed
+        # results, injected worker spans, and worker_cells tuples land in
+        # deterministic dispatch order, never completion order.  Each
+        # result is cached as soon as it arrives, so an interrupt or a
+        # raising item keeps every result finished before it.
+        try:
+            for cell, (result, seconds, wpid, spans) in zip(pending, results):
+                executed[cell] = (result, seconds, wpid)
+                obs_spans.inject(spans)
+                if cache is not None:
+                    cache.put(cell, result)
+        finally:
+            if with_pool:
+                pool.shutdown()
+
+    for cell in unique:
+        if cell in executed:
+            result, seconds, wpid = executed[cell]
+            stats.executed += 1
+            stats.cell_seconds.append((cell_label(cell), seconds))
+            stats.worker_cells.append(
+                (wpid, cell_label(cell), int(seconds * 1e9), False)
+            )
+            resolved[cell] = result
+        memo.setdefault(cell, resolved[cell])
+
+    stats.wall_seconds = time.perf_counter() - start
+    return [resolved[cell] for cell in cells], stats
 
 
 def run_cells(
@@ -103,99 +191,21 @@ def run_cells(
     results; pass a private dict to isolate runs (tests do).  ``cache``
     defaults to the active persistent cache, if any.
     """
-    jobs = resolve_jobs(jobs)
     if memo is None:
         memo = common._MEASUREMENTS
     if cache is None:
         cache = common.get_active_cache()
-
-    start = time.perf_counter()
-    stats = RunnerStats(total_cells=len(cells), jobs=jobs)
-
-    # Dedupe preserving first-occurrence order (determinism: results and
-    # memo insertion follow input order, never completion order).
-    unique: List[MeasureCell] = []
-    seen = set()
-    for cell in cells:
-        if cell not in seen:
-            seen.add(cell)
-            unique.append(cell)
-    stats.unique_cells = len(unique)
-
-    pid = os.getpid()
-    resolved: Dict[MeasureCell, Measurement] = {}
-    pending: List[MeasureCell] = []
-    for cell in unique:
-        m = memo.get(cell)
-        if m is not None:
-            stats.memo_hits += 1
-            resolved[cell] = m
-            continue
-        if cache is not None:
-            t0 = time.perf_counter_ns()
-            m = cache.get(cell)
-            if m is not None:
-                elapsed_ns = time.perf_counter_ns() - t0
-                stats.cache_hits += 1
-                stats.worker_cells.append(
-                    (pid, cell_label(cell), elapsed_ns, True)
-                )
-                obs_spans.record(
-                    "cell",
-                    time.monotonic_ns(),
-                    elapsed_ns,
-                    label=cell_label(cell),
-                    cache_hit=True,
-                )
-                resolved[cell] = m
-                continue
-        pending.append(cell)
-
-    executed: Dict[MeasureCell, Tuple[Measurement, float, int]] = {}
-    if pending:
-        if jobs == 1 or len(pending) == 1:
-            results = map(_execute_cell, pending)
-        else:
-            workers = min(jobs, len(pending))
-            pool = ProcessPoolExecutor(max_workers=workers)
-            results = pool.map(_execute_cell, pending)
-        # zip over `pending` order (pool.map preserves it): executed
-        # results, injected worker spans, and worker_cells tuples land in
-        # deterministic dispatch order, never completion order.  Each
-        # result is cached as soon as it arrives, so an interrupt or a
-        # raising cell keeps every measurement finished before it.
-        with_pool = jobs > 1 and len(pending) > 1
-        try:
-            for cell, (m, seconds, wpid, spans) in zip(pending, results):
-                executed[cell] = (m, seconds, wpid)
-                obs_spans.inject(spans)
-                if cache is not None:
-                    cache.put(cell, m)
-        finally:
-            if with_pool:
-                pool.shutdown()
+    measurements, stats = _resolve(cells, jobs, cache, memo)
 
     reg = obs_metrics.get_registry()
     cell_hist = reg.histogram("bench.runner.cell_wall_ns")
-    for cell in unique:
-        if cell in executed:
-            m, seconds, wpid = executed[cell]
-            stats.executed += 1
-            stats.cell_seconds.append((cell_label(cell), seconds))
-            stats.worker_cells.append(
-                (wpid, cell_label(cell), int(seconds * 1e9), False)
-            )
-            cell_hist.observe(int(seconds * 1e9))
-            resolved[cell] = m
-        memo.setdefault(cell, resolved[cell])
-
+    for _, seconds in stats.cell_seconds:
+        cell_hist.observe(int(seconds * 1e9))
     reg.counter("bench.runner.memo_hits").inc(stats.memo_hits)
     reg.counter("bench.runner.cache_hits").inc(stats.cache_hits)
     reg.counter("bench.runner.executed").inc(stats.executed)
-    reg.gauge("bench.runner.jobs").set_max(jobs)
-
-    stats.wall_seconds = time.perf_counter() - start
-    return [resolved[cell] for cell in cells], stats
+    reg.gauge("bench.runner.jobs").set_max(stats.jobs)
+    return measurements, stats
 
 
 def collect_cells(

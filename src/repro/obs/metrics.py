@@ -9,7 +9,7 @@ event) -- and :meth:`MetricsRegistry.snapshot` serializes the whole
 registry to JSON-able dicts for the run sink.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<object>.<what>``
-(``bench.cache.hits``, ``memsim.trace_store.rejects``,
+(``bench.cache.rejects``, ``memsim.trace_store.rejects``,
 ``serve.slo.violations``).  Units go in the name suffix where ambiguous
 (``_ns``, ``_bytes``).  See ``docs/observability.md``.
 """

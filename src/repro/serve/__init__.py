@@ -93,7 +93,6 @@ from repro.serve.selector import (
     ClusterSelection,
     Selection,
     cluster_selection_from_candidates,
-    evaluate_candidate,
     select_cluster_under_slo,
     select_under_slo,
     selection_from_candidates,
@@ -103,7 +102,6 @@ from repro.serve.sweep import (
     ClusterTask,
     OpenLoopTask,
     ScenarioTask,
-    SimRunnerStats,
     TenancyRunStats,
     cluster_task,
     open_loop_summary,
@@ -152,7 +150,6 @@ __all__ = [
     "summarize_result",
     "Candidate",
     "Selection",
-    "evaluate_candidate",
     "select_under_slo",
     "selection_from_candidates",
     "Cluster",
@@ -196,7 +193,6 @@ __all__ = [
     "ScenarioTask",
     "ClusterRunStats",
     "TenancyRunStats",
-    "SimRunnerStats",
     "open_loop_task",
     "cluster_task",
     "scenario_task",

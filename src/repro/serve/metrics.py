@@ -28,7 +28,7 @@ class LatencySummary:
         return self.p99_ns <= p99_slo_ns
 
     def to_dict(self) -> dict:
-        """JSON-able form for the persistent simulation-result cache.
+        """JSON-able form for simulation records and the result cache.
 
         Floats round-trip exactly through JSON (shortest-repr), so a
         cached summary is byte-identical to a recomputed one.

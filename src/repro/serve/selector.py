@@ -15,10 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.serve.arrivals import poisson_arrivals
 from repro.serve.contention import MachineModel, saturation_throughput
-from repro.serve.core import ServiceModel, simulate_open_loop
-from repro.serve.metrics import LatencySummary, summarize_result
+from repro.serve.metrics import LatencySummary
+from repro.serve.router import RouterPolicy, request_keys
+from repro.serve.sweep import (
+    ClusterRunStats,
+    cluster_task,
+    open_loop_summary,
+    open_loop_task,
+    run_sim_tasks,
+)
 
 
 @dataclass(frozen=True)
@@ -68,38 +74,6 @@ class Selection:
         return True
 
 
-def evaluate_candidate(
-    measurement,
-    offered_per_sec: float,
-    n_requests: int,
-    seed: int,
-    n_cores: int,
-    machine: MachineModel = MachineModel(),
-    fence: bool = False,
-    slo_p99_ns: Optional[float] = None,
-) -> Candidate:
-    """Simulate one measurement under Poisson load; summarize its tail.
-
-    The summary is published to the obs metrics registry
-    (:meth:`LatencySummary.to_metrics`), so SLO violations and
-    queue-depth maxima appear in the run's metrics snapshot.
-    """
-    service = ServiceModel.from_measurement(
-        measurement, fence=fence, machine=machine
-    )
-    arrivals = poisson_arrivals(offered_per_sec, n_requests, seed)
-    result = simulate_open_loop(service, arrivals, n_cores)
-    summary = summarize_result(result)
-    summary.to_metrics(slo_p99_ns=slo_p99_ns, result=result)
-    return Candidate(
-        index=measurement.index,
-        config=dict(measurement.config),
-        size_bytes=measurement.size_bytes,
-        saturation_per_sec=saturation_throughput(measurement, machine),
-        summary=summary,
-    )
-
-
 def select_under_slo(
     measurements: Sequence,
     offered_per_sec: float,
@@ -121,55 +95,34 @@ def select_under_slo(
     smallest memory footprint; ties break on lower p99, then on
     ``(index, sorted config)`` for full determinism.
 
-    ``jobs``/``sim_cache`` route each candidate simulation through the
-    :mod:`repro.serve.sweep` runner (a ``--jobs`` process pool and/or a
-    persistent :class:`~repro.bench.cache.SimResultCache`); with both
-    ``None`` the simulations run inline.  The paths are byte-identical
-    -- simulations are pure functions of their seeds -- so this changes
-    wall-clock only, never the selection.
+    Each candidate simulation is one :mod:`repro.serve.sweep` task
+    resolved by ``run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)``:
+    ``jobs`` fans them out over processes and ``sim_cache`` (a
+    :class:`~repro.bench.cache.MeasurementCache`) replays them; with
+    neither set they run in this process.  Simulations are pure functions
+    of their seeds, so this changes wall-clock only, never the selection.
     """
-    if jobs is None and sim_cache is None:
-        candidates = [
-            evaluate_candidate(
-                m,
-                offered_per_sec,
-                n_requests,
-                seed,
-                n_cores,
-                machine,
-                fence,
-                slo_p99_ns=p99_slo_ns,
-            )
-            for m in measurements
-        ]
-    else:
-        from repro.serve.sweep import (
-            open_loop_summary,
-            open_loop_task,
-            run_sim_tasks,
+    ms = list(measurements)
+    tasks = [
+        open_loop_task(
+            m, offered_per_sec, n_requests, seed, n_cores, machine, fence
         )
-
-        ms = list(measurements)
-        tasks = [
-            open_loop_task(
-                m, offered_per_sec, n_requests, seed, n_cores, machine, fence
+        for m in ms
+    ]
+    records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
+    candidates = []
+    for m, record in zip(ms, records):
+        summary, queue_stats = open_loop_summary(record)
+        summary.to_metrics(slo_p99_ns=p99_slo_ns, result=queue_stats)
+        candidates.append(
+            Candidate(
+                index=m.index,
+                config=dict(m.config),
+                size_bytes=m.size_bytes,
+                saturation_per_sec=saturation_throughput(m, machine),
+                summary=summary,
             )
-            for m in ms
-        ]
-        records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
-        candidates = []
-        for m, record in zip(ms, records):
-            summary, queue_stats = open_loop_summary(record)
-            summary.to_metrics(slo_p99_ns=p99_slo_ns, result=queue_stats)
-            candidates.append(
-                Candidate(
-                    index=m.index,
-                    config=dict(m.config),
-                    size_bytes=m.size_bytes,
-                    saturation_per_sec=saturation_throughput(m, machine),
-                    summary=summary,
-                )
-            )
+        )
     return selection_from_candidates(
         candidates, offered_per_sec, p99_slo_ns, memory_budget_bytes
     )
@@ -302,102 +255,50 @@ def select_cluster_under_slo(
     the eligible family with the smallest total footprint; ties break on
     lower p99, then family name.
 
-    ``jobs``/``sim_cache`` route each family's cluster replay through
-    the :mod:`repro.serve.sweep` runner; with both ``None`` the replays
-    run inline.  Byte-identical either way -- wall-clock only.
+    Each family's cluster replay is one :mod:`repro.serve.sweep` task,
+    resolved like :func:`select_under_slo`'s (``jobs``/``sim_cache``
+    change wall-clock only).
     """
-    # Imported lazily: cluster imports this module's ServiceModel host
-    # package, and keeping selector importable without cluster avoids a
-    # cycle at package-init time.
-    from repro.serve.cluster import Cluster, simulate_cluster
-    from repro.serve.router import RouterPolicy, request_keys
-
     if policy is None:
         policy = RouterPolicy()
     lookup_keys = request_keys(keys, n_requests, seed)
-    candidates: List[ClusterCandidate] = []
-    if jobs is None and sim_cache is None:
-        arrivals = poisson_arrivals(offered_per_sec, n_requests, seed)
-        for family in sorted(shard_measurements):
-            per_shard = list(shard_measurements[family])
-            cluster = Cluster(
-                shard_map=shard_map,
-                services=[
-                    ServiceModel.from_measurement(
-                        m, fence=fence, machine=machine
-                    )
-                    for m in per_shard
-                ],
-                n_replicas=n_replicas,
-                n_cores=n_cores,
-                policy=policy,
-                faults=faults,
-            )
-            result = simulate_cluster(
-                cluster,
-                arrivals,
-                lookup_keys,
-                fault_horizon_ns=fault_horizon_ns,
-            )
-            summary = result.summary() if result.completed else None
-            result.to_metrics()
-            candidates.append(
-                ClusterCandidate(
-                    index=family,
-                    per_shard_size_bytes=tuple(
-                        m.size_bytes for m in per_shard
-                    ),
-                    summary=summary,
-                    availability=result.availability,
-                    total_retries=result.total_retries,
-                    total_hedges=result.total_hedges,
-                    max_queue_depth=result.max_queue_depth,
-                )
-            )
-    else:
-        from repro.serve.sweep import (
-            ClusterRunStats,
-            cluster_task,
-            run_sim_tasks,
+    families = sorted(shard_measurements)
+    tasks = [
+        cluster_task(
+            list(shard_measurements[family]),
+            shard_map,
+            lookup_keys,
+            offered_per_sec,
+            n_requests,
+            seed,
+            n_replicas,
+            n_cores,
+            policy,
+            faults,
+            fault_horizon_ns,
+            machine,
+            fence,
         )
-
-        families = sorted(shard_measurements)
-        tasks = [
-            cluster_task(
-                list(shard_measurements[family]),
-                shard_map,
-                lookup_keys,
-                offered_per_sec,
-                n_requests,
-                seed,
-                n_replicas,
-                n_cores,
-                policy,
-                faults,
-                fault_horizon_ns,
-                machine,
-                fence,
+        for family in families
+    ]
+    records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
+    candidates: List[ClusterCandidate] = []
+    for family, record in zip(families, records):
+        stats = ClusterRunStats.from_record(record)
+        stats.to_metrics()
+        candidates.append(
+            ClusterCandidate(
+                index=family,
+                per_shard_size_bytes=tuple(
+                    m.size_bytes for m in shard_measurements[family]
+                ),
+                summary=stats.summary,
+                availability=stats.availability,
+                total_retries=stats.total_retries,
+                total_hedges=stats.total_hedges,
+                max_queue_depth=stats.max_queue_depth,
             )
-            for family in families
-        ]
-        records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
-        for family, record in zip(families, records):
-            stats = ClusterRunStats.from_record(record)
-            stats.to_metrics()
-            per_shard = list(shard_measurements[family])
-            candidates.append(
-                ClusterCandidate(
-                    index=family,
-                    per_shard_size_bytes=tuple(
-                        m.size_bytes for m in per_shard
-                    ),
-                    summary=stats.summary,
-                    availability=stats.availability,
-                    total_retries=stats.total_retries,
-                    total_hedges=stats.total_hedges,
-                    max_queue_depth=stats.max_queue_depth,
-                )
-            )
+        )
     return cluster_selection_from_candidates(
         candidates,
         offered_per_sec,

@@ -6,12 +6,13 @@ gives the serving simulations the same treatment.  Each simulation an
 experiment wants -- one open-loop run, one cluster replay, one tenancy
 scenario -- is captured as a frozen *task* dataclass of plain scalars:
 hashable (in-process memo), picklable (``--jobs`` fan-out) and JSON-able
-(:func:`repro.bench.cache.sim_key` content keys for the persistent
-:class:`~repro.bench.cache.SimResultCache`).  Workers rebuild arrival
-processes, request keys, shard maps and fault schedules from the task's
-seeds -- all pure functions -- so a task produces the identical result
-record in any process, and :func:`run_sim_tasks` returns records aligned
-with the input order regardless of completion order.
+(:func:`repro.bench.cache.cache_key` content keys for the persistent
+:class:`~repro.bench.cache.MeasurementCache`, which stores tasks beside
+measurement cells).  Workers rebuild arrival processes, request keys,
+shard maps and fault schedules from the task's seeds -- all pure
+functions -- so a task produces the identical result record in any
+process, and :func:`run_sim_tasks` returns records aligned with the
+input order regardless of completion order.
 
 Determinism contract, inherited from the simulators: simulations are
 byte-identical across serial runs, ``--jobs N`` and cache replay
@@ -27,9 +28,6 @@ from cache.
 
 from __future__ import annotations
 
-import os
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,7 +37,7 @@ from repro.serve.arrivals import bursty_arrivals, poisson_arrivals
 from repro.serve.contention import MachineModel
 from repro.serve.core import ServiceModel, simulate_open_loop
 from repro.serve.metrics import LatencySummary, summarize_result
-from repro.serve.telemetry import TelemetryConfig
+from repro.serve.telemetry import TelemetryConfig, TimeSeries
 
 __all__ = [
     "OpenLoopTask",
@@ -49,7 +47,6 @@ __all__ = [
     "ClusterRunStats",
     "TenancyRunStats",
     "TenantRunStats",
-    "SimRunnerStats",
     "run_sim_tasks",
     "open_loop_task",
     "cluster_task",
@@ -172,8 +169,32 @@ def _thaw_telemetry(
 # ---------------------------------------------------------------------------
 
 
+class _SimTask:
+    """What the result store and the runner need of every task kind.
+
+    A task's result is already its JSON record, so :meth:`to_record` is
+    the identity; :meth:`from_record` decodes every field callers read
+    (the kind's :meth:`_decode`, plus the telemetry series when the task
+    asked for one) and raises on a record that lacks any of them.
+    """
+
+    KIND = ""
+
+    def label(self) -> str:
+        return self.KIND
+
+    def to_record(self, record: dict) -> dict:
+        return record
+
+    def from_record(self, record: dict) -> dict:
+        self._decode(record)
+        if self.telemetry is not None:
+            TimeSeries.from_dict(record["telemetry"])
+        return record
+
+
 @dataclass(frozen=True)
-class OpenLoopTask:
+class OpenLoopTask(_SimTask):
     """One single-node open-loop simulation: counters + traffic + cores.
 
     The service model is rebuilt from the measured per-lookup counters
@@ -195,9 +216,14 @@ class OpenLoopTask:
     #: keys are bit-for-bit what they were before telemetry existed.
     telemetry: Optional[Tuple[Tuple[str, object], ...]] = None
 
+    KIND = "open_loop"
+
+    def _decode(self, record: dict) -> None:
+        open_loop_summary(record)
+
     def key_fields(self) -> dict:
         fields = {
-            "kind": "open_loop",
+            "kind": self.KIND,
             "counters": dict(self.counters),
             "fence": self.fence,
             "machine": dict(self.machine),
@@ -243,7 +269,7 @@ class OpenLoopTask:
 
 
 @dataclass(frozen=True)
-class ClusterTask:
+class ClusterTask(_SimTask):
     """One cluster replay: per-shard counters, routing, policy, faults.
 
     ``lookup_keys`` and ``shard_bounds`` are carried verbatim (the
@@ -270,11 +296,16 @@ class ClusterTask:
     #: leaves the cache key exactly as before the field existed.
     reconfig: Optional[str] = None
 
+    KIND = "cluster"
+
+    def _decode(self, record: dict) -> None:
+        ClusterRunStats.from_record(record)
+
     def key_fields(self) -> dict:
         import json
 
         fields = {
-            "kind": "cluster",
+            "kind": self.KIND,
             "per_shard_counters": [dict(c) for c in self.per_shard_counters],
             "fence": self.fence,
             "machine": dict(self.machine),
@@ -339,7 +370,7 @@ class ClusterTask:
 
 
 @dataclass(frozen=True)
-class ScenarioTask:
+class ScenarioTask(_SimTask):
     """One tenancy scenario run: spec JSON + dataset + shard counters.
 
     The worker rebuilds the served key array from the dataset identity
@@ -358,11 +389,16 @@ class ScenarioTask:
     machine: Tuple[Tuple[str, float], ...]
     telemetry: Optional[Tuple[Tuple[str, object], ...]] = None
 
+    KIND = "scenario"
+
+    def _decode(self, record: dict) -> None:
+        TenancyRunStats.from_record(record)
+
     def key_fields(self) -> dict:
         import json
 
         fields = {
-            "kind": "scenario",
+            "kind": self.KIND,
             "scenario": json.loads(self.spec_json),
             "dataset": self.dataset,
             "n_keys": self.n_keys,
@@ -418,7 +454,7 @@ def open_loop_task(
     shape: str = "poisson",
     telemetry: Optional[TelemetryConfig] = None,
 ) -> OpenLoopTask:
-    """The task :func:`repro.serve.selector.evaluate_candidate` runs."""
+    """The task one :func:`~repro.serve.core.simulate_open_loop` run is."""
     from repro.bench.cells import freeze_counters
 
     return OpenLoopTask(
@@ -896,39 +932,21 @@ class TenancyRunStats:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SimRunnerStats:
-    """What one :func:`run_sim_tasks` call did (mirrors ``RunnerStats``)."""
-
-    total_tasks: int = 0
-    unique_tasks: int = 0
-    memo_hits: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    jobs: int = 1
-    wall_seconds: float = 0.0
-
-
-def _execute_task(task: SimTask) -> dict:
-    """Worker entry point: always computes."""
-    return task.run()
-
-
 def run_sim_tasks(
     tasks: Sequence[SimTask],
     jobs: Optional[int] = None,
     cache=None,
-    stats: Optional[SimRunnerStats] = None,
 ) -> List[dict]:
     """Resolve every task; return records aligned with the input order.
 
-    The resolution ladder mirrors :func:`repro.bench.parallel.run_cells`:
-    per-process memo, then the persistent ``cache`` (a
-    :class:`~repro.bench.cache.SimResultCache`), then execution --
-    inline for ``jobs in (None, 1)`` or a single pending task, else on a
-    ``ProcessPoolExecutor`` whose ``map`` preserves dispatch order, so
-    completion order never leaks into results, memo insertion, or cache
-    writes.
+    The same memo -> cache -> execute ladder as
+    :func:`repro.bench.parallel.run_cells`, over this module's memo
+    ``_RESULTS`` and the persistent ``cache`` (a
+    :class:`~repro.bench.cache.MeasurementCache`; None keeps results in
+    the memo only).  ``jobs`` follows
+    :func:`~repro.bench.parallel.resolve_jobs`; a pool's ``map``
+    preserves dispatch order, so completion order never leaks into
+    results, memo insertion, or cache writes.
 
     Every call also publishes its resolution split to the global obs
     metrics registry (``serve.sweep.cache.{hits,misses,executed}`` for
@@ -936,66 +954,17 @@ def run_sim_tasks(
     memo), so a warm sweep is distinguishable from a cold one in
     ``metrics.json``.
     """
+    # Imported here: repro.bench imports the serving experiments, which
+    # import this module.
+    from repro.bench.parallel import _resolve
     from repro.obs.metrics import get_registry
 
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    n_jobs = 1 if jobs is None else jobs
-    start = time.perf_counter()
-    if stats is None:
-        stats = SimRunnerStats()
-    stats.total_tasks += len(tasks)
-    stats.jobs = max(stats.jobs, n_jobs)
-
-    unique: List[SimTask] = []
-    seen = set()
-    for task in tasks:
-        if task not in seen:
-            seen.add(task)
-            unique.append(task)
-    stats.unique_tasks += len(unique)
-
-    memo_hits = 0
-    cache_hits = 0
-    pending: List[SimTask] = []
-    for task in unique:
-        if task in _RESULTS:
-            memo_hits += 1
-            continue
-        if cache is not None:
-            record = cache.get(task)
-            if record is not None:
-                cache_hits += 1
-                _RESULTS[task] = record
-                continue
-        pending.append(task)
-    stats.memo_hits += memo_hits
-    stats.cache_hits += cache_hits
+    records, stats = _resolve(tasks, jobs, cache, _RESULTS)
     reg = get_registry()
-    reg.counter("serve.sweep.memo.hits").inc(memo_hits)
-    reg.counter("serve.sweep.cache.hits").inc(cache_hits)
+    reg.counter("serve.sweep.memo.hits").inc(stats.memo_hits)
+    reg.counter("serve.sweep.cache.hits").inc(stats.cache_hits)
     if cache is not None:
         # Misses against the *persistent* cache: looked up, not found.
-        reg.counter("serve.sweep.cache.misses").inc(len(pending))
-    reg.counter("serve.sweep.cache.executed").inc(len(pending))
-
-    if pending:
-        if n_jobs == 1 or len(pending) == 1:
-            records = map(_execute_task, pending)
-        else:
-            workers = min(n_jobs, len(pending), os.cpu_count() or 1)
-            pool = ProcessPoolExecutor(max_workers=workers)
-            records = pool.map(_execute_task, pending)
-        with_pool = n_jobs > 1 and len(pending) > 1
-        try:
-            for task, record in zip(pending, records):
-                stats.executed += 1
-                _RESULTS[task] = record
-                if cache is not None:
-                    cache.put(task, record)
-        finally:
-            if with_pool:
-                pool.shutdown()
-
-    stats.wall_seconds += time.perf_counter() - start
-    return [_RESULTS[task] for task in tasks]
+        reg.counter("serve.sweep.cache.misses").inc(stats.executed)
+    reg.counter("serve.sweep.cache.executed").inc(stats.executed)
+    return records

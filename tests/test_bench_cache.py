@@ -1,4 +1,5 @@
-"""Persistent measurement cache: key scheme and lossless round-trips."""
+"""Persistent result store: key scheme, entry layout and lossless
+round-trips, for measurement cells and simulation tasks alike."""
 
 from __future__ import annotations
 
@@ -11,10 +12,10 @@ from hypothesis import strategies as st
 from repro.bench import cache as cache_mod
 from repro.bench.cache import (
     MeasurementCache,
-    SimResultCache,
     cache_key,
     measurement_from_record,
     measurement_to_record,
+    scenario_key,
 )
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
@@ -109,6 +110,20 @@ class TestCacheKey:
         cell = make_cell()
         assert cache_key(cell, schema_version=1) != cache_key(
             cell, schema_version=2
+        )
+
+    def test_cell_key_is_pinned(self):
+        """Existing cache directories stay valid only while this holds."""
+        assert cache_key(make_cell()) == (
+            "dcf661bc415b179324b2933acdc127bb876344d8"
+        )
+
+    def test_scenario_key_is_pinned(self):
+        """``ext_tenants`` prints this key in its report."""
+        from repro.serve.scenario import single_tenant_spec
+
+        assert scenario_key(single_tenant_spec(1e6, 100, seed=0)) == (
+            "1f60239254b341a6640caaa92ed6111a35bad9f1"
         )
 
 
@@ -215,6 +230,88 @@ class TestMeasurementCache:
         assert len(cache) == 0
         assert cache.get(make_cell()) is None
 
+    def test_reads_and_writes_the_schema_1_entry_layout(self, tmp_path):
+        """Existing cache directories still replay: same path, same
+        bytes."""
+        cache = MeasurementCache(str(tmp_path))
+        cell = make_cell()
+        with open(cache._path(cell), "w") as f:
+            f.write(SCHEMA_1_ENTRY)
+        assert cache.get(cell) == make_measurement()
+        assert (cache.hits, cache.misses) == (1, 0)
+        cache.put(cell, make_measurement())
+        with open(cache._path(cell)) as f:
+            assert f.read() == SCHEMA_1_ENTRY
+
+    def test_cells_and_tasks_share_one_directory(self, tmp_path):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, m = make_cell(), make_measurement()
+        task = sim_task()
+        record = task.run()
+        cache.put(cell, m)
+        cache.put(task, record)
+        assert len(cache) == 2
+        assert cache.get(cell) == m
+        assert cache.get(task) == record
+        assert cache._path(cell) != cache._path(task)
+
+
+#: The exact file ``put`` writes for ``make_cell()``; cache directories
+#: already on disk hold entries in this layout.
+SCHEMA_1_ENTRY = """\
+{
+ "cell": {
+  "config": {
+   "branching": 64
+  },
+  "dataset": "amzn",
+  "index": "RMI",
+  "key_bits": 64,
+  "n_keys": 2000,
+  "n_lookups": 25,
+  "search": "binary",
+  "seed": 0,
+  "warm": true,
+  "warmup": 15
+ },
+ "measurement": {
+  "avg_log2_bound": 11.928845877923553,
+  "build_seconds": 0.0123,
+  "config": {
+   "branching": 64
+  },
+  "counters": {
+   "branch_misses": 0.0,
+   "branches": 0.0,
+   "instructions": 101.5,
+   "l1_hits": 0.0,
+   "l2_hits": 0.0,
+   "l3_hits": 0.0,
+   "llc_misses": 7.25,
+   "reads": 0.0,
+   "tlb_misses": 0.0
+  },
+  "dataset": "amzn",
+  "fence_latency_ns": 817.1311507936507,
+  "index": "RMI",
+  "key_bits": 64,
+  "latency_ns": 623.3987745285336,
+  "n_keys": 2000,
+  "n_lookups": 25,
+  "search": "binary",
+  "size_bytes": 1312,
+  "warm": true
+ },
+ "schema": 1
+}"""
+
+
+def sim_task():
+    """A small open-loop simulation task."""
+    from repro.serve.sweep import open_loop_task
+
+    return open_loop_task(make_measurement(), 1e6, 50, 0, 1)
+
 
 #: Well-formed JSON of the wrong shape for either cache's entries.
 FOREIGN_ENTRIES = [
@@ -253,14 +350,27 @@ class TestWrongShapedRecords:
         assert cache.get(cell) is None
         assert cache.misses == 1
 
+    def test_only_present_files_count_as_rejects(self, tmp_path):
+        from repro.obs.metrics import get_registry
+
+        reg = get_registry()
+        reg.reset()
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell = make_cell()
+        assert cache.get(cell) is None  # absent: a miss, not a reject
+        cache.put(cell, make_measurement())
+        with open(cache._path(cell), "w") as f:
+            f.write("{not json")
+        assert cache.get(cell) is None
+        assert cache.misses == 2
+        assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        reg.reset()
+
     @pytest.mark.parametrize("entry", FOREIGN_ENTRIES)
     def test_sim_result_cache(self, tmp_path, entry):
-        class Task:
-            def key_fields(self):
-                return {"kind": "test", "n": 1}
-
-        cache = SimResultCache(str(tmp_path / "serving"))
-        task, result = Task(), {"p99_ns": 12.5}
+        cache = MeasurementCache(str(tmp_path / "c"))
+        task = sim_task()
+        result = task.run()
         cache.put(task, result)
         with open(cache._path(task), "w") as f:
             json.dump(entry, f)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.cache import SimResultCache, sim_key
+from repro.bench.cache import MeasurementCache, cache_key
 from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
@@ -168,13 +168,13 @@ class TestCacheKeyHygiene:
         # pre-reconfig cache keys are bit-for-bit unchanged.
         assert "reconfig" not in bare.key_fields()
         assert "reconfig" not in noop.key_fields()
-        assert sim_key(bare) == sim_key(noop)
+        assert cache_key(bare) == cache_key(noop)
         # An active spec keys the run.
         assert "reconfig" in active.key_fields()
-        assert sim_key(active) != sim_key(bare)
+        assert cache_key(active) != cache_key(bare)
 
     def test_warm_cache_replays_with_full_hits(self, keys, tmp_path):
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         tasks = [self.task(keys, active_spec(keys)) for _ in range(1)]
         cold = run_sim_tasks(tasks, jobs=2, cache=cache)
         assert cache.misses == 1 and cache.hits == 0

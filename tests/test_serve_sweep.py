@@ -2,10 +2,13 @@
 
 Pins the layer's contract from ``docs/serving.md``:
 
-* routing a selector sweep through tasks (any job count) is
-  byte-identical to the inline path;
-* a warm :class:`SimResultCache` replays a sweep with 100% hits and
+* a selector sweep is byte-identical at any job count, with or
+  without a cache;
+* a warm :class:`MeasurementCache` replays a sweep with 100% hits and
   zero executions, and the replayed selection is byte-identical;
+* the sweep runner is the measurement runner's ladder: it dedupes,
+  memoizes, honours ``REPRO_JOBS`` and caches each record as it
+  arrives;
 * cache keys are stable content hashes that embed the schema version
   and never name the event queue -- a record written on the plain-heap
   oracle replays fully on the sealed queue (and vice versa) and equals
@@ -16,10 +19,12 @@ Pins the layer's contract from ``docs/serving.md``:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.bench.cache import CACHE_SCHEMA_VERSION, SimResultCache, sim_key
+from repro.bench.cache import CACHE_SCHEMA_VERSION, MeasurementCache, cache_key
 from repro.memsim.counters import PerfCountersF
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.contention import MachineModel
@@ -37,7 +42,6 @@ from repro.serve.sweep import (
     open_loop_summary,
     open_loop_task,
     run_sim_tasks,
-    SimRunnerStats,
 )
 from serve_reference import run_on_both_queues, use_event_queue
 
@@ -93,11 +97,14 @@ def selection_tuple(sel):
 
 
 class TestSelectorTaskPath:
+    """The default call (no ``jobs``, no cache) runs the tasks in this
+    process; any job count and a cache give the same selection."""
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_byte_identical_to_inline(self, jobs, tmp_path):
         inline = select_under_slo(fleet(), **SELECT_KW)
         clear_sim_results()
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         routed = select_under_slo(
             fleet(), jobs=jobs, sim_cache=cache, **SELECT_KW
         )
@@ -105,7 +112,7 @@ class TestSelectorTaskPath:
         assert cache.misses == len(fleet()) and cache.hits == 0
 
     def test_warm_cache_replays_with_full_hits(self, tmp_path):
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         first = select_under_slo(
             fleet(), jobs=2, sim_cache=cache, **SELECT_KW
         )
@@ -137,7 +144,7 @@ class TestSelectorTaskPath:
         )
         inline = select_cluster_under_slo(families, shard_map, keys, **kwargs)
         clear_sim_results()
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         routed = select_cluster_under_slo(
             families, shard_map, keys, jobs=2, sim_cache=cache, **kwargs
         )
@@ -168,11 +175,14 @@ class TestEngineInvariantCacheKeys:
         assert "engine" not in flat
         assert "kind" in fields
 
-    def test_sim_key_stable(self):
-        key = sim_key(self.task())
-        assert key == sim_key(self.task())
+    def test_task_cache_key_stable(self):
+        key = cache_key(self.task())
+        assert key == cache_key(self.task())
         assert len(key) == 40
-        assert sim_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1) != key
+        assert (
+            cache_key(self.task(), schema_version=CACHE_SCHEMA_VERSION + 1)
+            != key
+        )
 
     @pytest.mark.parametrize(
         "warm_queue,replay_queue", [("event", "fast"), ("fast", "event")]
@@ -182,7 +192,7 @@ class TestEngineInvariantCacheKeys:
     ):
         """A record warmed on one event queue replays with full hits
         and equals a fresh run on the other."""
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         warm_built = use_event_queue(monkeypatch, warm_queue)
         warm = run_sim_tasks([self.task()], cache=cache)[0]
         clear_sim_results()
@@ -208,22 +218,43 @@ class TestEngineInvariantCacheKeys:
         assert open_loop_summary(a) == open_loop_summary(b)
 
 
+SWEEP_COUNTERS = (
+    "serve.sweep.memo.hits",
+    "serve.sweep.cache.hits",
+    "serve.sweep.cache.misses",
+    "serve.sweep.cache.executed",
+)
+
+
+def sweep_counters():
+    """The :data:`SWEEP_COUNTERS` values published so far."""
+    from repro.obs.metrics import get_registry
+
+    snap = get_registry().snapshot()["counters"]
+    return tuple(snap.get(name, 0) for name in SWEEP_COUNTERS)
+
+
+@pytest.fixture
+def fresh_registry():
+    from repro.obs.metrics import get_registry
+
+    get_registry().reset()
+    yield get_registry()
+    get_registry().reset()
+
+
 class TestRunnerSemantics:
-    def test_duplicates_execute_once(self):
-        stats = SimRunnerStats()
+    def test_duplicates_execute_once(self, fresh_registry):
         t = open_loop_task(FakeMeasurement(), 1e6, 100, 0, 1)
-        records = run_sim_tasks([t, t, t], stats=stats)
-        assert stats.total_tasks == 3
-        assert stats.unique_tasks == 1
-        assert stats.executed == 1
+        records = run_sim_tasks([t, t, t])
+        assert sweep_counters() == (0, 0, 0, 1)
         assert records[0] == records[1] == records[2]
 
-    def test_memo_hit_on_second_call(self):
-        stats = SimRunnerStats()
+    def test_memo_hit_on_second_call(self, fresh_registry):
         t = open_loop_task(FakeMeasurement(), 1e6, 100, 0, 1)
-        run_sim_tasks([t], stats=stats)
-        run_sim_tasks([t], stats=stats)
-        assert stats.executed == 1 and stats.memo_hits == 1
+        run_sim_tasks([t])
+        run_sim_tasks([t])
+        assert sweep_counters() == (1, 0, 0, 1)
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -238,6 +269,65 @@ class TestRunnerSemantics:
         clear_sim_results()
         pooled = run_sim_tasks(tasks, jobs=4)
         assert inline == pooled
+
+    def test_honours_repro_jobs(self, monkeypatch):
+        """With no ``jobs`` the sweep takes its job count from
+        ``REPRO_JOBS``, like the measurement runner, and its records equal
+        a serial run's."""
+        import repro.bench.parallel as parallel
+
+        tasks = [
+            open_loop_task(FakeMeasurement(llc_misses=float(k)), 1e6, 120, k, 1)
+            for k in range(3)
+        ]
+        serial = run_sim_tasks(tasks, jobs=1)
+        clear_sim_results()
+        pools = []
+        real_pool = parallel.ProcessPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", pool)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        assert run_sim_tasks(tasks) == serial
+        assert pools == [2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_task_keeps_earlier_results(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        """Task k raises: the records finished before it are cached, and
+        a rerun executes only tasks k and later."""
+        from repro.serve.sweep import OpenLoopTask
+
+        tasks = [
+            open_loop_task(FakeMeasurement(llc_misses=float(k)), 1e6, 80, k, 1)
+            for k in range(5)
+        ]
+        k = 2
+        cache = MeasurementCache(str(tmp_path))
+        real_run = OpenLoopTask.run
+
+        def run(task):
+            if task == tasks[k]:
+                raise RuntimeError("task failed")
+            return real_run(task)
+
+        monkeypatch.setattr(OpenLoopTask, "run", run)
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_sim_tasks(tasks, jobs=jobs, cache=cache)
+        monkeypatch.undo()
+        assert len(cache) == k
+
+        clear_sim_results()
+        cache.reset_stats()
+        records = run_sim_tasks(tasks, jobs=1, cache=cache)
+        assert cache.hits == k
+        assert cache.misses == len(tasks) - k
+        clear_sim_results()
+        assert records == run_sim_tasks(tasks, jobs=1)
 
 
 class TestRunRecords:
@@ -444,31 +534,11 @@ class TestClusterTaskParity:
         )
 
 
+@pytest.mark.usefixtures("fresh_registry")
 class TestObsCacheCounters:
     """run_sim_tasks publishes its resolution split as obs metrics
     (``serve.sweep.memo.hits`` and ``serve.sweep.cache.{hits,misses,
     executed}``), so metrics.json distinguishes warm from cold sweeps."""
-
-    NAMES = (
-        "serve.sweep.memo.hits",
-        "serve.sweep.cache.hits",
-        "serve.sweep.cache.misses",
-        "serve.sweep.cache.executed",
-    )
-
-    @pytest.fixture(autouse=True)
-    def _fresh_registry(self):
-        from repro.obs.metrics import get_registry
-
-        get_registry().reset()
-        yield
-        get_registry().reset()
-
-    def counters_now(self):
-        from repro.obs.metrics import get_registry
-
-        snap = get_registry().snapshot()["counters"]
-        return tuple(snap.get(name, 0) for name in self.NAMES)
 
     def tasks(self):
         return [
@@ -477,24 +547,127 @@ class TestObsCacheCounters:
         ]
 
     def test_cold_run_counts_misses_and_executions(self, tmp_path):
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         run_sim_tasks(self.tasks(), cache=cache)
-        assert self.counters_now() == (0, 0, 3, 3)
+        assert sweep_counters() == (0, 0, 3, 3)
 
     def test_second_call_counts_memo_hits(self, tmp_path):
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         run_sim_tasks(self.tasks(), cache=cache)
         run_sim_tasks(self.tasks(), cache=cache)
-        assert self.counters_now() == (3, 0, 3, 3)
+        assert sweep_counters() == (3, 0, 3, 3)
 
     def test_warm_cache_counts_cache_hits(self, tmp_path):
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         run_sim_tasks(self.tasks(), cache=cache)
         clear_sim_results()  # drop the memo, keep the persistent cache
         run_sim_tasks(self.tasks(), cache=cache)
-        assert self.counters_now() == (0, 3, 3, 3)
+        assert sweep_counters() == (0, 3, 3, 3)
 
     def test_no_cache_still_counts_executions(self):
         run_sim_tasks(self.tasks())
         # No persistent cache: no hit/miss accounting, only executions.
-        assert self.counters_now() == (0, 0, 0, 3)
+        assert sweep_counters() == (0, 0, 0, 3)
+
+
+def _unusable_cases():
+    """(task, corrupt(record) -> record callers cannot read), per kind."""
+    from repro.serve.sweep import scenario_task
+    from repro.serve.telemetry import TelemetryConfig
+
+    keys = np.arange(0, 5000, 3, dtype=np.uint64)
+    shard_map = ShardMap.from_keys(keys, 2)
+    per_shard = [FakeMeasurement(), FakeMeasurement(llc_misses=4.0)]
+    spec = single_tenant_spec(
+        rate_per_sec=4e5,
+        n_requests=150,
+        seed=1,
+        topology=TopologySpec(n_shards=2, n_replicas=1, n_cores=2),
+    )
+    return {
+        "open_loop": (
+            open_loop_task(FakeMeasurement(), 1e6, 100, 0, 1),
+            lambda record: {"summary": {}},
+        ),
+        "cluster": (
+            cluster_task(
+                per_shard, shard_map, request_keys(keys, 200, 4), 2e6, 200,
+                4, 2, 2, RouterPolicy(), None, None, MachineModel(),
+            ),
+            lambda record: dict(record, shard_stats=[{"shard": 0}]),
+        ),
+        "scenario": (
+            scenario_task(spec, "amzn", 4_000, 1, per_shard),
+            lambda record: dict(record, tenants=[{"name": "t0"}]),
+        ),
+        "telemetry": (
+            open_loop_task(
+                FakeMeasurement(), 1e6, 100, 0, 1,
+                telemetry=TelemetryConfig(window_ns=20_000.0),
+            ),
+            lambda record: {
+                k: v for k, v in record.items() if k != "telemetry"
+            },
+        ),
+    }
+
+
+class TestUnusableRecords:
+    """A stored record that lacks a field callers read is a counted miss
+    and a ``bench.cache.rejects``; the rerun recomputes and overwrites
+    it, so the next run hits."""
+
+    @staticmethod
+    def rejects():
+        from repro.obs.metrics import get_registry
+
+        return get_registry().snapshot()["counters"].get(
+            "bench.cache.rejects", 0
+        )
+
+    @staticmethod
+    def overwrite(cache, task, record):
+        with open(cache._path(task), "w") as f:
+            json.dump(
+                {"schema": 1, "cell": task.key_fields(), "measurement": record},
+                f,
+            )
+
+    @pytest.mark.parametrize(
+        "kind", ["open_loop", "cluster", "scenario", "telemetry"]
+    )
+    def test_rejected_record_is_recomputed(
+        self, kind, tmp_path, fresh_registry
+    ):
+        task, corrupt = _unusable_cases()[kind]
+        cache = MeasurementCache(str(tmp_path))
+        good = run_sim_tasks([task], cache=cache)[0]
+        self.overwrite(cache, task, corrupt(good))
+        clear_sim_results()
+        cache.reset_stats()
+        assert run_sim_tasks([task], cache=cache)[0] == good
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert self.rejects() == 1
+
+        clear_sim_results()
+        cache.reset_stats()
+        assert run_sim_tasks([task], cache=cache)[0] == good
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert self.rejects() == 1
+
+    def test_selector_recomputes_a_rejected_candidate(
+        self, tmp_path, fresh_registry
+    ):
+        cache = MeasurementCache(str(tmp_path))
+        first = select_under_slo(fleet(), jobs=1, sim_cache=cache, **SELECT_KW)
+        task = open_loop_task(
+            fleet()[0], SELECT_KW["offered_per_sec"], SELECT_KW["n_requests"],
+            SELECT_KW["seed"], SELECT_KW["n_cores"],
+        )
+        self.overwrite(cache, task, {"summary": {}})
+        clear_sim_results()
+        cache.reset_stats()
+        again = select_under_slo(fleet(), jobs=1, sim_cache=cache, **SELECT_KW)
+        assert selection_tuple(again) == selection_tuple(first)
+        assert (cache.hits, cache.misses) == (len(fleet()) - 1, 1)
+        assert self.rejects() == 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.bench.cache import SimResultCache, sim_key
+from repro.bench.cache import MeasurementCache, cache_key
 from repro.memsim.counters import PerfCountersF
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
@@ -382,10 +382,10 @@ class TestSweepTelemetry:
         assert "telemetry" not in off.key_fields()
         on = self.task(keys, telemetry=tel())
         assert "telemetry" in on.key_fields()
-        assert sim_key(off) != sim_key(on)
+        assert cache_key(off) != cache_key(on)
         # The off-key is exactly what it was before telemetry existed:
         # same fields, so cached artifacts stay valid.
-        assert sim_key(off) == sim_key(self.task(keys))
+        assert cache_key(off) == cache_key(self.task(keys))
 
     def test_freeze_rejects_traces(self):
         assert freeze_telemetry(None) is None
@@ -427,7 +427,7 @@ class TestSweepTelemetry:
     ):
         """A record warmed on one event queue replays with full hits
         and equals a fresh run on the other, series included."""
-        cache = SimResultCache(str(tmp_path / "serving"))
+        cache = MeasurementCache(str(tmp_path))
         warm_built = use_event_queue(monkeypatch, warm_queue)
         warm = run_sim_tasks(
             [self.task(keys, telemetry=tel())], cache=cache
