@@ -97,9 +97,9 @@ def select_under_slo(
 
     Each candidate simulation is one :mod:`repro.serve.sweep` task
     resolved by ``run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)``:
-    ``jobs`` fans them out over processes and ``sim_cache`` (a
-    :class:`~repro.bench.cache.MeasurementCache`) replays them; with
-    neither set they run in this process.  Simulations are pure functions
+    ``jobs`` follows ``resolve_jobs`` (explicit, else ``REPRO_JOBS``, else
+    1; the tasks run in this process only at 1) and ``sim_cache`` (a
+    ``MeasurementCache``) replays them.  Simulations are pure functions
     of their seeds, so this changes wall-clock only, never the selection.
     """
     ms = list(measurements)

@@ -20,7 +20,7 @@ from repro.bench.cache import (
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
 from repro.bench.harness import Measurement
-from repro.memsim.counters import PerfCountersF
+from repro.memsim.counters import PerfCounters, PerfCountersF
 
 SETTINGS = BenchSettings(n_keys=2_000, n_lookups=25, warmup=15)
 
@@ -364,6 +364,35 @@ class TestWrongShapedRecords:
         assert cache.get(cell) is None
         assert cache.misses == 2
         assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        reg.reset()
+
+    def test_profiled_read_rejects_a_record_without_phases(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs.metrics import get_registry
+
+        reg = get_registry()
+        reg.reset()
+        monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, plain = make_cell(), make_measurement()
+        cache.put(cell, plain)
+        assert cache.get(cell) == plain  # unprofiled: phases not needed
+        cache.reset_stats()
+        monkeypatch.setenv("REPRO_OBS_PROFILE", "1")
+        assert cache.get(cell) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        profiled = make_measurement(
+            phases={
+                "model": PerfCounters(instructions=40, reads=2),
+                "search": PerfCounters(instructions=61, reads=5),
+            }
+        )
+        cache.put(cell, profiled)
+        with open(cache._path(cell)) as f:
+            assert "phases" in json.load(f)["measurement"]
+        assert cache.get(cell) == profiled
         reg.reset()
 
     @pytest.mark.parametrize("entry", FOREIGN_ENTRIES)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.memsim.counters import PerfCountersF
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.serve.arrivals import poisson_arrivals
 from repro.serve.cluster import Cluster, simulate_cluster
 from repro.serve.core import ServiceModel
@@ -20,6 +20,7 @@ from repro.serve.router import (
     pick_replica,
     request_keys,
 )
+from repro.serve.sweep import clear_sim_results
 
 
 def counters(instructions=50, llc_misses=3.0, branch_misses=1.0):
@@ -486,7 +487,12 @@ class TestClusterSelection:
         )
 
     def test_deterministic(self):
-        a, b = self.select(), self.select()
+        executed = get_registry().counter("serve.sweep.cache.executed")
+        a = self.select()
+        clear_sim_results()  # the second call must simulate, not replay
+        before = executed.value
+        b = self.select()
+        assert executed.value - before == len(self.families())
         assert a.candidates == b.candidates
         assert a.chosen == b.chosen
 

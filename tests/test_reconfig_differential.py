@@ -34,7 +34,7 @@ from repro.serve.reconfig import (
 )
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import TopologySpec, single_tenant_spec
-from repro.serve.sweep import run_sim_tasks, scenario_task
+from repro.serve.sweep import clear_sim_results, run_sim_tasks, scenario_task
 from repro.serve.telemetry import TelemetryConfig
 from repro.serve.tenancy import simulate_scenario
 from serve_reference import run_on_both_queues
@@ -206,6 +206,7 @@ class TestNoOpSpecIsByteIdentical:
             for s in (spec, spec.with_reconfig(ReconfigSpec()))
         ]
         serial = run_sim_tasks(tasks, jobs=1)
+        clear_sim_results()  # the pool must simulate, not replay the memo
         pooled = run_sim_tasks(tasks, jobs=2)
         assert serial[0] == serial[1]  # no-op spec == no spec
         assert serial == pooled  # pool == serial, byte for byte

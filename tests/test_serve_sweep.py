@@ -97,11 +97,13 @@ def selection_tuple(sel):
 
 
 class TestSelectorTaskPath:
-    """The default call (no ``jobs``, no cache) runs the tasks in this
-    process; any job count and a cache give the same selection."""
+    """The default call (no ``jobs``, no cache, ``REPRO_JOBS`` unset) runs
+    the tasks in this process; any job count and a cache give the same
+    selection."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_byte_identical_to_inline(self, jobs, tmp_path):
+    def test_byte_identical_to_inline(self, jobs, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
         inline = select_under_slo(fleet(), **SELECT_KW)
         clear_sim_results()
         cache = MeasurementCache(str(tmp_path))
@@ -124,7 +126,8 @@ class TestSelectorTaskPath:
         assert selection_tuple(first) == selection_tuple(second)
         assert cache.hits == len(fleet()) and cache.misses == 0
 
-    def test_cluster_selector_byte_identical(self, tmp_path):
+    def test_cluster_selector_byte_identical(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_JOBS", raising=False)
         keys = list(range(0, 10_000, 5))
         families = {
             "Small": [FakeMeasurement("Small", 2_000) for _ in range(2)],

@@ -23,7 +23,9 @@ from repro.serve import (
     think_times_ns,
     throughput,
 )
+from repro.obs.metrics import get_registry
 from repro.serve.core import SealedEventQueue
+from repro.serve.sweep import clear_sim_results
 
 
 def counters(instructions=50, llc_misses=3.0, branch_misses=1.0):
@@ -327,8 +329,12 @@ class TestSelector:
             offered_per_sec=2e6, p99_slo_ns=2_000.0,
             n_requests=600, seed=3, n_cores=4,
         )
+        executed = get_registry().counter("serve.sweep.cache.executed")
         a = select_under_slo(fleet, **kwargs)
+        clear_sim_results()  # the second call must simulate, not replay
+        before = executed.value
         b = select_under_slo(fleet, **kwargs)
+        assert executed.value - before == len(fleet)
         assert a.chosen == b.chosen
         assert a.candidates == b.candidates
 
