@@ -2,38 +2,36 @@
 
 Every cached work item -- a measurement
 :class:`~repro.bench.cells.MeasureCell` or a :mod:`repro.serve.sweep`
-simulation task -- hashes to a stable content key (its ``key_fields()``
-plus a cache schema version); its result is stored as one small JSON
-file under that key.  Re-runs and interrupted sweeps then resume instead
-of recomputing -- the simulators are deterministic, so a cached record
-is exactly what a fresh run would produce.
+simulation task -- hashes to a stable content key
+(:func:`repro.records.content_hash` of its ``key_fields()`` plus a cache
+schema version); its result is stored as one small JSON file under that
+key.  Re-runs and interrupted sweeps then resume instead of recomputing
+-- the simulators are deterministic, so a cached record is exactly what
+a fresh run would produce.
 
 The store never branches on the kind of item.  Each item class says how
 its result becomes a JSON record (``to_record``) and back
-(``from_record``, which raises on a record it cannot use).  Task key
+(``from_record``, which raises on a record it cannot use); both are the
+:mod:`repro.records` codec of the result's record class.  Task key
 fields always carry a ``kind`` and cell key fields never do, so the two
 kinds share one directory without colliding.
 
 The JSON round-trip is lossless: floats survive ``json`` exactly (it
-emits shortest round-trip reprs), and configs are restricted to JSON
-scalars by construction.  Bump :data:`CACHE_SCHEMA_VERSION` whenever the
-simulator or the measurement schema changes meaning; old entries are then
-simply never looked up again (their keys hash differently).
+emits shortest round-trip reprs) and the codec keeps each number's JSON
+type.  Bump :data:`CACHE_SCHEMA_VERSION` whenever the simulator or the
+measurement schema changes meaning; old entries are then simply never
+looked up again (their keys hash differently).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
-
-from dataclasses import fields
 from typing import Optional
 
-from repro.bench.harness import Measurement
-from repro.memsim.counters import PerfCounters, PerfCountersF
 from repro.obs import metrics as obs_metrics
+from repro.records import content_hash
 
 #: Bump when measurement semantics change (simulator, cost model, or the
 #: record layout); this invalidates every previously cached entry.
@@ -42,16 +40,9 @@ CACHE_SCHEMA_VERSION = 1
 #: Default cache location (CLI), overridable via ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "measurements")
 
-_COUNTER_NAMES = tuple(f.name for f in fields(PerfCountersF))
-
 
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-
-
-def _content_hash(payload: dict) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:40]
 
 
 def cache_key(cell, schema_version: Optional[int] = None) -> str:
@@ -63,7 +54,7 @@ def cache_key(cell, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    return _content_hash({"schema": schema_version, "cell": cell.key_fields()})
+    return content_hash({"schema": schema_version, "cell": cell.key_fields()})
 
 
 def scenario_key(spec, schema_version: Optional[int] = None) -> str:
@@ -80,47 +71,7 @@ def scenario_key(spec, schema_version: Optional[int] = None) -> str:
     """
     if schema_version is None:
         schema_version = CACHE_SCHEMA_VERSION
-    return _content_hash(
-        {"schema": schema_version, "scenario": spec.to_dict()}
-    )
-
-
-def measurement_to_record(m: Measurement) -> dict:
-    """Full, lossless JSON form of a measurement (unlike ``export``'s
-    flattened rows, this keeps every field needed to reconstruct)."""
-    record = {
-        "index": m.index,
-        "dataset": m.dataset,
-        "config": m.config,
-        "n_keys": m.n_keys,
-        "size_bytes": m.size_bytes,
-        "build_seconds": m.build_seconds,
-        "counters": {name: getattr(m.counters, name) for name in _COUNTER_NAMES},
-        "latency_ns": m.latency_ns,
-        "fence_latency_ns": m.fence_latency_ns,
-        "avg_log2_bound": m.avg_log2_bound,
-        "n_lookups": m.n_lookups,
-        "warm": m.warm,
-        "search": m.search,
-        "key_bits": m.key_bits,
-    }
-    if m.phases is not None:
-        record["phases"] = {
-            phase: {name: getattr(c, name) for name in _COUNTER_NAMES}
-            for phase, c in m.phases.items()
-        }
-    return record
-
-
-def measurement_from_record(record: dict) -> Measurement:
-    record = dict(record)
-    record["counters"] = PerfCountersF(**record["counters"])
-    phases = record.get("phases")
-    if phases is not None:
-        record["phases"] = {
-            phase: PerfCounters(**vals) for phase, vals in phases.items()
-        }
-    return Measurement(**record)
+    return content_hash({"schema": schema_version, "scenario": spec.to_dict()})
 
 
 class MeasurementCache:

@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.bench.cache import measurement_from_record, measurement_to_record
 from repro.bench.harness import Measurement, measure_index
 from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
 from repro.obs.phase import profiling_enabled
+from repro.records import to_dict
 
 
 def freeze_config(config: dict) -> Tuple[Tuple[str, object], ...]:
@@ -94,24 +94,9 @@ class MeasureCell:
         return dict(self.config)
 
     def key_fields(self) -> dict:
-        """The fields that define this cell's identity, as a plain dict.
-
-        This is the input to the persistent cache's content hash; field
-        order does not matter (the hash canonicalizes), but values must
-        stay JSON-scalar.
-        """
-        return {
-            "dataset": self.dataset,
-            "n_keys": self.n_keys,
-            "seed": self.seed,
-            "key_bits": self.key_bits,
-            "index": self.index,
-            "config": self.config_dict(),
-            "n_lookups": self.n_lookups,
-            "warmup": self.warmup,
-            "warm": self.warm,
-            "search": self.search,
-        }
+        """The fields that define this cell's identity: its JSON form,
+        the input to the persistent cache's content hash."""
+        return to_dict(self)
 
     def label(self) -> str:
         """Span and report label: ``index/dataset(sorted config)``."""
@@ -121,7 +106,7 @@ class MeasureCell:
         return f"{label}({cfg})" if cfg else label
 
     def to_record(self, measurement: Measurement) -> dict:
-        return measurement_to_record(measurement)
+        return measurement.to_dict()
 
     def from_record(self, record: dict) -> Measurement:
         """The measurement a stored record holds; raises if unusable.
@@ -132,7 +117,7 @@ class MeasureCell:
         """
         if profiling_enabled() and "phases" not in record:
             raise ValueError("record has no phase attribution")
-        return measurement_from_record(record)
+        return Measurement.from_dict(record)
 
     def materialize(self) -> Tuple[Dataset, Workload]:
         """Rebuild the dataset + workload this cell measures against.

@@ -70,7 +70,7 @@ from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.selector import select_cluster_under_slo
 from repro.serve.sweep import ClusterRunStats, cluster_task, run_sim_tasks
-from repro.serve.telemetry import TelemetryConfig, TimeSeries, publish
+from repro.serve.telemetry import TelemetryConfig, publish
 
 INDEXES = ["RMI", "PGM", "BTree"]
 DATASETS = ["amzn", "osm"]
@@ -314,7 +314,7 @@ def run_scenario_stats(
         policy, faults,
     )
     record = run_sim_tasks([task], cache=get_active_cache())[0]
-    return ClusterRunStats.from_record(record)
+    return ClusterRunStats.from_dict(record)
 
 
 def fault_rate_series(
@@ -354,7 +354,7 @@ def fault_rate_series(
         )
     records = run_sim_tasks(tasks, jobs=jobs, cache=get_active_cache())
     return [
-        (rate, ClusterRunStats.from_record(record))
+        (rate, ClusterRunStats.from_dict(record))
         for rate, record in zip(rates, records)
     ]
 
@@ -452,7 +452,7 @@ def run(settings: BenchSettings) -> str:
                 record = run_sim_tasks(
                     [ctx["scenario_tasks"][scenario]], cache=sim_cache
                 )[0]
-                stats = ClusterRunStats.from_record(record)
+                stats = ClusterRunStats.from_dict(record)
                 stats.to_metrics()
                 s = stats.summary
                 rows.append(
@@ -505,7 +505,7 @@ def run(settings: BenchSettings) -> str:
             healthy_record = run_sim_tasks(
                 [ctx["scenario_tasks"]["none"]], cache=sim_cache
             )[0]
-            healthy = ClusterRunStats.from_record(healthy_record)
+            healthy = ClusterRunStats.from_dict(healthy_record)
             hedge_ns = 3.0 * healthy.summary.p99_ns
             on_task = scenario_cluster_task(
                 shard_map,
@@ -527,8 +527,8 @@ def run(settings: BenchSettings) -> str:
             off_record, on_record = run_sim_tasks(
                 [fam_ctx[name]["gray_off"], on_task], cache=sim_cache
             )
-            off = ClusterRunStats.from_record(off_record)
-            on = ClusterRunStats.from_record(on_record)
+            off = ClusterRunStats.from_dict(off_record)
+            on = ClusterRunStats.from_dict(on_record)
             s_off, s_on = off.summary, on.summary
             rows.append(
                 (
@@ -661,7 +661,7 @@ def run(settings: BenchSettings) -> str:
             ),
         )
         record = run_sim_tasks([tel_task], cache=sim_cache)[0]
-        ts = TimeSeries.from_dict(record["telemetry"])
+        ts = ClusterRunStats.from_dict(record).telemetry
         publish(f"ext_cluster/{ds_name}/{tel_name}", ts)
         parts.append(
             f"cluster telemetry under crash faults, {ds_name}/{tel_name} "

@@ -75,12 +75,7 @@ from repro.serve.reconfig import (
 from repro.serve.router import ShardMap
 from repro.serve.scenario import AdmissionSpec, ScenarioSpec
 from repro.serve.sweep import TenancyRunStats, run_sim_tasks, scenario_task
-from repro.serve.telemetry import (
-    TelemetryConfig,
-    TimeSeries,
-    burn_rate_report,
-    publish,
-)
+from repro.serve.telemetry import TelemetryConfig, burn_rate_report, publish
 from repro.serve.tenancy import simulate_scenario
 
 #: When each operation fires, as fractions of the day's span.
@@ -250,9 +245,9 @@ def run(settings: BenchSettings) -> str:
         )
 
         for (label, spec), record in zip(scenarios, records):
-            stats = TenancyRunStats.from_record(record)
+            stats = TenancyRunStats.from_dict(record)
             stats.to_metrics()
-            series = TimeSeries.from_dict(record["telemetry"])
+            series = stats.telemetry
             publish(f"ext_reconfig/{ds_name}/{label}", series)
             burn = burn_rate_report(
                 series, GOLD_BUDGET_FRACTION, slo_class="gold"

@@ -52,7 +52,7 @@ from repro.serve.contention import MachineModel, throughput
 from repro.serve.core import ServiceModel, simulate_closed_loop, simulate_open_loop
 from repro.serve.metrics import LatencySummary, summarize_result
 from repro.serve.selector import select_under_slo
-from repro.serve.sweep import open_loop_summary, open_loop_task, run_sim_tasks
+from repro.serve.sweep import OpenLoopRunStats, open_loop_task, run_sim_tasks
 from repro.serve.telemetry import TelemetryConfig, publish
 
 INDEXES = ["RMI", "PGM", "BTree"]
@@ -164,7 +164,7 @@ def latency_curve(
         [task for _, _, task in points], cache=get_active_cache()
     )
     return [
-        (frac, offered, open_loop_summary(record)[0])
+        (frac, offered, OpenLoopRunStats.from_dict(record).summary)
         for (frac, offered, _), record in zip(points, records)
     ]
 
@@ -187,7 +187,7 @@ def arrival_shape_summaries(
         cache=get_active_cache(),
     )
     out: Dict[str, LatencySummary] = {
-        name: open_loop_summary(record)[0]
+        name: OpenLoopRunStats.from_dict(record).summary
         for name, record in zip(("poisson", "bursty"), records)
     }
     service = ServiceModel.from_measurement(measurement, machine=machine)

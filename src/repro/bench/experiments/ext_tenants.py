@@ -406,7 +406,7 @@ def run(settings: BenchSettings) -> str:
         )
         rows = []
         for (label, spec), record in zip(flash, records):
-            stats = TenancyRunStats.from_record(record)
+            stats = TenancyRunStats.from_dict(record)
             stats.to_metrics()
             for row in _tenant_rows_from_stats(spec, stats):
                 rows.append((label,) + row)
@@ -586,7 +586,7 @@ def depth_sweep_series(
     p99_points: List[Tuple[float, float]] = []
     shed_points: List[Tuple[float, float]] = []
     for depth, record in zip(DEPTH_SWEEP, records):
-        stats = TenancyRunStats.from_record(record)
+        stats = TenancyRunStats.from_dict(record)
         gold = stats.by_name("gold").summary
         p99_points.append(
             (float(depth), gold.p99_ns if gold is not None else 0.0)

@@ -34,6 +34,7 @@ from repro.memsim.vector import VectorEngine
 from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.phase import PhaseTracer, phase_window, profiling_enabled
+from repro.records import OMIT_DEFAULT, Record
 from repro.search.last_mile import SEARCH_FUNCTIONS
 
 #: Instruction charge for the per-lookup loop body (increment, compare,
@@ -69,8 +70,13 @@ class BuiltIndex:
 
 
 @dataclass
-class Measurement:
-    """Per-lookup averages for one (index config, workload) pair."""
+class Measurement(Record):
+    """Per-lookup averages for one (index config, workload) pair.
+
+    Its JSON form (:mod:`repro.records`) is the lossless record the
+    result cache stores -- unlike ``export``'s flattened rows, it keeps
+    every field needed to reconstruct the measurement.
+    """
 
     index: str
     dataset: str
@@ -89,7 +95,9 @@ class Measurement:
     #: Raw per-phase counter totals over the measured window (``--profile``
     #: only, else None).  Values are integer :class:`PerfCounters` whose
     #: field-wise sum equals ``counters * n_lookups`` byte-exactly.
-    phases: Optional[Dict[str, PerfCounters]] = None
+    phases: Optional[Dict[str, PerfCounters]] = field(
+        default=None, metadata=OMIT_DEFAULT
+    )
 
     @property
     def size_mb(self) -> float:

@@ -79,9 +79,7 @@ from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
     AdmissionSpec,
     ArrivalSpec,
-    FaultSpec,
     KeySpaceSpec,
-    PolicySpec,
     ScenarioSpec,
     TenantSpec,
     TopologySpec,
@@ -100,11 +98,11 @@ from repro.serve.selector import (
 from repro.serve.sweep import (
     ClusterRunStats,
     ClusterTask,
+    OpenLoopRunStats,
     OpenLoopTask,
     ScenarioTask,
     TenancyRunStats,
     cluster_task,
-    open_loop_summary,
     open_loop_task,
     run_sim_tasks,
     scenario_task,
@@ -178,8 +176,6 @@ __all__ = [
     "ArrivalSpec",
     "KeySpaceSpec",
     "TopologySpec",
-    "PolicySpec",
-    "FaultSpec",
     "AdmissionSpec",
     "single_tenant_spec",
     "TenantTrace",
@@ -191,12 +187,12 @@ __all__ = [
     "OpenLoopTask",
     "ClusterTask",
     "ScenarioTask",
+    "OpenLoopRunStats",
     "ClusterRunStats",
     "TenancyRunStats",
     "open_loop_task",
     "cluster_task",
     "scenario_task",
-    "open_loop_summary",
     "run_sim_tasks",
     "TelemetryConfig",
     "TimeSeries",

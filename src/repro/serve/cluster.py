@@ -282,34 +282,12 @@ class ClusterResult:
         per-shard queue-depth maxima and fault/retry counts land in the
         same ``metrics.json`` snapshot as every other subsystem, and the
         availability gauge keeps the *worst* value over repeated runs.
+        The run record publishes them, so a live run and a replayed
+        record report the same names and values.
         """
-        from repro.obs.metrics import get_registry
+        from repro.serve.sweep import ClusterRunStats
 
-        reg = registry if registry is not None else get_registry()
-        reg.counter(f"{prefix}.requests").inc(len(self.records))
-        reg.counter(f"{prefix}.completed").inc(self.completed)
-        reg.counter(f"{prefix}.failed").inc(self.failed)
-        reg.counter(f"{prefix}.retries").inc(self.total_retries)
-        reg.counter(f"{prefix}.hedges").inc(self.total_hedges)
-        reg.counter(f"{prefix}.faults.crashes").inc(self.crashes)
-        reg.counter(f"{prefix}.faults.slow").inc(self.slow_events)
-        reg.gauge(f"{prefix}.availability.min").set_min(self.availability)
-        # Topology gauges: the autoscaler's inputs/outputs are observable
-        # even for static runs (final == initial there).
-        reg.gauge(f"{prefix}.shards").set(float(self.final_shards))
-        if self.final_replicas > 0:
-            reg.gauge(f"{prefix}.replicas").set(float(self.final_replicas))
-        reg.counter(f"{prefix}.epochs").inc(self.epoch_count)
-        depth_hist = reg.histogram(f"{prefix}.shard_queue_depth.max")
-        for st in self.shard_stats:
-            depth_hist.observe(st.max_queue_depth)
-            reg.gauge(f"{prefix}.shard{st.shard}.queue_depth.max").set_max(
-                st.max_queue_depth
-            )
-            reg.counter(f"{prefix}.shard{st.shard}.retries").inc(st.retries)
-            reg.counter(f"{prefix}.shard{st.shard}.faults").inc(
-                st.crashes + st.slow_events
-            )
+        ClusterRunStats.from_result(self).to_metrics(registry, prefix)
 
 
 class _ClusterSim:

@@ -10,10 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.records import Record
+
 
 @dataclass(frozen=True)
-class LatencySummary:
-    """Percentile view of one serving run (all latencies in ns)."""
+class LatencySummary(Record):
+    """Percentile view of one serving run (all latencies in ns).
+
+    Its JSON form (simulation records, the result cache) round-trips
+    exactly: floats keep their shortest repr, so a cached summary is
+    byte-identical to a recomputed one.
+    """
 
     n: int
     mean_ns: float
@@ -27,36 +34,6 @@ class LatencySummary:
     def meets(self, p99_slo_ns: float) -> bool:
         return self.p99_ns <= p99_slo_ns
 
-    def to_dict(self) -> dict:
-        """JSON-able form for simulation records and the result cache.
-
-        Floats round-trip exactly through JSON (shortest-repr), so a
-        cached summary is byte-identical to a recomputed one.
-        """
-        return {
-            "n": self.n,
-            "mean_ns": self.mean_ns,
-            "p50_ns": self.p50_ns,
-            "p95_ns": self.p95_ns,
-            "p99_ns": self.p99_ns,
-            "p999_ns": self.p999_ns,
-            "max_ns": self.max_ns,
-            "throughput_per_sec": self.throughput_per_sec,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LatencySummary":
-        return cls(
-            n=int(d["n"]),
-            mean_ns=float(d["mean_ns"]),
-            p50_ns=float(d["p50_ns"]),
-            p95_ns=float(d["p95_ns"]),
-            p99_ns=float(d["p99_ns"]),
-            p999_ns=float(d["p999_ns"]),
-            max_ns=float(d["max_ns"]),
-            throughput_per_sec=float(d["throughput_per_sec"]),
-        )
-
     def to_metrics(
         self,
         registry=None,
@@ -69,8 +46,9 @@ class LatencySummary:
         Serving numbers then land in the same ``metrics.json`` snapshot
         as harness and runner metrics (``repro.obs.sink.write_run``).
         ``slo_p99_ns`` additionally counts runs and SLO violations;
-        ``result`` (a :class:`~repro.serve.core.ServingResult`) adds
-        queue-depth maxima and work-stealing counts.  Gauges take the
+        ``result`` (a :class:`~repro.serve.core.ServingResult` or an
+        open-loop run record) adds queue-depth maxima and work-stealing
+        counts.  Gauges take the
         max over repeated calls, so a sweep reports its worst case.
         """
         from repro.obs.metrics import get_registry

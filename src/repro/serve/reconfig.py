@@ -51,8 +51,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.records import OMIT_DEFAULT, Record
 from repro.serve.router import ShardMap
-from repro.serve.telemetry import canonical_json, content_hash
 
 #: Bumped whenever the serialized spec layout changes meaning.
 RECONFIG_SCHEMA_VERSION = 1
@@ -69,7 +69,7 @@ _KIND_ORDER = {SPLIT: 0, MERGE: 1, REBUILD: 2, AUTOSCALE: 3}
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Record):
     """Split the range at position ``shard`` (in the epoch current when
     the trigger fires) at ``at_key``; the upper half moves to a newly
     provisioned shard."""
@@ -83,25 +83,12 @@ class SplitSpec:
             raise ValueError(f"at_ns must be >= 0, got {self.at_ns}")
         if self.shard < 0:
             raise ValueError(f"shard must be >= 0, got {self.shard}")
-
-    def to_dict(self) -> Dict:
-        return {
-            "at_ns": self.at_ns,
-            "shard": self.shard,
-            "at_key": int(self.at_key),
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "SplitSpec":
-        return cls(
-            at_ns=float(d["at_ns"]),
-            shard=int(d["shard"]),
-            at_key=int(d["at_key"]),
-        )
+        # Keys often come off numpy arrays; the spec holds a plain int.
+        object.__setattr__(self, "at_key", int(self.at_key))
 
 
 @dataclass(frozen=True)
-class MergeSpec:
+class MergeSpec(Record):
     """Merge the range at position ``shard`` with its right neighbour;
     the neighbour's shard is retired (graceful drain)."""
 
@@ -114,16 +101,9 @@ class MergeSpec:
         if self.shard < 0:
             raise ValueError(f"shard must be >= 0, got {self.shard}")
 
-    def to_dict(self) -> Dict:
-        return {"at_ns": self.at_ns, "shard": self.shard}
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "MergeSpec":
-        return cls(at_ns=float(d["at_ns"]), shard=int(d["shard"]))
-
 
 @dataclass(frozen=True)
-class RebuildSpec:
+class RebuildSpec(Record):
     """Rebuild replica ``replica`` of (initial-topology) shard ``shard``.
 
     The replica leaves the rotation at ``at_ns``, drains gracefully, and
@@ -147,28 +127,9 @@ class RebuildSpec:
         if self.speedup <= 0.0:
             raise ValueError(f"speedup must be positive, got {self.speedup}")
 
-    def to_dict(self) -> Dict:
-        return {
-            "at_ns": self.at_ns,
-            "shard": self.shard,
-            "replica": self.replica,
-            "build_ns": self.build_ns,
-            "speedup": self.speedup,
-        }
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "RebuildSpec":
-        return cls(
-            at_ns=float(d["at_ns"]),
-            shard=int(d["shard"]),
-            replica=int(d["replica"]),
-            build_ns=float(d["build_ns"]),
-            speedup=float(d.get("speedup", 1.0)),
-        )
-
 
 @dataclass(frozen=True)
-class AutoscaleSpec:
+class AutoscaleSpec(Record):
     """The reactive scaling rule, evaluated per shard every
     ``interval_ns``.
 
@@ -185,7 +146,7 @@ class AutoscaleSpec:
     down_depth: int = 0
     min_replicas: int = 1
     max_replicas: int = 8
-    up_p99_ns: Optional[float] = None
+    up_p99_ns: Optional[float] = field(default=None, metadata=OMIT_DEFAULT)
 
     def __post_init__(self):
         if self.interval_ns <= 0.0:
@@ -212,35 +173,9 @@ class AutoscaleSpec:
                 f"up_p99_ns must be positive, got {self.up_p99_ns}"
             )
 
-    def to_dict(self) -> Dict:
-        d = {
-            "interval_ns": self.interval_ns,
-            "up_depth": self.up_depth,
-            "down_depth": self.down_depth,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
-        }
-        if self.up_p99_ns is not None:
-            d["up_p99_ns"] = self.up_p99_ns
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "AutoscaleSpec":
-        return cls(
-            interval_ns=float(d["interval_ns"]),
-            up_depth=int(d["up_depth"]),
-            down_depth=int(d.get("down_depth", 0)),
-            min_replicas=int(d.get("min_replicas", 1)),
-            max_replicas=int(d.get("max_replicas", 8)),
-            up_p99_ns=(
-                float(d["up_p99_ns"]) if d.get("up_p99_ns") is not None
-                else None
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class ReconfigSpec:
+class ReconfigSpec(Record):
     """A complete reconfiguration plan: declarative, versioned data.
 
     The zero value (no triggers) is a strict no-op: the differential
@@ -248,10 +183,16 @@ class ReconfigSpec:
     byte-identical to one with no spec at all.
     """
 
-    splits: Tuple[SplitSpec, ...] = ()
-    merges: Tuple[MergeSpec, ...] = ()
-    rebuilds: Tuple[RebuildSpec, ...] = ()
-    autoscale: Optional[AutoscaleSpec] = None
+    SCHEMA = RECONFIG_SCHEMA_VERSION
+
+    splits: Tuple[SplitSpec, ...] = field(default=(), metadata=OMIT_DEFAULT)
+    merges: Tuple[MergeSpec, ...] = field(default=(), metadata=OMIT_DEFAULT)
+    rebuilds: Tuple[RebuildSpec, ...] = field(
+        default=(), metadata=OMIT_DEFAULT
+    )
+    autoscale: Optional[AutoscaleSpec] = field(
+        default=None, metadata=OMIT_DEFAULT
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "splits", tuple(self.splits))
@@ -265,54 +206,6 @@ class ReconfigSpec:
             self.splits or self.merges or self.rebuilds
             or self.autoscale is not None
         )
-
-    def to_dict(self) -> Dict:
-        d: Dict = {"schema": RECONFIG_SCHEMA_VERSION}
-        if self.splits:
-            d["splits"] = [s.to_dict() for s in self.splits]
-        if self.merges:
-            d["merges"] = [m.to_dict() for m in self.merges]
-        if self.rebuilds:
-            d["rebuilds"] = [r.to_dict() for r in self.rebuilds]
-        if self.autoscale is not None:
-            d["autoscale"] = self.autoscale.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: Dict) -> "ReconfigSpec":
-        schema = d.get("schema")
-        if schema != RECONFIG_SCHEMA_VERSION:
-            raise ValueError(
-                f"reconfig schema {schema!r} != {RECONFIG_SCHEMA_VERSION}"
-            )
-        return cls(
-            splits=tuple(
-                SplitSpec.from_dict(s) for s in d.get("splits", [])
-            ),
-            merges=tuple(
-                MergeSpec.from_dict(m) for m in d.get("merges", [])
-            ),
-            rebuilds=tuple(
-                RebuildSpec.from_dict(r) for r in d.get("rebuilds", [])
-            ),
-            autoscale=(
-                AutoscaleSpec.from_dict(d["autoscale"])
-                if d.get("autoscale") is not None
-                else None
-            ),
-        )
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReconfigSpec":
-        import json
-
-        return cls.from_dict(json.loads(text))
-
-    def content_key(self) -> str:
-        return content_hash(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -413,7 +306,7 @@ def autoscale_decision(
 
 
 @dataclass(frozen=True)
-class ShardEpoch:
+class ShardEpoch(Record):
     """One version of the key-range partition.
 
     ``bounds[i]`` is the lower bound of range ``i``; ``owners[i]`` is
@@ -447,14 +340,6 @@ class ShardEpoch:
         like :meth:`ShardMap.shard_for`)."""
         idx = max(bisect_right(self.bounds, int(key)) - 1, 0)
         return self.owners[idx]
-
-    def to_dict(self) -> Dict:
-        return {
-            "version": self.version,
-            "time_ns": self.time_ns,
-            "bounds": list(self.bounds),
-            "owners": list(self.owners),
-        }
 
 
 class _RebuiltService:

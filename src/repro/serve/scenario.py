@@ -30,12 +30,12 @@ under pressure).  The admission thresholds live in
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.records import OMIT_DEFAULT, Record
 from repro.serve.arrivals import (
     bursty_arrivals,
     diurnal_arrivals,
@@ -64,29 +64,21 @@ ARRIVAL_SHAPES: Dict[str, Tuple[str, ...]] = {
     "flash": ("spike_factor", "spike_start_request", "spike_len_requests"),
 }
 
-#: Arrival knobs that are request counts/indices, coerced back to int
-#: after a JSON round trip (JSON numbers do not distinguish 100 / 100.0).
+#: Arrival knobs that are request counts/indices, held as ints (a
+#: hand-written spec may spell 100 as 100.0).
 _INT_PARAMS = frozenset(
     ["period_requests", "spike_start_request", "spike_len_requests"]
 )
 
 
-# The canonical encoding is shared with the telemetry layer so scenario
-# specs and TimeSeries artifacts hash the same way (telemetry.py is the
-# one serve module with no serve imports, hence it hosts the helpers).
-from repro.serve.telemetry import (  # noqa: E402
-    canonical_json as _canonical_json,
-    content_hash as _content_hash,
-)
-
-
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(Record):
     """One tenant's seeded open-loop arrival process, as data.
 
     ``params`` holds the shape-specific knobs as sorted ``(name, value)``
     pairs (hashable, JSON-able); unknown knobs for the shape are
-    rejected.  :meth:`generate` dispatches to the matching
+    rejected, and request-count knobs are held as ints.
+    :meth:`generate` dispatches to the matching
     :mod:`repro.serve.arrivals` generator, so every documented property
     of those (seed determinism, horizon purity, rate scaling over one
     fixed gap sequence) carries over to specs verbatim.
@@ -113,7 +105,12 @@ class ArrivalSpec:
                 f"need at least one request, got {self.n_requests}"
             )
         allowed = ARRIVAL_SHAPES[self.shape]
-        frozen = tuple(sorted((str(k), v) for k, v in self.params))
+        frozen = tuple(
+            sorted(
+                (str(k), int(v) if k in _INT_PARAMS else v)
+                for k, v in self.params
+            )
+        )
         for name, _ in frozen:
             if name not in allowed:
                 raise ValueError(
@@ -123,9 +120,7 @@ class ArrivalSpec:
         object.__setattr__(self, "params", frozen)
 
     def param_dict(self) -> dict:
-        return {
-            k: int(v) if k in _INT_PARAMS else v for k, v in self.params
-        }
+        return dict(self.params)
 
     def generate(self) -> List[float]:
         """Absolute arrival timestamps (ns), a pure function of the spec."""
@@ -144,28 +139,9 @@ class ArrivalSpec:
             self.rate_per_sec, self.n_requests, self.seed, **kwargs
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "rate_per_sec": self.rate_per_sec,
-            "n_requests": self.n_requests,
-            "seed": self.seed,
-            "shape": self.shape,
-            "params": self.param_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArrivalSpec":
-        return cls(
-            rate_per_sec=float(d["rate_per_sec"]),
-            n_requests=int(d["n_requests"]),
-            seed=int(d.get("seed", 0)),
-            shape=str(d.get("shape", "poisson")),
-            params=tuple(sorted(dict(d.get("params", {})).items())),
-        )
-
 
 @dataclass(frozen=True)
-class KeySpaceSpec:
+class KeySpaceSpec(Record):
     """Which keys a tenant looks up: a sub-range of the served sorted
     array, optionally with a Zipfian hotspot.
 
@@ -227,28 +203,9 @@ class KeySpaceSpec:
             idx = lo + perm[ranks]
         return [int(keys[i]) for i in idx]
 
-    def to_dict(self) -> dict:
-        return {
-            "lo_frac": self.lo_frac,
-            "hi_frac": self.hi_frac,
-            "hot_theta": self.hot_theta,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KeySpaceSpec":
-        return cls(
-            lo_frac=float(d.get("lo_frac", 0.0)),
-            hi_frac=float(d.get("hi_frac", 1.0)),
-            hot_theta=(
-                None if d.get("hot_theta") is None else float(d["hot_theta"])
-            ),
-            seed=int(d.get("seed", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(Record):
     """One workload sharing the cluster: identity, traffic, keys, SLO."""
 
     name: str
@@ -272,30 +229,9 @@ class TenantSpec:
                 f"p99_slo_ns must be positive, got {self.p99_slo_ns}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "arrivals": self.arrivals.to_dict(),
-            "keyspace": self.keyspace.to_dict(),
-            "slo_class": self.slo_class,
-            "p99_slo_ns": self.p99_slo_ns,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TenantSpec":
-        return cls(
-            name=str(d["name"]),
-            arrivals=ArrivalSpec.from_dict(d["arrivals"]),
-            keyspace=KeySpaceSpec.from_dict(d.get("keyspace", {})),
-            slo_class=str(d.get("slo_class", GOLD)),
-            p99_slo_ns=(
-                None if d.get("p99_slo_ns") is None else float(d["p99_slo_ns"])
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(Record):
     """Cluster shape: key-range shards x replicas x cores per replica."""
 
     n_shards: int = 1
@@ -309,136 +245,9 @@ class TopologySpec:
                     f"{name} must be >= 1, got {getattr(self, name)}"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "n_replicas": self.n_replicas,
-            "n_cores": self.n_cores,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TopologySpec":
-        return cls(
-            n_shards=int(d.get("n_shards", 1)),
-            n_replicas=int(d.get("n_replicas", 1)),
-            n_cores=int(d.get("n_cores", 2)),
-        )
-
 
 @dataclass(frozen=True)
-class PolicySpec:
-    """Router failure-policy knobs, field-for-field a :class:`RouterPolicy`.
-
-    The defaults are the degenerate policy (no hedging, no batching),
-    same as ``RouterPolicy()`` -- so the zero-value spec reproduces the
-    zero-value cluster.
-    """
-
-    hedge_after_ns: Optional[float] = None
-    max_attempts: int = 4
-    backoff_base_ns: float = 100_000.0
-    backoff_cap_ns: float = 3_200_000.0
-    batch_window_ns: float = 0.0
-
-    def __post_init__(self):
-        self.to_router_policy()  # reuse RouterPolicy's validation
-
-    def to_router_policy(self) -> RouterPolicy:
-        return RouterPolicy(
-            hedge_after_ns=self.hedge_after_ns,
-            max_attempts=self.max_attempts,
-            backoff_base_ns=self.backoff_base_ns,
-            backoff_cap_ns=self.backoff_cap_ns,
-            batch_window_ns=self.batch_window_ns,
-        )
-
-    @classmethod
-    def from_router_policy(cls, policy: RouterPolicy) -> "PolicySpec":
-        """Re-express an existing router policy (ext_cluster configs)."""
-        return cls(
-            hedge_after_ns=policy.hedge_after_ns,
-            max_attempts=policy.max_attempts,
-            backoff_base_ns=policy.backoff_base_ns,
-            backoff_cap_ns=policy.backoff_cap_ns,
-            batch_window_ns=policy.batch_window_ns,
-        )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicySpec":
-        out = dict(d)
-        if out.get("max_attempts") is not None:
-            out["max_attempts"] = int(out["max_attempts"])
-        return cls(**out)
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Fault-process knobs, field-for-field a :class:`FaultConfig`.
-
-    The all-defaults spec injects nothing and converts to ``None`` (a
-    fault-free cluster), matching how :class:`Cluster` treats a missing
-    fault config.
-    """
-
-    crash_mttf_ns: Optional[float] = None
-    crash_mttr_ns: float = 2_000_000.0
-    slow_mttf_ns: Optional[float] = None
-    slow_mttr_ns: float = 2_000_000.0
-    slow_factor: float = 4.0
-    seed: int = 0
-
-    def __post_init__(self):
-        self._config()  # reuse FaultConfig's validation
-
-    def _config(self) -> FaultConfig:
-        return FaultConfig(
-            crash_mttf_ns=self.crash_mttf_ns,
-            crash_mttr_ns=self.crash_mttr_ns,
-            slow_mttf_ns=self.slow_mttf_ns,
-            slow_mttr_ns=self.slow_mttr_ns,
-            slow_factor=self.slow_factor,
-            seed=self.seed,
-        )
-
-    @property
-    def enabled(self) -> bool:
-        return self.crash_mttf_ns is not None or self.slow_mttf_ns is not None
-
-    def to_fault_config(self) -> Optional[FaultConfig]:
-        return self._config() if self.enabled else None
-
-    @classmethod
-    def from_fault_config(
-        cls, config: Optional[FaultConfig]
-    ) -> "FaultSpec":
-        """Re-express an existing fault config (ext_cluster scenarios)."""
-        if config is None:
-            return cls()
-        return cls(
-            crash_mttf_ns=config.crash_mttf_ns,
-            crash_mttr_ns=config.crash_mttr_ns,
-            slow_mttf_ns=config.slow_mttf_ns,
-            slow_mttr_ns=config.slow_mttr_ns,
-            slow_factor=config.slow_factor,
-            seed=config.seed,
-        )
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FaultSpec":
-        out = dict(d)
-        if out.get("seed") is not None:
-            out["seed"] = int(out["seed"])
-        return cls(**out)
-
-
-@dataclass(frozen=True)
-class AdmissionSpec:
+class AdmissionSpec(Record):
     """Router-level admission control: per-class queue-depth thresholds.
 
     A request of class ``c`` is *shed* (rejected at dispatch, never
@@ -467,20 +276,9 @@ class AdmissionSpec:
             raise ValueError(f"unknown SLO class {slo_class!r}")
         return getattr(self, f"{slo_class}_depth")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdmissionSpec":
-        out = dict(d)
-        for name in ("gold_depth", "silver_depth", "bronze_depth"):
-            if out.get(name) is not None:
-                out[name] = int(out[name])
-        return cls(**out)
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """A complete multi-tenant serving scenario, as one JSON-able value.
 
     Composes arrivals x topology x faults x tenants x router policy x
@@ -489,11 +287,18 @@ class ScenarioSpec:
     timeline, and tenant ids in traces index into it).
     """
 
+    SCHEMA = SCENARIO_SCHEMA_VERSION
+
     name: str
     tenants: Tuple[TenantSpec, ...]
     topology: TopologySpec = field(default_factory=TopologySpec)
-    policy: PolicySpec = field(default_factory=PolicySpec)
-    faults: FaultSpec = field(default_factory=FaultSpec)
+    #: Router failure policy; the default is the degenerate policy (no
+    #: hedging, no batching), so the zero-value spec reproduces the
+    #: zero-value cluster.
+    policy: RouterPolicy = field(default_factory=RouterPolicy)
+    #: Fault processes; the all-defaults config injects nothing, which
+    #: :class:`~repro.serve.cluster.Cluster` treats like no faults.
+    faults: FaultConfig = field(default_factory=FaultConfig)
     admission: AdmissionSpec = field(default_factory=AdmissionSpec)
     #: Fault-schedule horizon override (ns); None = the simulator's
     #: default (last arrival plus 25% drain slack).
@@ -501,7 +306,9 @@ class ScenarioSpec:
     #: Live-reconfiguration plan (:mod:`repro.serve.reconfig`); None
     #: keeps the spec's serialized form -- and every derived content
     #: key -- exactly as before the field existed.
-    reconfig: Optional[ReconfigSpec] = None
+    reconfig: Optional[ReconfigSpec] = field(
+        default=None, metadata=OMIT_DEFAULT
+    )
 
     def __post_init__(self):
         if not self.name:
@@ -529,65 +336,6 @@ class ScenarioSpec:
                 return i
         raise KeyError(f"no tenant named {name!r}")
 
-    def to_dict(self) -> dict:
-        d = {
-            "schema": SCENARIO_SCHEMA_VERSION,
-            "name": self.name,
-            "tenants": [t.to_dict() for t in self.tenants],
-            "topology": self.topology.to_dict(),
-            "policy": self.policy.to_dict(),
-            "faults": self.faults.to_dict(),
-            "admission": self.admission.to_dict(),
-            "fault_horizon_ns": self.fault_horizon_ns,
-        }
-        # Only a set plan changes the serialized form (and thereby the
-        # content/cache keys); specs without one hash as they always did.
-        if self.reconfig is not None:
-            d["reconfig"] = self.reconfig.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        schema = int(d.get("schema", SCENARIO_SCHEMA_VERSION))
-        if schema != SCENARIO_SCHEMA_VERSION:
-            raise ValueError(
-                f"scenario schema {schema} != {SCENARIO_SCHEMA_VERSION}"
-            )
-        return cls(
-            name=str(d["name"]),
-            tenants=tuple(
-                TenantSpec.from_dict(t) for t in d["tenants"]
-            ),
-            topology=TopologySpec.from_dict(d.get("topology", {})),
-            policy=PolicySpec.from_dict(d.get("policy", {})),
-            faults=FaultSpec.from_dict(d.get("faults", {})),
-            admission=AdmissionSpec.from_dict(d.get("admission", {})),
-            fault_horizon_ns=(
-                None
-                if d.get("fault_horizon_ns") is None
-                else float(d["fault_horizon_ns"])
-            ),
-            reconfig=(
-                None
-                if d.get("reconfig") is None
-                else ReconfigSpec.from_dict(d["reconfig"])
-            ),
-        )
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        if indent is None:
-            return _canonical_json(self.to_dict())
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioSpec":
-        return cls.from_dict(json.loads(text))
-
-    def content_key(self) -> str:
-        """Stable content hash; canonical JSON, so key order and float
-        formatting never perturb it (floats round-trip exactly)."""
-        return _content_hash(self.to_dict())
-
     def with_admission(self, admission: AdmissionSpec) -> "ScenarioSpec":
         """The same scenario under a different admission policy."""
         return replace(self, admission=admission)
@@ -606,8 +354,8 @@ def single_tenant_spec(
     name: str = "single",
     tenant: str = "t0",
     topology: TopologySpec = TopologySpec(),
-    policy: PolicySpec = PolicySpec(),
-    faults: FaultSpec = FaultSpec(),
+    policy: RouterPolicy = RouterPolicy(),
+    faults: FaultConfig = FaultConfig(),
     fault_horizon_ns: Optional[float] = None,
 ) -> ScenarioSpec:
     """The degenerate spec: one gold tenant, Poisson arrivals over the

@@ -20,8 +20,8 @@ from repro.serve.metrics import LatencySummary
 from repro.serve.router import RouterPolicy, request_keys
 from repro.serve.sweep import (
     ClusterRunStats,
+    OpenLoopRunStats,
     cluster_task,
-    open_loop_summary,
     open_loop_task,
     run_sim_tasks,
 )
@@ -112,15 +112,15 @@ def select_under_slo(
     records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
     candidates = []
     for m, record in zip(ms, records):
-        summary, queue_stats = open_loop_summary(record)
-        summary.to_metrics(slo_p99_ns=p99_slo_ns, result=queue_stats)
+        stats = OpenLoopRunStats.from_dict(record)
+        stats.summary.to_metrics(slo_p99_ns=p99_slo_ns, result=stats)
         candidates.append(
             Candidate(
                 index=m.index,
                 config=dict(m.config),
                 size_bytes=m.size_bytes,
                 saturation_per_sec=saturation_throughput(m, machine),
-                summary=summary,
+                summary=stats.summary,
             )
         )
     return selection_from_candidates(
@@ -284,7 +284,7 @@ def select_cluster_under_slo(
     records = run_sim_tasks(tasks, jobs=jobs, cache=sim_cache)
     candidates: List[ClusterCandidate] = []
     for family, record in zip(families, records):
-        stats = ClusterRunStats.from_record(record)
+        stats = ClusterRunStats.from_dict(record)
         stats.to_metrics()
         candidates.append(
             ClusterCandidate(

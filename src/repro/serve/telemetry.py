@@ -44,18 +44,16 @@ dense from 0 through the last window containing any event.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.records import OMIT_DEFAULT, Record
 
 #: Bump when the TimeSeries/AttemptTrace record layout changes meaning.
 TELEMETRY_SCHEMA_VERSION = 1
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
-    "canonical_json",
-    "content_hash",
     "TelemetryConfig",
     "WindowStats",
     "TimeSeries",
@@ -69,23 +67,6 @@ __all__ = [
     "drain_published",
     "clear_published",
 ]
-
-
-def canonical_json(payload: dict) -> str:
-    """Sorted-key, no-whitespace JSON: one byte string per value.
-
-    The serving stack's single canonical form -- scenario specs and
-    telemetry series hash the same encoding
-    (:mod:`repro.serve.scenario` aliases these helpers).
-    """
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def content_hash(payload: dict) -> str:
-    """sha256 of the canonical JSON, truncated to 40 hex chars."""
-    return hashlib.sha256(
-        canonical_json(payload).encode("utf-8")
-    ).hexdigest()[:40]
 
 
 @dataclass(frozen=True)
@@ -102,7 +83,7 @@ class TelemetryConfig:
 
     window_ns: float
     slo_p99_ns: Optional[float] = None
-    traces: bool = False
+    traces: bool = field(default=False, metadata=OMIT_DEFAULT)
 
     def __post_init__(self):
         if not self.window_ns > 0.0:
@@ -112,7 +93,7 @@ class TelemetryConfig:
 
 
 @dataclass(frozen=True)
-class WindowStats:
+class WindowStats(Record):
     """Aggregates of one tumbling window (see module doc for binning).
 
     ``class_stats`` is the per-SLO-class split the burn-rate math reads:
@@ -142,47 +123,9 @@ class WindowStats:
             for c, f in zip(self.shard_completed, self.shard_failed)
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "completed": self.completed,
-            "failed": self.failed,
-            "shed": self.shed,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "violations": self.violations,
-            "max_queue_depth": self.max_queue_depth,
-            "p50_ns": self.p50_ns,
-            "p99_ns": self.p99_ns,
-            "shard_completed": list(self.shard_completed),
-            "shard_failed": list(self.shard_failed),
-            "class_stats": [list(c) for c in self.class_stats],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "WindowStats":
-        return cls(
-            index=int(d["index"]),
-            completed=int(d["completed"]),
-            failed=int(d["failed"]),
-            shed=int(d["shed"]),
-            retries=int(d["retries"]),
-            hedges=int(d["hedges"]),
-            violations=int(d["violations"]),
-            max_queue_depth=int(d["max_queue_depth"]),
-            p50_ns=None if d["p50_ns"] is None else float(d["p50_ns"]),
-            p99_ns=None if d["p99_ns"] is None else float(d["p99_ns"]),
-            shard_completed=tuple(int(x) for x in d["shard_completed"]),
-            shard_failed=tuple(int(x) for x in d["shard_failed"]),
-            class_stats=tuple(
-                (str(c[0]), int(c[1]), int(c[2]), int(c[3]), int(c[4]))
-                for c in d["class_stats"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TimeSeries:
+class TimeSeries(Record):
     """The frozen windowed time-series artifact of one simulation run.
 
     JSON round-trips exactly (floats keep shortest-repr identity), so a
@@ -190,6 +133,8 @@ class TimeSeries:
     byte-identical to the freshly collected one; :meth:`content_key`
     hashes the canonical JSON, so equal series share a key.
     """
+
+    SCHEMA = TELEMETRY_SCHEMA_VERSION
 
     window_ns: float
     n_shards: int
@@ -237,38 +182,9 @@ class TimeSeries:
         names = {c[0] for w in self.windows for c in w.class_stats}
         return tuple(sorted(names))
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": TELEMETRY_SCHEMA_VERSION,
-            "window_ns": self.window_ns,
-            "n_shards": self.n_shards,
-            "windows": [w.to_dict() for w in self.windows],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimeSeries":
-        return cls(
-            window_ns=float(d["window_ns"]),
-            n_shards=int(d["n_shards"]),
-            windows=tuple(
-                WindowStats.from_dict(w) for w in d["windows"]
-            ),
-        )
-
-    def to_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TimeSeries":
-        return cls.from_dict(json.loads(text))
-
-    def content_key(self) -> str:
-        """Stable content hash of the canonical JSON form."""
-        return content_hash(self.to_dict())
-
 
 @dataclass(frozen=True)
-class AttemptTrace:
+class AttemptTrace(Record):
     """One dispatch attempt of one request, as pure data.
 
     ``attempt`` is 1-based; ``cause`` is ``"arrival"`` / ``"retry"`` /
@@ -289,35 +205,6 @@ class AttemptTrace:
     start_ns: float
     finish_ns: float
     status: str
-
-    def to_dict(self) -> dict:
-        return {
-            "rid": self.rid,
-            "attempt": self.attempt,
-            "shard": self.shard,
-            "replica": self.replica,
-            "core": self.core,
-            "cause": self.cause,
-            "dispatch_ns": self.dispatch_ns,
-            "start_ns": self.start_ns,
-            "finish_ns": self.finish_ns,
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttemptTrace":
-        return cls(
-            rid=int(d["rid"]),
-            attempt=int(d["attempt"]),
-            shard=int(d["shard"]),
-            replica=int(d["replica"]),
-            core=int(d["core"]),
-            cause=str(d["cause"]),
-            dispatch_ns=float(d["dispatch_ns"]),
-            start_ns=float(d["start_ns"]),
-            finish_ns=float(d["finish_ns"]),
-            status=str(d["status"]),
-        )
 
 
 class _WindowAcc:

@@ -189,31 +189,12 @@ class TenancyResult:
     ) -> None:
         """Publish per-tenant latency/violation/shed counters into an
         obs metrics registry, mirroring
-        :meth:`~repro.serve.cluster.ClusterResult.to_metrics`.
+        :meth:`~repro.serve.cluster.ClusterResult.to_metrics` (the run
+        record publishes them, live or replayed alike).
         """
-        from repro.obs.metrics import get_registry
+        from repro.serve.sweep import TenancyRunStats
 
-        reg = registry if registry is not None else get_registry()
-        reg.counter(f"{prefix}.requests").inc(len(self.cluster.records))
-        reg.counter(f"{prefix}.shed").inc(self.total_shed)
-        for ts in self.tenants:
-            p = f"{prefix}.tenant.{ts.name}"
-            reg.counter(f"{p}.requests").inc(ts.requests)
-            reg.counter(f"{p}.completed").inc(ts.completed)
-            reg.counter(f"{p}.failed").inc(ts.failed)
-            reg.counter(f"{p}.shed").inc(ts.shed)
-            reg.counter(f"{p}.retries").inc(ts.retries)
-            summary = ts.summary()
-            if summary is not None:
-                reg.gauge(f"{p}.latency.p50_ns").set_max(summary.p50_ns)
-                reg.gauge(f"{p}.latency.p99_ns").set_max(summary.p99_ns)
-            if ts.p99_slo_ns is not None:
-                reg.counter(f"{p}.slo.runs").inc()
-                reg.counter(f"{p}.slo.requests_over").inc(
-                    ts.requests_over_slo
-                )
-                if ts.slo_met() is False:
-                    reg.counter(f"{p}.slo.violations").inc()
+        TenancyRunStats.from_result(self).to_metrics(registry, prefix)
 
 
 class _TenantSim(_ClusterSim):
@@ -323,8 +304,8 @@ def replay_trace(
         services=services,
         n_replicas=spec.topology.n_replicas,
         n_cores=spec.topology.n_cores,
-        policy=spec.policy.to_router_policy(),
-        faults=spec.faults.to_fault_config(),
+        policy=spec.policy,
+        faults=spec.faults,
         reconfig=spec.reconfig,
     )
     horizon = spec.fault_horizon_ns

@@ -23,12 +23,12 @@ stream a direct :func:`~repro.serve.cluster.simulate_cluster` call would
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.records import canonical_json, content_hash
 from repro.serve.scenario import ScenarioSpec
 
 #: Bump when the trace layout or merge rule changes meaning.
@@ -144,7 +144,7 @@ class TenantTrace:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "TenantTrace":
@@ -161,7 +161,7 @@ class TenantTrace:
 
     def content_key(self) -> str:
         """Stable content hash of the serialized trace."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()[:40]
+        return content_hash(self.to_dict())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TenantTrace):

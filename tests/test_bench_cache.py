@@ -10,13 +10,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.bench import cache as cache_mod
-from repro.bench.cache import (
-    MeasurementCache,
-    cache_key,
-    measurement_from_record,
-    measurement_to_record,
-    scenario_key,
-)
+from repro.bench.cache import MeasurementCache, cache_key, scenario_key
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
 from repro.bench.harness import Measurement
@@ -151,8 +145,8 @@ def make_measurement(**overrides) -> Measurement:
 class TestLosslessRoundTrip:
     def test_record_round_trip_through_json(self):
         m = make_measurement()
-        record = json.loads(json.dumps(measurement_to_record(m)))
-        assert measurement_from_record(record) == m
+        record = json.loads(json.dumps(m.to_dict()))
+        assert Measurement.from_dict(record) == m
 
     @given(
         latency=finite_floats,
@@ -173,9 +167,51 @@ class TestLosslessRoundTrip:
                 instructions=instructions, llc_misses=misses
             ),
         )
-        record = json.loads(json.dumps(measurement_to_record(m)))
-        restored = measurement_from_record(record)
+        record = json.loads(json.dumps(m.to_dict()))
+        restored = Measurement.from_dict(record)
         assert restored == m
+
+    def test_profiled_record_is_pinned(self):
+        """Cached profiled cells replay only while this layout holds."""
+        m = make_measurement(
+            phases={
+                "model": PerfCounters(instructions=40, reads=2, l1_hits=2),
+                "search": PerfCounters(instructions=61, reads=5, llc_misses=1),
+            }
+        )
+        zeros = dict.fromkeys(
+            ["branch_misses", "branches", "instructions", "l1_hits",
+             "l2_hits", "l3_hits", "llc_misses", "reads", "tlb_misses"],
+            0,
+        )
+        expected = {
+            "index": "RMI",
+            "dataset": "amzn",
+            "config": {"branching": 64},
+            "n_keys": 2000,
+            "size_bytes": 1312,
+            "build_seconds": 0.0123,
+            "counters": dict(
+                {k: 0.0 for k in zeros}, instructions=101.5, llc_misses=7.25
+            ),
+            "latency_ns": 623.3987745285336,
+            "fence_latency_ns": 817.1311507936507,
+            "avg_log2_bound": 11.928845877923553,
+            "n_lookups": 25,
+            "warm": True,
+            "search": "binary",
+            "key_bits": 64,
+            "phases": {
+                "model": dict(zeros, instructions=40, reads=2, l1_hits=2),
+                "search": dict(zeros, instructions=61, reads=5, llc_misses=1),
+            },
+        }
+        # Compared as JSON text: 0 and 0.0 are equal as dict values.
+        assert json.dumps(m.to_dict(), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+        assert "phases" not in make_measurement().to_dict()
+        assert Measurement.from_dict(json.loads(json.dumps(m.to_dict()))) == m
 
 
 class TestMeasurementCache:
@@ -343,7 +379,7 @@ class TestWrongShapedRecords:
     def test_measurement_with_unknown_field_is_a_miss(self, tmp_path):
         cache = MeasurementCache(str(tmp_path / "c"))
         cell, m = make_cell(), make_measurement()
-        record = dict(measurement_to_record(m), surprise=1)
+        record = dict(m.to_dict(), surprise=1)
         cache.put(cell, m)
         with open(cache._path(cell), "w") as f:
             json.dump({"measurement": record}, f)

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from repro.bench.cache import MeasurementCache, measurement_to_record
+from repro.bench.cache import MeasurementCache
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments import common
@@ -65,7 +65,7 @@ def grid():
 
 
 def deterministic_view(measurement) -> dict:
-    record = measurement_to_record(measurement)
+    record = measurement.to_dict()
     return {name: record[name] for name in DETERMINISTIC_FIELDS}
 
 
@@ -117,10 +117,10 @@ class TestCacheResume:
         # Byte-identical records, including build_seconds, because the
         # second run replays the stored measurements.
         first_bytes = json.dumps(
-            [measurement_to_record(m) for m in first], sort_keys=True
+            [m.to_dict() for m in first], sort_keys=True
         )
         second_bytes = json.dumps(
-            [measurement_to_record(m) for m in second], sort_keys=True
+            [m.to_dict() for m in second], sort_keys=True
         )
         assert first_bytes == second_bytes
 

@@ -321,6 +321,35 @@ class TestSpecValidation:
         d["schema"] = 999
         with pytest.raises(ValueError, match="schema"):
             ReconfigSpec.from_dict(d)
+        del d["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            ReconfigSpec.from_dict(d)
+
+    def test_content_key_is_pinned(self):
+        """Cached reconfigured runs replay only while this holds."""
+        spec = ReconfigSpec(
+            splits=(SplitSpec(at_ns=2e5, shard=0, at_key=1234),),
+            merges=(MergeSpec(at_ns=6e5, shard=1),),
+            rebuilds=(
+                RebuildSpec(
+                    at_ns=3e5, shard=1, replica=0, build_ns=1e5, speedup=1.5
+                ),
+            ),
+            autoscale=AutoscaleSpec(
+                interval_ns=1e5,
+                up_depth=6,
+                down_depth=1,
+                min_replicas=2,
+                max_replicas=4,
+                up_p99_ns=5e4,
+            ),
+        )
+        assert spec.content_key() == (
+            "7c6c21f41a7132d4f9d249f2c1c939f7427754df"
+        )
+        # Fields added later stay out of the JSON form while unset.
+        assert ReconfigSpec().to_dict() == {"schema": 1}
+        assert "up_p99_ns" not in AutoscaleSpec(1e5, 6).to_dict()
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(ValueError, match="horizon"):

@@ -15,12 +15,17 @@ from repro.serve.arrivals import (
 )
 from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, request_keys
+from repro.serve.reconfig import (
+    AutoscaleSpec,
+    MergeSpec,
+    RebuildSpec,
+    ReconfigSpec,
+    SplitSpec,
+)
 from repro.serve.scenario import (
     AdmissionSpec,
     ArrivalSpec,
-    FaultSpec,
     KeySpaceSpec,
-    PolicySpec,
     ScenarioSpec,
     TenantSpec,
     TopologySpec,
@@ -74,8 +79,8 @@ def rich_spec() -> ScenarioSpec:
             ),
         ),
         topology=TopologySpec(n_shards=4, n_replicas=2, n_cores=2),
-        policy=PolicySpec(hedge_after_ns=5e4, batch_window_ns=100.0),
-        faults=FaultSpec(crash_mttf_ns=1e7, crash_mttr_ns=1e6, seed=9),
+        policy=RouterPolicy(hedge_after_ns=5e4, batch_window_ns=100.0),
+        faults=FaultConfig(crash_mttf_ns=1e7, crash_mttr_ns=1e6, seed=9),
         admission=AdmissionSpec(
             enabled=True, bronze_depth=4, silver_depth=12
         ),
@@ -116,8 +121,149 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="schema"):
             ScenarioSpec.from_dict(d)
 
+    def test_missing_schema_rejected(self):
+        """A hand-written spec must say which layout it uses."""
+        d = rich_spec().to_dict()
+        del d["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            ScenarioSpec.from_dict(d)
+
+    def test_misspelled_field_rejected(self):
+        """A typo must not silently fall back to the field's default."""
+        spec = single_tenant_spec(
+            1e5, 50, topology=TopologySpec(n_shards=4)
+        )
+        d = spec.to_dict()
+        d["topolgy"] = d.pop("topology")
+        with pytest.raises(ValueError, match="topolgy"):
+            ScenarioSpec.from_dict(d)
+        d = spec.to_dict()
+        tenant = d["tenants"][0]
+        tenant["keyspac"] = tenant.pop("keyspace")
+        with pytest.raises(ValueError, match="keyspac"):
+            ScenarioSpec.from_dict(d)
+
+    def test_numbers_keep_their_type(self):
+        """A reloaded spec hashes like the original, so a serialized spec
+        re-run later hits the cache."""
+        spec = single_tenant_spec(rate_per_sec=100000, n_requests=50)
+        again = ScenarioSpec.from_json(spec.to_json())
+        assert again == spec
+        assert again.content_key() == spec.content_key()
+        assert scenario_key(again) == scenario_key(spec)
+
+    def test_wrong_types_rejected(self):
+        d = rich_spec().to_dict()
+        d["topology"]["n_shards"] = 2.0
+        with pytest.raises(TypeError, match="n_shards"):
+            ScenarioSpec.from_dict(d)
+        d = rich_spec().to_dict()
+        d["admission"]["enabled"] = 1
+        with pytest.raises(TypeError, match="enabled"):
+            ScenarioSpec.from_dict(d)
+
+
+def pinned_spec() -> ScenarioSpec:
+    """Every arrival shape with params (request counts as ints), a hot
+    key space, admission, faults, hedging and a full reconfig plan."""
+    return ScenarioSpec(
+        name="pinned",
+        tenants=(
+            TenantSpec(
+                name="p",
+                slo_class="gold",
+                arrivals=ArrivalSpec(rate_per_sec=4e5, n_requests=100, seed=1),
+                p99_slo_ns=3e6,
+            ),
+            TenantSpec(
+                name="b",
+                slo_class="silver",
+                arrivals=ArrivalSpec(
+                    rate_per_sec=2e5,
+                    n_requests=80,
+                    seed=2,
+                    shape="bursty",
+                    params=(
+                        ("burst_factor", 3.0),
+                        ("burst_fraction", 0.25),
+                        ("period_requests", 40),
+                    ),
+                ),
+                keyspace=KeySpaceSpec(lo_frac=0.25, hi_frac=0.75, seed=2),
+            ),
+            TenantSpec(
+                name="d",
+                slo_class="silver",
+                arrivals=ArrivalSpec(
+                    rate_per_sec=3e5,
+                    n_requests=90,
+                    seed=3,
+                    shape="diurnal",
+                    params=(("peak_to_trough", 2.5), ("period_requests", 30)),
+                ),
+            ),
+            TenantSpec(
+                name="f",
+                slo_class="bronze",
+                arrivals=ArrivalSpec(
+                    rate_per_sec=1e5,
+                    n_requests=120,
+                    seed=4,
+                    shape="flash",
+                    params=(
+                        ("spike_factor", 6.0),
+                        ("spike_start_request", 20),
+                        ("spike_len_requests", 30),
+                    ),
+                ),
+                keyspace=KeySpaceSpec(hi_frac=0.5, hot_theta=0.99, seed=4),
+            ),
+        ),
+        topology=TopologySpec(n_shards=2, n_replicas=2, n_cores=2),
+        policy=RouterPolicy(
+            hedge_after_ns=4e4, max_attempts=3, batch_window_ns=50.0
+        ),
+        faults=FaultConfig(
+            crash_mttf_ns=2e6,
+            crash_mttr_ns=1e5,
+            slow_mttf_ns=3e6,
+            slow_factor=5.0,
+            seed=7,
+        ),
+        admission=AdmissionSpec(enabled=True, silver_depth=10, bronze_depth=4),
+        fault_horizon_ns=1e7,
+        reconfig=ReconfigSpec(
+            splits=(SplitSpec(at_ns=2e5, shard=0, at_key=1234),),
+            merges=(MergeSpec(at_ns=6e5, shard=1),),
+            rebuilds=(
+                RebuildSpec(
+                    at_ns=3e5, shard=1, replica=0, build_ns=1e5, speedup=1.5
+                ),
+            ),
+            autoscale=AutoscaleSpec(
+                interval_ns=1e5,
+                up_depth=6,
+                down_depth=1,
+                min_replicas=2,
+                max_replicas=4,
+                up_p99_ns=5e4,
+            ),
+        ),
+    )
+
 
 class TestContentKey:
+    def test_rich_key_is_pinned(self):
+        """Cached scenario runs replay only while these hold."""
+        spec = pinned_spec()
+        assert spec.content_key() == (
+            "532ac2dcd9bf2fc3f2d69a64900a11b2ec6730e1"
+        )
+        assert scenario_key(spec) == (
+            "7d7969323ab72ce6d34cb8d3ff02ebcc4efbd55a"
+        )
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+
     def test_stable_across_round_trip(self):
         spec = rich_spec()
         again = ScenarioSpec.from_json(spec.to_json())
@@ -210,35 +356,74 @@ class TestValidation:
 
 
 class TestPolicyAndFaultBridges:
+    """A spec holds the cluster's own :class:`RouterPolicy` and
+    :class:`FaultConfig`, under the same JSON field names."""
+
     def test_policy_spec_round_trips_router_policy(self):
         policy = RouterPolicy(
             hedge_after_ns=123.0, max_attempts=3, batch_window_ns=7.0
         )
-        spec = PolicySpec.from_router_policy(policy)
-        assert spec.to_router_policy() == policy
-        assert PolicySpec.from_dict(spec.to_dict()) == spec
+        spec = single_tenant_spec(1e5, 50, policy=policy)
+        again = ScenarioSpec.from_json(spec.to_json())
+        assert again.policy == policy
+        assert spec.to_dict()["policy"] == {
+            "hedge_after_ns": 123.0,
+            "max_attempts": 3,
+            "backoff_base_ns": 100_000.0,
+            "backoff_cap_ns": 3_200_000.0,
+            "batch_window_ns": 7.0,
+        }
 
     def test_default_policy_is_degenerate(self):
-        assert PolicySpec().to_router_policy() == RouterPolicy()
+        assert single_tenant_spec(1e5, 50).policy == RouterPolicy()
+        d = single_tenant_spec(1e5, 50).to_dict()
+        del d["policy"]
+        assert ScenarioSpec.from_dict(d).policy == RouterPolicy()
 
     def test_fault_spec_round_trips_fault_config(self):
         config = FaultConfig(
             crash_mttf_ns=1e6, crash_mttr_ns=2e5, slow_mttf_ns=3e6, seed=4
         )
-        spec = FaultSpec.from_fault_config(config)
-        assert spec.to_fault_config() == config
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        spec = single_tenant_spec(1e5, 50, faults=config)
+        assert ScenarioSpec.from_json(spec.to_json()).faults == config
 
     def test_disabled_faults_convert_to_none(self):
-        assert FaultSpec().to_fault_config() is None
-        assert not FaultSpec().enabled
-        assert FaultSpec.from_fault_config(None) == FaultSpec()
+        """The default config injects nothing: a cluster given it runs
+        exactly like one given no fault config at all."""
+        from repro.memsim.counters import PerfCountersF
+        from repro.serve.cluster import Cluster, simulate_cluster
+        from repro.serve.core import ServiceModel
+        from repro.serve.router import ShardMap
+        from repro.serve.sweep import ClusterRunStats
+
+        spec = single_tenant_spec(1e5, 50)
+        assert spec.faults == FaultConfig()
+        assert not spec.faults.enabled
+
+        def run(faults):
+            cluster = Cluster(
+                shard_map=ShardMap([0]),
+                services=[ServiceModel(PerfCountersF(instructions=300))],
+                n_replicas=2,
+                n_cores=2,
+                faults=faults,
+            )
+            result = simulate_cluster(
+                cluster, poisson_arrivals(2e6, 200, 1), [7] * 200
+            )
+            return ClusterRunStats.from_result(result)
+
+        assert run(spec.faults) == run(None)
 
     def test_invalid_knobs_rejected_at_spec_level(self):
-        with pytest.raises(ValueError):
-            PolicySpec(max_attempts=0)
-        with pytest.raises(ValueError):
-            FaultSpec(crash_mttf_ns=-1.0)
+        d = single_tenant_spec(1e5, 50).to_dict()
+        d["policy"]["max_attempts"] = 0
+        with pytest.raises(ValueError, match="max_attempts"):
+            ScenarioSpec.from_dict(d)
+        d = single_tenant_spec(1e5, 50).to_dict()
+        d["faults"]["crash_mttf_ns"] = -1.0
+        with pytest.raises(ValueError, match="crash_mttf_ns"):
+            ScenarioSpec.from_dict(d)
 
 
 class TestArrivalSpecGenerate:

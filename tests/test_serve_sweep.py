@@ -13,8 +13,10 @@ Pins the layer's contract from ``docs/serving.md``:
   and never name the event queue -- a record written on the plain-heap
   oracle replays fully on the sealed queue (and vice versa) and equals
   a fresh run there;
-* run records round-trip losslessly (``to_record``/``from_record``)
-  and mirror the live result objects' derived values exactly.
+* run records round-trip losslessly (``to_dict``/``from_dict``) and
+  mirror the live result objects' derived values exactly;
+* every task kind's cache key is pinned, with and without telemetry
+  and reconfiguration.
 """
 
 from __future__ import annotations
@@ -36,10 +38,10 @@ from repro.serve.scenario import TopologySpec, single_tenant_spec
 from repro.serve.selector import select_cluster_under_slo, select_under_slo
 from repro.serve.sweep import (
     ClusterRunStats,
+    OpenLoopRunStats,
     TenancyRunStats,
     clear_sim_results,
     cluster_task,
-    open_loop_summary,
     open_loop_task,
     run_sim_tasks,
 )
@@ -204,7 +206,9 @@ class TestEngineInvariantCacheKeys:
         replayed = run_sim_tasks([self.task()], cache=cache)[0]
         assert cache.hits == 1 and cache.misses == 0
         assert replayed == warm
-        assert open_loop_summary(replayed) == open_loop_summary(warm)
+        assert OpenLoopRunStats.from_dict(replayed) == (
+            OpenLoopRunStats.from_dict(warm)
+        )
         clear_sim_results()
         fresh = run_sim_tasks([self.task()])[0]
         assert fresh == replayed
@@ -218,7 +222,90 @@ class TestEngineInvariantCacheKeys:
 
         a, b = run_on_both_queues(monkeypatch, run)
         assert a == b
-        assert open_loop_summary(a) == open_loop_summary(b)
+        assert OpenLoopRunStats.from_dict(a) == OpenLoopRunStats.from_dict(b)
+
+
+def _pinned_tasks():
+    """One task per kind and option, built as cached runs build them."""
+    from types import SimpleNamespace
+
+    from repro.serve.faults import FaultConfig
+    from repro.serve.reconfig import AutoscaleSpec, ReconfigSpec, SplitSpec
+    from repro.serve.sweep import scenario_task
+    from repro.serve.telemetry import TelemetryConfig
+
+    shards = [
+        SimpleNamespace(
+            counters=PerfCountersF(instructions=101.5, llc_misses=7.25)
+        ),
+        SimpleNamespace(
+            counters=PerfCountersF(
+                instructions=80.0, llc_misses=2.5, l1_hits=20.0
+            )
+        ),
+    ]
+    tel = TelemetryConfig(window_ns=50_000.0, slo_p99_ns=20_000.0)
+    keys = np.arange(0, 5000, 3, dtype=np.uint64)
+    shard_map = ShardMap.from_keys(keys, 2)
+    active = ReconfigSpec(
+        splits=(
+            SplitSpec(
+                at_ns=3e4, shard=0, at_key=shard_map.lower_bounds[1] // 2
+            ),
+        ),
+        autoscale=AutoscaleSpec(interval_ns=2e4, up_depth=3),
+    )
+
+    def cluster(**kw):
+        return cluster_task(
+            shards, shard_map, request_keys(keys, 200, 4), 2e6, 200, 4, 2,
+            2, RouterPolicy(hedge_after_ns=2e4),
+            FaultConfig(crash_mttf_ns=5e4, crash_mttr_ns=1e4, seed=3),
+            1.5e5, MachineModel(), **kw,
+        )
+
+    spec = single_tenant_spec(
+        rate_per_sec=4e5,
+        n_requests=150,
+        seed=1,
+        topology=TopologySpec(n_shards=2, n_replicas=1, n_cores=2),
+    )
+    return {
+        "open_loop": open_loop_task(shards[0], 1e6, 120, 0, 2),
+        "open_loop+telemetry": open_loop_task(
+            shards[0], 1e6, 120, 0, 2, telemetry=tel
+        ),
+        "cluster": cluster(),
+        "cluster+telemetry": cluster(telemetry=tel),
+        "cluster+noop_reconfig": cluster(reconfig=ReconfigSpec()),
+        "cluster+reconfig": cluster(reconfig=active),
+        "cluster+reconfig+telemetry": cluster(reconfig=active, telemetry=tel),
+        "scenario": scenario_task(spec, "amzn", 4_000, 1, shards),
+        "scenario+telemetry": scenario_task(
+            spec, "amzn", 4_000, 1, shards, telemetry=tel
+        ),
+    }
+
+
+#: Cache keys written before the task codec existed; cached runs replay
+#: only while every one holds.
+PINNED_TASK_KEYS = {
+    "open_loop": "6f17982ae6ffa9d088630d846618dc9c0b7217eb",
+    "open_loop+telemetry": "bce95d0d54ff60242a9a95e93349ba06bcd3fc85",
+    "cluster": "62ec31e6da91bf7605f05ca9cf8fe9342f70f29e",
+    "cluster+telemetry": "f46beb4a2d0400799954b031c5456acf7a647576",
+    # A trigger-free plan is normalized away: the plain cluster key.
+    "cluster+noop_reconfig": "62ec31e6da91bf7605f05ca9cf8fe9342f70f29e",
+    "cluster+reconfig": "a13cc553546b7e23d05404cbcbf642828e24c4aa",
+    "cluster+reconfig+telemetry": "9d50b8eb0626c8d0cd3545b0028584ea889f3363",
+    "scenario": "e9ad099efee5ea9df25a984cff17320ab416bc9b",
+    "scenario+telemetry": "0c1b81757af4074a53d80e65f174342f0fd20893",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TASK_KEYS))
+def test_task_cache_key_is_pinned(name):
+    assert cache_key(_pinned_tasks()[name]) == PINNED_TASK_KEYS[name]
 
 
 SWEEP_COUNTERS = (
@@ -350,7 +437,7 @@ class TestRunRecords:
 
     def test_cluster_stats_round_trip(self):
         stats = ClusterRunStats.from_result(self.cluster_result())
-        again = ClusterRunStats.from_record(stats.to_record())
+        again = ClusterRunStats.from_dict(stats.to_dict())
         assert again == stats
         assert again.availability == stats.availability
         assert again.max_queue_depth == stats.max_queue_depth
@@ -385,7 +472,7 @@ class TestRunRecords:
             shard_map=ShardMap.from_keys(raw, 2),
         )
         stats = TenancyRunStats.from_result(result)
-        again = TenancyRunStats.from_record(stats.to_record())
+        again = TenancyRunStats.from_dict(stats.to_dict())
         assert again == stats
         assert again.summary == result.summary()
         only = again.by_name(spec.tenants[0].name)
@@ -431,7 +518,9 @@ class TestShapeAndFaultBranches:
             bursty_arrivals(1e6, 150, 3),
             n_cores=1,
         )
-        assert open_loop_summary(record)[0] == summarize_result(direct)
+        assert OpenLoopRunStats.from_dict(record).summary == (
+            summarize_result(direct)
+        )
 
     def test_unknown_shape_rejected(self):
         import dataclasses as dc
@@ -459,7 +548,7 @@ class TestShapeAndFaultBranches:
             2, 2, RouterPolicy(), faults, 1.5 * span, MachineModel(),
         )
         record = run_sim_tasks([task])[0]
-        stats = ClusterRunStats.from_record(record)
+        stats = ClusterRunStats.from_dict(record)
         cluster = Cluster(
             shard_map=shard_map,
             services=[ServiceModel.from_measurement(per_shard[0])],
@@ -500,7 +589,7 @@ class TestScenarioTaskParity:
             ds.keys,
             shard_map=ShardMap.from_keys(ds.keys, 2),
         )
-        assert TenancyRunStats.from_record(record) == (
+        assert TenancyRunStats.from_dict(record) == (
             TenancyRunStats.from_result(direct)
         )
 
@@ -532,7 +621,7 @@ class TestClusterTaskParity:
         direct = simulate_cluster(
             cluster, poisson_arrivals(rate, n_req, seed), lookup_keys
         )
-        assert ClusterRunStats.from_record(record) == (
+        assert ClusterRunStats.from_dict(record) == (
             ClusterRunStats.from_result(direct)
         )
 

@@ -92,6 +92,37 @@ class TestTimeSeries:
         assert clone == ts
         assert clone.content_key() == ts.content_key()
 
+    def test_content_key_is_pinned(self):
+        """Replayed series (and their published keys) hold only while
+        this does."""
+        ts = TimeSeries(
+            window_ns=1e5,
+            n_shards=2,
+            windows=(
+                WindowStats(
+                    index=0, completed=3, failed=1, shed=2, retries=1,
+                    hedges=1, violations=1, max_queue_depth=4,
+                    p50_ns=1200.5, p99_ns=9000.25,
+                    shard_completed=(2, 1), shard_failed=(0, 1),
+                    class_stats=(("bronze", 1, 0, 2, 0), ("gold", 2, 1, 0, 1)),
+                ),
+                WindowStats(
+                    index=1, shard_completed=(0, 0), shard_failed=(0, 0)
+                ),
+            ),
+        )
+        assert ts.content_key() == "3c43d3e6cc44f38f2c74a8d1a95465f54bc89c49"
+        assert TimeSeries.from_json(ts.to_json()) == ts
+
+    def test_schema_checked(self):
+        d = run_open_loop().telemetry.to_dict()
+        d["schema"] = 99
+        with pytest.raises(ValueError, match="schema"):
+            TimeSeries.from_dict(d)
+        del d["schema"]
+        with pytest.raises(ValueError, match="schema"):
+            TimeSeries.from_dict(d)
+
     def test_content_key_is_stable_and_discriminating(self):
         a = run_open_loop().telemetry
         b = run_open_loop().telemetry

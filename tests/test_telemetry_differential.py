@@ -43,7 +43,6 @@ from repro.serve.scenario import (
 from repro.serve.sweep import (
     clear_sim_results,
     cluster_task,
-    freeze_telemetry,
     open_loop_task,
     run_sim_tasks,
 )
@@ -387,10 +386,16 @@ class TestSweepTelemetry:
         # same fields, so cached artifacts stay valid.
         assert cache_key(off) == cache_key(self.task(keys))
 
-    def test_freeze_rejects_traces(self):
-        assert freeze_telemetry(None) is None
+    def test_freeze_rejects_traces(self, keys):
+        """Tasks refuse traces: records are cache-sized aggregates."""
+        assert self.task(keys).telemetry is None
         with pytest.raises(ValueError, match="traces"):
-            freeze_telemetry(tel(traces=True))
+            self.task(keys, telemetry=tel(traces=True))
+        with pytest.raises(ValueError, match="traces"):
+            open_loop_task(
+                fake_measurement(), RATE, N_REQ, 7, 1,
+                telemetry=tel(traces=True),
+            )
 
     def test_open_loop_task_with_telemetry(self):
         t = open_loop_task(

@@ -36,8 +36,6 @@ from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.scenario import (
     AdmissionSpec,
-    FaultSpec,
-    PolicySpec,
     TopologySpec,
     single_tenant_spec,
 )
@@ -185,8 +183,8 @@ class TestDegenerateByteIdentity:
             n_requests=N_REQ,
             seed=5,
             topology=topology,
-            policy=PolicySpec.from_router_policy(policy),
-            faults=FaultSpec.from_fault_config(faults),
+            policy=policy,
+            faults=faults,
             fault_horizon_ns=horizon,
         )
         result = simulate_scenario(spec, services(2), keys)
