@@ -39,7 +39,7 @@ def validate_index(
     ``require_present`` restricts checking to keys present in the data
     (used for point-only structures such as hash tables).
     """
-    keys = index.data._py
+    keys = index.data.as_list()
     key_set = set(keys) if require_present else None
     for key in probe_keys:
         key = int(key)  # accept numpy scalars without overflow surprises

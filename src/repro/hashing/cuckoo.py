@@ -59,7 +59,7 @@ class CuckooMapIndex(SortedDataIndex):
         n = len(data)
         n_buckets = max(int(np.ceil(n / (self.load_factor * _SLOTS))), 2)
         rng = np.random.default_rng(7)
-        while not self._try_build(data._py, n_buckets, rng):
+        while not self._try_build(data.as_list(), n_buckets, rng):
             n_buckets = int(n_buckets * 1.05) + 1
         self._base = space.alloc(self._n_buckets * _BUCKET_BYTES, name="cuckoo")
         self._register_bytes(self._n_buckets * _BUCKET_BYTES)

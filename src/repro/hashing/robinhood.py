@@ -64,7 +64,7 @@ class RobinHashIndex(SortedDataIndex):
         keys = self._keys
         pos_arr = self._pos
         mask = capacity - 1
-        for position, key in enumerate(data._py):
+        for position, key in enumerate(data.as_list()):
             slot = self._hash(key)
             dist = 0
             cur_key, cur_pos = key, position

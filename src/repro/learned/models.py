@@ -122,6 +122,74 @@ class LinearSplineModel(LinearModel):
         return self
 
 
+def fit_linear_buckets(keys, starts, ends, kind="linear"):
+    """Fit one ``kind`` model per bucket ``keys[starts[j]:ends[j]]``.
+
+    ``kind`` is "linear" or "linear_spline"; positions are the key
+    indexes.  Returns float64 arrays ``(slopes, intercepts, errors)``,
+    bit-identical to a loop that fits ``make_model(kind)`` on each
+    bucket and takes ``math.ceil(max |predict_batch - positions|) + 1.0``
+    as its error.  An empty bucket predicts ``starts[j]`` (the position
+    just past the previous non-empty bucket) with slope 0 and error 1.
+
+    Buckets of equal length are fitted together as the rows of a
+    C-contiguous 2-D array: numpy's row-wise sums use the same pairwise
+    summation as the 1-D sums in :meth:`LinearModel.fit`, and each of its
+    special cases is applied per row with the same predicate.
+    """
+    slopes = np.zeros(len(starts))
+    intercepts = starts.astype(np.float64)
+    errors = np.ones(len(starts))
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")
+    cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for rows in np.split(order, cuts):
+        length = int(lengths[rows[0]])
+        if length == 0:
+            continue
+        pos = starts[rows][:, None] + np.arange(length)
+        x = keys[pos]
+        y = pos.astype(np.float64)
+        if kind == "linear_spline":
+            slope, intercept = _spline_rows(x, y)
+        else:
+            slope, intercept = _linear_rows(x, y)
+        err = np.abs(slope[:, None] * x + intercept[:, None] - y).max(axis=1)
+        slopes[rows] = slope
+        intercepts[rows] = intercept
+        errors[rows] = np.ceil(err) + 1.0
+    return slopes, intercepts, errors
+
+
+def _linear_rows(x: np.ndarray, y: np.ndarray):
+    """:meth:`LinearModel.fit` on each row of ``x``/``y``."""
+    if x.shape[1] == 1:
+        return np.zeros(len(x)), y[:, 0]
+    mean_x = x.mean(axis=1)
+    mean_y = y.mean(axis=1)
+    dx = x - mean_x[:, None]
+    var_x = (dx ** 2).sum(axis=1)
+    cov = (dx * (y - mean_y[:, None])).sum(axis=1)
+    flat = var_x <= 0.0
+    slope = np.divide(cov, var_x, out=np.zeros(len(x)), where=~flat)
+    intercept = np.where(flat, mean_y, mean_y - slope * mean_x)
+    back = slope < 0.0
+    if back.any():
+        s_slope, s_intercept = _spline_rows(x, y)
+        slope = np.where(back, s_slope, slope)
+        intercept = np.where(back, s_intercept, intercept)
+    return slope, intercept
+
+
+def _spline_rows(x: np.ndarray, y: np.ndarray):
+    """:meth:`LinearSplineModel.fit` on each row of ``x``/``y``."""
+    x0, x1, y0, y1 = x[:, 0], x[:, -1], y[:, 0], y[:, -1]
+    flat = x1 <= x0
+    rise = np.divide(y1 - y0, x1 - x0, out=np.zeros(len(x)), where=~flat)
+    slope = np.where(rise < 0.0, 0.0, rise)  # max(rise, 0.0), NaN kept
+    return slope, np.where(flat, y0, y0 - slope * x0)
+
+
 class CubicModel(Model):
     """Least-squares cubic; falls back to linear if non-monotone."""
 

@@ -66,7 +66,7 @@ class RadixSplineIndex(SortedDataIndex):
         records[1::2] = np.array([p for _, p in knots], dtype=np.uint64)
 
         # Shift so that the largest key's prefix fills radix_bits.
-        max_key = int(data._py[-1])
+        max_key = int(data.values[-1])
         self._shift = max(max_key.bit_length() - self.radix_bits, 0)
         prefixes = keys >> np.uint64(self._shift)
         table_size = (1 << self.radix_bits) + 1

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.bounds import SearchBound
 from repro.core.interface import Capabilities, SortedDataIndex
 from repro.core.registry import register_index
-from repro.learned.models import make_model
+from repro.learned.models import fit_linear_buckets, make_model
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import NULL_TRACER, Tracer
 
@@ -103,27 +103,15 @@ class RMIIndex(SortedDataIndex):
         starts = np.searchsorted(buckets, np.arange(b), side="left")
         ends = np.searchsorted(buckets, np.arange(b), side="right")
 
-        records = np.zeros(b * _REC, dtype=np.float64)
-        boundary = 0  # position just past the last key routed so far
-        leaf = make_model(self.stage2_type)
-        for j in range(b):
-            lo, hi = int(starts[j]), int(ends[j])
-            base = j * _REC
-            if lo == hi:  # empty bucket: predict the carried boundary
-                records[base + 1] = float(boundary)  # intercept
-                records[base + 2] = 1.0  # error margin
-                records[base + 3] = float(boundary)  # min_pos
-                records[base + 4] = float(boundary)  # max_pos_plus1
-                continue
-            model = leaf.fit(keys[lo:hi], positions[lo:hi])
-            pred = model.predict_batch(keys[lo:hi])
-            err = float(np.max(np.abs(pred - positions[lo:hi])))
-            records[base + 0] = model.slope
-            records[base + 1] = model.intercept
-            records[base + 2] = math.ceil(err) + 1.0
-            records[base + 3] = float(lo)
-            records[base + 4] = float(hi)
-            boundary = hi
+        # One record per leaf: (slope, intercept, error, min_pos,
+        # max_pos_plus1).  An empty bucket's range collapses to the
+        # position just past the last key routed before it.
+        slopes, intercepts, errors = fit_linear_buckets(
+            keys, starts, ends, self.stage2_type
+        )
+        records = np.column_stack(
+            (slopes, intercepts, errors, starts, ends)
+        ).ravel()
 
         # Validity relies on the records holding each bucket's *own*
         # position range: the clamp bounds leaf-model extrapolation for

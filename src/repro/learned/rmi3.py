@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.bounds import SearchBound
 from repro.core.interface import Capabilities, SortedDataIndex
 from repro.core.registry import register_index
-from repro.learned.models import make_model
+from repro.learned.models import fit_linear_buckets, make_model
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import NULL_TRACER, Tracer
 
@@ -91,23 +91,10 @@ class RMI3Index(SortedDataIndex):
         starts = np.searchsorted(mid_ids, np.arange(b_mid), side="left")
         ends = np.searchsorted(mid_ids, np.arange(b_mid), side="right")
 
-        mid_records = np.zeros(b_mid * _MID_REC, dtype=np.float64)
-        boundary = 0
-        mid_model = make_model("linear")
-        for j in range(b_mid):
-            lo, hi = int(starts[j]), int(ends[j])
-            base = j * _MID_REC
-            if lo == hi:
-                mid_records[base + 1] = float(boundary)
-                mid_records[base + 2] = float(boundary)
-                mid_records[base + 3] = float(boundary)
-                continue
-            model = mid_model.fit(keys[lo:hi], positions[lo:hi])
-            mid_records[base + 0] = model.slope
-            mid_records[base + 1] = model.intercept
-            mid_records[base + 2] = float(lo)
-            mid_records[base + 3] = float(hi)
-            boundary = hi
+        mid_slopes, mid_intercepts, _ = fit_linear_buckets(keys, starts, ends)
+        mid_records = np.column_stack(
+            (mid_slopes, mid_intercepts, starts, ends)
+        ).ravel()
 
         # Clamped middle predictions for every key (monotone overall).
         slopes = mid_records[0::_MID_REC][mid_ids]
@@ -126,27 +113,10 @@ class RMI3Index(SortedDataIndex):
 
         lstarts = np.searchsorted(leaf_ids, np.arange(b_leaf), side="left")
         lends = np.searchsorted(leaf_ids, np.arange(b_leaf), side="right")
-        leaf_records = np.zeros(b_leaf * _LEAF_REC, dtype=np.float64)
-        boundary = 0
-        leaf_model = make_model("linear")
-        for j in range(b_leaf):
-            lo, hi = int(lstarts[j]), int(lends[j])
-            base = j * _LEAF_REC
-            if lo == hi:
-                leaf_records[base + 1] = float(boundary)
-                leaf_records[base + 2] = 1.0
-                leaf_records[base + 3] = float(boundary)
-                leaf_records[base + 4] = float(boundary)
-                continue
-            model = leaf_model.fit(keys[lo:hi], positions[lo:hi])
-            pred = model.predict_batch(keys[lo:hi])
-            err = float(np.max(np.abs(pred - positions[lo:hi])))
-            leaf_records[base + 0] = model.slope
-            leaf_records[base + 1] = model.intercept
-            leaf_records[base + 2] = math.ceil(err) + 1.0
-            leaf_records[base + 3] = float(lo)
-            leaf_records[base + 4] = float(hi)
-            boundary = hi
+        slopes, intercepts, errors = fit_linear_buckets(keys, lstarts, lends)
+        leaf_records = np.column_stack(
+            (slopes, intercepts, errors, lstarts, lends)
+        ).ravel()
 
         self._mid = self._register(
             TracedArray.allocate(space, mid_records, name="rmi3.mid")

@@ -29,6 +29,7 @@ There is no engine switch.  ``PerfTracer`` always runs a
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.memsim.branch import BranchPredictor
@@ -243,7 +244,10 @@ class FastEngine:
         self._no_components()
 
 
-def _sets_for(size_bytes: int, assoc: int, name: str) -> List[List[int]]:
+def _sets_for(
+    size_bytes: int, assoc: int, name: str
+) -> Tuple[List[List[int]], List[int]]:
+    """One level's empty sets, and the sentinel list each is a copy of."""
     if size_bytes % (assoc * LINE_SIZE) != 0:
         raise ValueError(
             f"{name}: size {size_bytes} not a multiple of assoc*line "
@@ -253,7 +257,14 @@ def _sets_for(size_bytes: int, assoc: int, name: str) -> List[List[int]]:
     # Distinct negative sentinels: never equal to a real (non-negative)
     # line tag, so membership tests and fills behave exactly like the
     # reference's grow-then-evict lists.
-    return [list(range(-1, -assoc - 1, -1)) for _ in range(n_sets)]
+    empty = list(range(-1, -assoc - 1, -1))
+    return _copies(empty, n_sets), empty
+
+
+def _copies(empty: List[int], n_sets: int) -> List[List[int]]:
+    # Copying one prebuilt list is several times faster than building
+    # each set from a range.
+    return list(map(list.copy, repeat(empty, n_sets)))
 
 
 def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
@@ -261,15 +272,12 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
     # The literal shifts below (>> 6, >> 12) assume these geometry
     # constants; fail loudly if someone changes them in one place only.
     assert LINE_SIZE == 1 << 6 and PAGE_SHIFT == 12
-    l1_sets = _sets_for(l1[0], l1[1], "L1d")
-    l2_sets = _sets_for(l2[0], l2[1], "L2")
-    l3_sets = _sets_for(l3[0], l3[1], "L3")
+    l1_sets, empty1 = _sets_for(l1[0], l1[1], "L1d")
+    l2_sets, empty2 = _sets_for(l2[0], l2[1], "L2")
+    l3_sets, empty3 = _sets_for(l3[0], l3[1], "L3")
     n1 = len(l1_sets)
     n2 = len(l2_sets)
     n3 = len(l3_sets)
-    a1 = l1[1]
-    a2 = l2[1]
-    a3 = l3[1]
     tlb1_cap, tlb2_cap = tlb_entries
     tlb1: OrderedDict = OrderedDict()
     tlb2: OrderedDict = OrderedDict()
@@ -413,12 +421,10 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
 
     def flush_caches():
         nonlocal ultra_line, mru_page
-        for i in range(n1):
-            l1_sets[i] = list(range(-1, -a1 - 1, -1))
-        for i in range(n2):
-            l2_sets[i] = list(range(-1, -a2 - 1, -1))
-        for i in range(n3):
-            l3_sets[i] = list(range(-1, -a3 - 1, -1))
+        # Reset in place: `_structs` hands these level lists out.
+        l1_sets[:] = _copies(empty1, n1)
+        l2_sets[:] = _copies(empty2, n2)
+        l3_sets[:] = _copies(empty3, n3)
         tlb1.clear()
         tlb2.clear()
         ultra_line = -1

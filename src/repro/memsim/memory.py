@@ -68,9 +68,13 @@ class TracedArray:
     element as a native Python scalar (a plain list mirror is kept because
     Python-level comparisons on native ints are several times faster than
     on numpy scalars, and traced lookups are executed element-at-a-time).
+    The mirror is built on the first element read, so arrays that are
+    only touched, or only read through ``values``, never pay for it.
 
     ``values`` exposes the raw numpy array for vectorized, untraced use
-    (e.g. building other structures, or batch validity checks).
+    (e.g. building other structures, or batch validity checks).  It must
+    not be mutated once the array is allocated: a mirror already built
+    would not see the change.
     """
 
     __slots__ = ("values", "base", "itemsize", "name", "_py")
@@ -82,7 +86,10 @@ class TracedArray:
         self.base = base
         self.itemsize = values.dtype.itemsize
         self.name = name
-        self._py = values.tolist()
+        # The ``_py`` slot stays unset until ``as_list`` fills it.  ``get``
+        # catches the unset slot itself: a class ``__getattr__`` would
+        # stop CPython 3.11 from specializing attribute loads on the
+        # class, doubling the cost of ``get``.
 
     @classmethod
     def allocate(
@@ -97,7 +104,7 @@ class TracedArray:
         return cls(arr, base, name=name)
 
     def __len__(self) -> int:
-        return len(self._py)
+        return len(self.values)
 
     @property
     def nbytes(self) -> int:
@@ -106,13 +113,27 @@ class TracedArray:
     def addr(self, i: int) -> int:
         return self.base + i * self.itemsize
 
+    def as_list(self) -> list:
+        """The values as native Python scalars: the mirror ``get`` reads.
+
+        Built on the first call and kept, so callers must not mutate it.
+        """
+        try:
+            return self._py
+        except AttributeError:
+            self._py = py = self.values.tolist()
+            return py
+
     def get(self, i: int, tracer) -> Union[int, float]:
         """Read element ``i``, charging ``tracer`` for the load."""
         tracer.read(self.base + i * self.itemsize, self.itemsize)
-        return self._py[i]
+        try:
+            return self._py[i]
+        except AttributeError:
+            return self.as_list()[i]
 
     def get_untraced(self, i: int) -> Union[int, float]:
-        return self._py[i]
+        return self.as_list()[i]
 
     def touch(self, i: int, tracer) -> None:
         """Charge a load of element ``i`` without returning it."""
@@ -126,4 +147,4 @@ class TracedArray:
         spanning the record, touching one or two cache lines.
         """
         tracer.read(self.base + start * self.itemsize, count * self.itemsize)
-        return self._py[start : start + count]
+        return self.as_list()[start : start + count]

@@ -41,7 +41,7 @@ class RadixBinarySearchIndex(SortedDataIndex):
         self._table: TracedArray = None
 
     def _build(self, data: TracedArray, space: AddressSpace) -> None:
-        max_key = int(data._py[-1])
+        max_key = int(data.values[-1])
         self._shift = max(max_key.bit_length() - self.radix_bits, 0)
         prefixes = data.values >> np.uint64(self._shift)
         size = (1 << self.radix_bits) + 1

@@ -68,7 +68,7 @@ class WormholeIndex(SampledIndex):
 
         # MetaTrieHash: (prefix_len, prefix) -> [min_leaf, max_leaf].
         self._map = {}
-        for leaf, anchor in enumerate(self._anchors._py):
+        for leaf, anchor in enumerate(self._anchors.as_list()):
             for length in range(self._width + 1):
                 prefix = anchor >> (8 * (self._width - length))
                 entry = self._map.get((length, prefix))

@@ -50,6 +50,19 @@ def build(name, dataset, **config):
     return make_index(name, **config).build(data, space)
 
 
+def mirror_built(arr):
+    """Whether ``arr`` holds its list mirror; never builds it.
+
+    ``object.__getattribute__`` reads the slot itself, past any hook the
+    class could add to build the mirror on access.
+    """
+    try:
+        object.__getattribute__(arr, "_py")
+    except AttributeError:
+        return False
+    return True
+
+
 @pytest.fixture()
 def extreme_probe_keys(amzn_small):
     keys = amzn_small.keys

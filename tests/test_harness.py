@@ -15,6 +15,8 @@ from repro.bench.harness import (
 from repro.datasets import make_dataset, make_workload
 from repro.memsim import ReferenceEngine, TracedArray
 
+from conftest import mirror_built
+
 
 @pytest.fixture(scope="module")
 def ds():
@@ -95,6 +97,25 @@ class TestMeasure:
         m = measure_index(ds, wl, "BS", {}, n_lookups=80)
         assert m.size_bytes == 0
         assert m.counters.reads > 8  # all work in the last mile
+
+
+class TestListMirrors:
+    """Which traced arrays a grid cell turns into Python lists."""
+
+    def test_batched_cell_builds_no_mirror(self, ds, wl):
+        built = build_index(ds, "RMI", {"branching": 64})
+        measure(built, wl, n_lookups=50, warmup=20)
+        assert built.batches  # the batched path ran
+        assert not mirror_built(built.data)
+        assert not mirror_built(built.payloads)
+
+    def test_scalar_cell_builds_only_the_data_mirror(self, ds, wl):
+        built = build_index(ds, "BTree", {"gap": 1})
+        assert not mirror_built(built.data)
+        measure(built, wl, n_lookups=50, warmup=20)
+        assert built.batches is None  # the per-lookup loop ran
+        assert mirror_built(built.data)
+        assert not mirror_built(built.payloads)
 
 
 class TestMeasureDispatch:

@@ -21,6 +21,7 @@ from repro.memsim import (
     SiteInterner,
     VectorEngine,
 )
+from repro.memsim.engine import _build_fast_engine
 from repro.memsim.tlb import TLB
 
 ENGINES = {
@@ -116,6 +117,54 @@ class TestTracerApiParity:
         eng = FastEngine(sites=si)
         eng.branch("real", True)
         assert eng.n_branch_sites() == 1
+
+
+#: Default (size, associativity) of L1d, L2 and L3.
+LEVELS = ((32 * 1024, 8), (256 * 1024, 8), (1024 * 1024, 16))
+
+
+def fast_state():
+    """The state a FastEngine wraps: (sets getter, read, flush)."""
+    ns = _build_fast_engine(*LEVELS, (64, 1536), SiteInterner())
+    return ns["_structs"], ns["read"], ns["flush_caches"]
+
+
+def vector_state():
+    engine = VectorEngine()
+    return engine._ns["_structs"], engine.read, engine.flush_caches
+
+
+@pytest.mark.parametrize("state", [fast_state, vector_state])
+class TestEmptySets:
+    """Every empty set is its own copy of the level's sentinel list."""
+
+    @staticmethod
+    def assert_empty_and_distinct(structs):
+        levels = structs()[0:6:2]
+        for sets, (_, assoc) in zip(levels, LEVELS):
+            sentinel = list(range(-1, -assoc - 1, -1))
+            assert all(s == sentinel for s in sets)
+        all_sets = [s for sets in levels for s in sets]
+        assert len(set(map(id, all_sets))) == len(all_sets) == 1600
+        # Filling one set leaves every other set unchanged.
+        first = levels[0][0]
+        first.insert(0, 12345)
+        first.pop()
+        assert all(s[0] < 0 for s in all_sets[1:])
+
+    def test_fresh_engine(self, state):
+        structs, _, _ = state()
+        self.assert_empty_and_distinct(structs)
+
+    def test_flush_resets_sets_in_place(self, state):
+        structs, read, flush = state()
+        levels = structs()[0:6:2]
+        for addr in range(0, 1 << 21, 4096 + 64):
+            read(addr)
+        assert any(s[0] >= 0 for sets in levels for s in sets)
+        flush()
+        assert all(a is b for a, b in zip(structs()[0:6:2], levels))
+        self.assert_empty_and_distinct(structs)
 
 
 class TestBranchTableMaterialization:

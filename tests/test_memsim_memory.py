@@ -6,6 +6,8 @@ import pytest
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import NULL_TRACER, PerfTracer
 
+from conftest import mirror_built
+
 
 class TestAddressSpace:
     def test_alignment(self):
@@ -95,3 +97,43 @@ class TestTracedArray:
         t = PerfTracer()
         arr.touch(0, t)
         assert t.counters.reads == 1
+
+
+class TestListMirror:
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint32, np.float64])
+    def test_reads_match_values(self, dtype):
+        values = np.array([0, 7, 2**31, 12], dtype=dtype)
+        if dtype is np.uint64:
+            values[2] = 2**64 - 1
+        expected = values.tolist()
+        arr = TracedArray.allocate(AddressSpace(), values)
+        got = [arr.get(i, NULL_TRACER) for i in range(4)]
+        assert got == expected
+        assert [type(v) for v in got] == [type(v) for v in expected]
+        assert [arr.get_untraced(i) for i in range(4)] == expected
+        assert arr.get_block(1, 3, NULL_TRACER) == expected[1:]
+
+    def test_len_and_touch_build_nothing(self):
+        arr = TracedArray.allocate(AddressSpace(), np.arange(5, dtype=np.uint64))
+        assert len(arr) == 5
+        arr.touch(3, PerfTracer())
+        assert not mirror_built(arr)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda arr: arr.get(1, NULL_TRACER),
+            lambda arr: arr.get_untraced(1),
+            lambda arr: arr.get_block(1, 2, NULL_TRACER),
+            TracedArray.as_list,
+        ],
+        ids=["get", "get_untraced", "get_block", "as_list"],
+    )
+    def test_first_read_builds_the_mirror_once(self, read):
+        arr = TracedArray.allocate(AddressSpace(), np.arange(5, dtype=np.uint64))
+        read(arr)
+        assert mirror_built(arr)
+        mirror = arr.as_list()
+        assert mirror == [0, 1, 2, 3, 4]
+        arr.get(0, NULL_TRACER)
+        assert arr.as_list() is mirror

@@ -45,7 +45,7 @@ class TestWormholeValidity:
 class TestWormholeStructure:
     def test_prefix_map_contains_all_anchor_prefixes(self, amzn_small):
         idx = build("Wormhole", amzn_small, gap=4, leaf_size=32)
-        for leaf, anchor in enumerate(idx._anchors._py[:50]):
+        for leaf, anchor in enumerate(idx._anchors.as_list()[:50]):
             for length in range(9):
                 prefix = anchor >> (8 * (8 - length))
                 lo, hi = idx._map[(length, prefix)]
