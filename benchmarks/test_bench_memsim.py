@@ -6,19 +6,17 @@ others to, is built directly as an object:
 
 * ``hot_*`` — the memsim access microbenchmark: a sequential 8-byte
   scan of an L1-resident 16 KiB buffer (7 of 8 accesses re-touch the
-  line the previous access left MRU), driven through each engine
-  per-call and through batch replay of its recorded trace.  The
-  headline ``hot_speedup`` compares the reference engine's per-call
-  rate (its only mode) against fast-engine replay (the batch mechanism
-  the harness actually uses for repeated execution).
+  line the previous access left MRU), driven per-call through each
+  engine; ``hot_percall_speedup`` is fast over reference.
+  ``hot_trace_compression`` is how many scan reads one event of the
+  recorded trace stands for (the recorder's ``K_REPEAT`` runs).
 * ``mixed_*`` — replay of a real recorded RMI lookup stream (reads,
   branches and instr events in their natural proportions), in raw
-  events/second on both engines.
+  events/second on the reference engine.
 * ``cell_*`` — a representative fig7-style measurement cell end to
   end: steady-state ``measure`` on the product path (the batched path
-  for this RMI cell), the per-lookup loop with trace replay on the fast
-  engine and on the reference oracle, and the reference oracle without
-  replay that ``cell_speedup`` is measured against.
+  for this RMI cell) and on the reference oracle's per-lookup loop,
+  which ``cell_speedup`` is measured against.
 
 Set ``BENCH_MEMSIM_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -55,17 +53,16 @@ def _write_bench_memsim_json():
     if not _RATES:  # e.g. --benchmark-disable: no stats to record
         return
     r = _RATES
-    if "hot_ref_percall_ns_per_access" in r:
-        if "hot_fast_replay_ns_per_access" in r:
-            r["hot_speedup"] = (
-                r["hot_ref_percall_ns_per_access"]
-                / r["hot_fast_replay_ns_per_access"]
-            )
-        if "hot_fast_percall_ns_per_access" in r:
-            r["hot_percall_speedup"] = (
-                r["hot_ref_percall_ns_per_access"]
-                / r["hot_fast_percall_ns_per_access"]
-            )
+    if (
+        "hot_ref_percall_ns_per_access" in r
+        and "hot_fast_percall_ns_per_access" in r
+    ):
+        r["hot_percall_speedup"] = (
+            r["hot_ref_percall_ns_per_access"]
+            / r["hot_fast_percall_ns_per_access"]
+        )
+    hot_trace = _drive_percall(TraceRecorder()).finish()
+    r["hot_trace_compression"] = len(_HOT_ADDRS) / len(hot_trace)
     if (
         "cell_ref_direct_cells_per_sec" in r
         and "cell_product_cells_per_sec" in r
@@ -117,21 +114,6 @@ def test_hot_access_percall(benchmark, engine):
         _RATES[f"hot_{engine}_percall_ns_per_access"] = ns
 
 
-def test_hot_access_fast_replay(benchmark):
-    """The fast engine's batch mode on the recorded hot stream."""
-    sites = SiteInterner()
-    rec = TraceRecorder(sites=sites)
-    _drive_percall(rec)
-    trace = rec.finish()
-    tracer = PerfTracer(sites=sites)
-    benchmark(tracer.replay, trace)
-    assert tracer.counters.reads >= len(_HOT_ADDRS)
-    if benchmark.stats is not None:
-        ns = benchmark.stats.stats.mean / len(_HOT_ADDRS) * 1e9
-        _RATES["hot_fast_replay_ns_per_access"] = ns
-        _RATES["hot_trace_compression"] = len(_HOT_ADDRS) / len(trace)
-
-
 # --------------------------------------------------------------------
 # Replay of a real mixed lookup stream (reads + branches + instr).
 # --------------------------------------------------------------------
@@ -171,14 +153,13 @@ def mixed_trace(amzn, workload):
     return tee.inner.finish(), sites, tee.n
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_mixed_trace_replay(benchmark, mixed_trace, engine):
+def test_mixed_trace_replay(benchmark, mixed_trace):
     trace, sites, n_raw = mixed_trace
-    tracer = PerfTracer(engine=ENGINES[engine](sites=sites))
+    tracer = PerfTracer(engine=ReferenceEngine(sites=sites))
     benchmark(tracer.replay, trace)
     if benchmark.stats is not None:
         rate = n_raw / benchmark.stats.stats.mean
-        _RATES[f"mixed_{engine}_replay_events_per_sec"] = rate
+        _RATES["mixed_ref_replay_events_per_sec"] = rate
 
 
 # --------------------------------------------------------------------
@@ -195,23 +176,18 @@ def cell_inputs():
     return ds, wl
 
 
-#: id -> (measure's engine argument, replay): None is the product path.
-_CELL_CASES = {
-    "ref_direct": (ReferenceEngine, False),
-    "ref_replay": (ReferenceEngine, True),
-    "fast_replay": (FastEngine, True),
-    "product": (None, False),
-}
+#: id -> measure's engine argument: None is the product path.
+_CELL_CASES = {"ref_direct": ReferenceEngine, "product": None}
 
 
 @pytest.mark.parametrize("case", _CELL_CASES)
 def test_cell_steady_state(benchmark, cell_inputs, case):
-    """Steady-state measurement of one RMI/amzn cell (post-record)."""
-    engine, replay = _CELL_CASES[case]
+    """Steady-state measurement of one RMI/amzn cell (post-prime)."""
+    engine = _CELL_CASES[case]
     ds, wl = cell_inputs
     built = build_index(ds, "RMI", {"branching": 1024})
-    measure(built, wl, engine=engine, replay=replay, **_CELL_KW)  # record
-    m = benchmark(measure, built, wl, engine=engine, replay=replay, **_CELL_KW)
+    measure(built, wl, engine=engine, **_CELL_KW)  # prime
+    m = benchmark(measure, built, wl, engine=engine, **_CELL_KW)
     assert m.latency_ns > 0
     if benchmark.stats is not None:
         _RATES[f"cell_{case}_cells_per_sec"] = 1.0 / benchmark.stats.stats.mean

@@ -13,7 +13,7 @@ PR 4 promise — *observability off by default is (near) free*:
   execute the markers (``measure`` would take the batched path for
   RMI, which runs no index code and so no markers at all).
 * ``profile_on_*`` — informational: the same cell with ``profile=True``
-  (PhaseTracer attribution + replay disabled), as a slowdown factor.
+  (PhaseTracer attribution), as a slowdown factor.
 * ``sink_*`` — ``JsonlSink`` span-record throughput.
 * ``serve_telemetry_*`` — the serving-telemetry analogue of the marker
   guard (PR 9): with telemetry off, each simulated request pays exactly
@@ -99,7 +99,7 @@ def _write_bench_obs_json():
 # The representative cell every number below is relative to.
 # --------------------------------------------------------------------
 
-_CELL_KW = dict(n_lookups=800, warmup=300, replay=False, engine=FastEngine)
+_CELL_KW = dict(n_lookups=800, warmup=300, engine=FastEngine)
 
 
 @pytest.fixture(scope="module")

@@ -5,12 +5,10 @@ can track the perf trajectory:
 
 * ``cell_*`` — the representative fig7 measurement cell (RMI/amzn,
   1000 lookups + 500 warmup) end to end, steady state: the per-lookup
-  loop on a fast engine passed to ``measure``, the same with trace
-  replay (its best repeated-execution mode), and ``measure``'s own
+  loop on a fast engine passed to ``measure``, and ``measure``'s own
   choice for this cell, the batched path on the vector engine
   (kernel-synthesized streams + compiled plans + replay memoization).
-  ``cell_vector_speedup`` is the headline batched-vs-fast number;
-  ``cell_vector_vs_fast_replay`` compares against fast's best.
+  ``cell_vector_speedup`` is the headline batched-vs-fast number.
 * ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM and RS
   ``batch_bounds`` over a large sorted probe batch versus the scalar
   ``index.lookup`` loop on the same keys.
@@ -45,16 +43,10 @@ def _write_bench_vector_json():
     if not _RATES:  # e.g. --benchmark-disable: no stats to record
         return
     r = _RATES
-    if "cell_vector_cells_per_sec" in r:
-        if "cell_fast_cells_per_sec" in r:
-            r["cell_vector_speedup"] = (
-                r["cell_vector_cells_per_sec"] / r["cell_fast_cells_per_sec"]
-            )
-        if "cell_fast_replay_cells_per_sec" in r:
-            r["cell_vector_vs_fast_replay"] = (
-                r["cell_vector_cells_per_sec"]
-                / r["cell_fast_replay_cells_per_sec"]
-            )
+    if "cell_vector_cells_per_sec" in r and "cell_fast_cells_per_sec" in r:
+        r["cell_vector_speedup"] = (
+            r["cell_vector_cells_per_sec"] / r["cell_fast_cells_per_sec"]
+        )
     for name in ("rmi", "pgm", "rs"):
         batch = r.get(f"kernel_{name}_keys_per_sec")
         scalar = r.get(f"kernel_{name}_scalar_keys_per_sec")
@@ -83,22 +75,21 @@ def cell_inputs():
 
 
 @pytest.mark.parametrize(
-    "engine,replay,key",
+    "engine,key",
     [
-        (FastEngine, False, "cell_fast_cells_per_sec"),
-        (FastEngine, True, "cell_fast_replay_cells_per_sec"),
-        (None, False, "cell_vector_cells_per_sec"),
+        (FastEngine, "cell_fast_cells_per_sec"),
+        (None, "cell_vector_cells_per_sec"),
     ],
-    ids=["fast", "fast-replay", "vector"],
+    ids=["fast", "vector"],
 )
-def test_cell_steady_state(benchmark, cell_inputs, engine, replay, key):
+def test_cell_steady_state(benchmark, cell_inputs, engine, key):
     """Steady-state measurement of one RMI/amzn fig7 cell."""
     ds, wl = cell_inputs
     built = build_index(ds, "RMI", {"branching": 1024})
-    # Prime: records traces (fast+replay) / synthesizes the batch and
-    # populates plans + replay memos (batched path).
-    m0 = measure(built, wl, engine=engine, replay=replay, **_CELL_KW)
-    m = benchmark(measure, built, wl, engine=engine, replay=replay, **_CELL_KW)
+    # Prime: synthesizes the batch and populates plans + replay memos
+    # (batched path).
+    m0 = measure(built, wl, engine=engine, **_CELL_KW)
+    m = benchmark(measure, built, wl, engine=engine, **_CELL_KW)
     assert m.counters == m0.counters  # steady state is byte-stable
     if benchmark.stats is not None:
         _RATES[key] = 1.0 / benchmark.stats.stats.mean

@@ -62,10 +62,7 @@ from repro.bench.experiments.common import (
 from repro.bench.harness import Measurement
 from repro.bench.report import format_table
 from repro.datasets.loader import make_dataset
-from repro.serve.arrivals import poisson_arrivals
-from repro.serve.cluster import Cluster, ClusterResult, simulate_cluster
 from repro.serve.contention import MachineModel, throughput
-from repro.serve.core import ServiceModel
 from repro.serve.faults import FaultConfig
 from repro.serve.router import RouterPolicy, ShardMap, request_keys
 from repro.serve.selector import select_cluster_under_slo
@@ -225,49 +222,6 @@ def scenario_faults(
     raise ValueError(f"unknown fault scenario {scenario!r}")
 
 
-def _build_cluster(
-    shard_map: ShardMap,
-    per_shard: Sequence[Measurement],
-    machine: MachineModel,
-    policy: RouterPolicy,
-    faults: Optional[FaultConfig],
-) -> Cluster:
-    return Cluster(
-        shard_map=shard_map,
-        services=[
-            ServiceModel.from_measurement(m, machine=machine)
-            for m in per_shard
-        ],
-        n_replicas=N_REPLICAS,
-        n_cores=SIM_CORES,
-        policy=policy,
-        faults=faults,
-    )
-
-
-def run_scenario(
-    shard_map: ShardMap,
-    per_shard: Sequence[Measurement],
-    keys,
-    offered_per_sec: float,
-    settings: BenchSettings,
-    machine: MachineModel,
-    policy: RouterPolicy = RouterPolicy(),
-    faults: Optional[FaultConfig] = None,
-) -> ClusterResult:
-    """One deterministic cluster replay at the given load and faults."""
-    n_req = _n_requests(settings)
-    cluster = _build_cluster(shard_map, per_shard, machine, policy, faults)
-    arrivals = poisson_arrivals(offered_per_sec, n_req, settings.seed)
-    lookup_keys = request_keys(keys, n_req, settings.seed)
-    return simulate_cluster(
-        cluster,
-        arrivals,
-        lookup_keys,
-        fault_horizon_ns=_horizon_ns(_span_ns(offered_per_sec, n_req)),
-    )
-
-
 def scenario_cluster_task(
     shard_map: ShardMap,
     per_shard: Sequence[Measurement],
@@ -279,7 +233,7 @@ def scenario_cluster_task(
     faults: Optional[FaultConfig] = None,
     telemetry: Optional[TelemetryConfig] = None,
 ):
-    """:func:`run_scenario` as a picklable task (byte-identical record)."""
+    """One cluster replay at the given load and faults, as a picklable task."""
     n_req = _n_requests(settings)
     return cluster_task(
         per_shard,
@@ -296,25 +250,6 @@ def scenario_cluster_task(
         machine,
         telemetry=telemetry,
     )
-
-
-def run_scenario_stats(
-    shard_map: ShardMap,
-    per_shard: Sequence[Measurement],
-    keys,
-    offered_per_sec: float,
-    settings: BenchSettings,
-    machine: MachineModel,
-    policy: RouterPolicy = RouterPolicy(),
-    faults: Optional[FaultConfig] = None,
-) -> ClusterRunStats:
-    """One scenario through the task runner (memo + persistent cache)."""
-    task = scenario_cluster_task(
-        shard_map, per_shard, keys, offered_per_sec, settings, machine,
-        policy, faults,
-    )
-    record = run_sim_tasks([task], cache=get_active_cache())[0]
-    return ClusterRunStats.from_dict(record)
 
 
 def fault_rate_series(

@@ -28,10 +28,8 @@ from repro.learned import kernels
 from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
 from repro.memsim.counters import PerfCounters, PerfCountersF
 from repro.memsim.memory import AddressSpace, TracedArray
-from repro.memsim.trace import TraceRecorder, TraceStore
 from repro.memsim.tracer import PerfTracer
 from repro.memsim.vector import VectorEngine
-from repro.obs import metrics as obs_metrics
 from repro.obs import spans as obs_spans
 from repro.obs.phase import PhaseTracer, phase_window, profiling_enabled
 from repro.records import OMIT_DEFAULT, Record
@@ -56,9 +54,6 @@ class BuiltIndex:
     space: AddressSpace
     dataset: Dataset
     config: dict = field(default_factory=dict)
-    #: Lazily created by ``measure(..., replay=True)``: recorded lookup
-    #: event streams, keyed by (search, key), replayed on repeat lookups.
-    traces: Optional[TraceStore] = None
     #: Lazily created by the batched measure path:
     #: synthesized :class:`~repro.learned.kernels.BatchLookups` plus the
     #: assembled warmup/measured mega-traces, keyed by
@@ -155,26 +150,21 @@ def measure(
 
     The execution path follows from the inputs alone.  Indexes the
     lookup kernels support (``kernels.supports``) take the batched path
-    unless profiling, a non-batch search, or mutating lookups rule it
-    out; everything else runs the per-lookup loop on a fast engine.
-    Both paths produce the same counters, byte for byte.  ``engine`` is
-    the test oracle hook: an engine class (called with ``sites=``, e.g.
-    ``ReferenceEngine``) that runs the per-lookup loop instead.
-
-    On the per-lookup loop, ``replay=True`` records each (search, key)
-    lookup's event stream into ``built.traces`` on first execution and
-    replays it on repeats -- sound because tracer calls return ``None``,
-    so the stream is independent of simulator state.  Repeat-heavy
-    callers (``measure_repeated``, warm/cold pairs over one build) get
-    the speedup; one-shot grid cells default to off.
+    unless profiling or a non-batch search rules it out; everything
+    else runs the per-lookup loop on a fast engine.  Both paths produce
+    the same counters, byte for byte.  ``engine`` is the test oracle
+    hook: an engine class (e.g. ``ReferenceEngine``) that runs the
+    per-lookup loop instead.
 
     ``profile`` (None -> ambient ``REPRO_OBS_PROFILE``, the CLI's
     ``--profile``) attributes counters to lookup phases via a
     :class:`~repro.obs.phase.PhaseTracer`; the per-phase totals land in
     ``Measurement.phases`` and sum byte-exactly to ``counters``.
-    Profiling disables trace replay for this call (recorded streams
-    carry no phase markers) but never changes any counter.
+    Profiling never changes any counter.
     """
+    if replay:
+        # Kept only because benchmarks/e2e/tracer.py binds it to label paths.
+        raise ValueError("measure(replay=True) is no longer supported")
     index = built.index
     data = built.data
     payloads = built.payloads
@@ -193,58 +183,35 @@ def measure(
         and n_work > 0
         and search in kernels.BATCH_SEARCHES
         and kernels.supports(index)
-        and not getattr(index, "mutating_lookups", False)
     ):
         # Batched path: one kernel call synthesizes every distinct
         # lookup's event stream, then the vector engine replays the
         # warmup and measured windows wholesale.  Counter-identical to
         # the loop below (same event stream at both snapshot points);
-        # unsupported indexes/searches, mutating lookups, and profiling
-        # fall back to the per-lookup loop.
+        # unsupported indexes/searches and profiling fall back to the
+        # per-lookup loop.
         return _measure_batched(
             built, workload, n_lookups, warmup, warm, search,
             cost_model, verify,
         )
 
-    store = None
-    if replay and not profile and not getattr(index, "mutating_lookups", False):
-        if built.traces is None:
-            built.traces = TraceStore()
-        store = built.traces
-    sites = store.sites if store is not None else None
-    tracer = PerfTracer(
-        engine=engine(sites=sites) if engine is not None else None,
-        sites=sites,
-    )
+    tracer = PerfTracer(engine=engine() if engine is not None else None)
     if profile:
         tracer = PhaseTracer(tracer)
-    replay_trace = tracer.replay
 
     def one_lookup(i: int, check: bool) -> float:
         key = keys[i % n_work]
-        if store is not None:
-            entry = store.get((search, key))
-            if entry is not None:
-                trace, lg = entry
-                replay_trace(trace)
-                return lg
-            # Record the first execution (verified below even during
-            # warmup, so every replayed stream was checked once).
-            t = TraceRecorder(tracer, store.sites)
-            check = check or verify
-        else:
-            t = tracer
-        # Phase markers are no-ops unless `t` is a PhaseTracer; indexes
-        # may refine "model" into finer phases (e.g. in-structure
-        # "search") from inside their lookup.
-        t.phase("model")
-        bound = index.lookup(key, t)
-        t.phase("search")
-        pos = search_fn(data, key, bound, t)
-        t.phase("other")
-        t.instr(_LOOP_INSTR)
+        # Phase markers are no-ops unless `tracer` is a PhaseTracer;
+        # indexes may refine "model" into finer phases (e.g.
+        # in-structure "search") from inside their lookup.
+        tracer.phase("model")
+        bound = index.lookup(key, tracer)
+        tracer.phase("search")
+        pos = search_fn(data, key, bound, tracer)
+        tracer.phase("other")
+        tracer.instr(_LOOP_INSTR)
         if pos < n:
-            payloads.touch(pos, t)
+            payloads.touch(pos, tracer)
         if check:
             truth = truths[i % n_work]
             ok = pos == truth or (point_only and truth >= n)
@@ -253,10 +220,7 @@ def measure(
                     f"{index.name}: key {key} -> position {pos}, "
                     f"expected {truth} (bound [{bound.lo}, {bound.hi}))"
                 )
-        lg = math.log2(len(bound)) if len(bound) > 0 else 0.0
-        if store is not None:
-            store.put((search, key), t.finish(), lg)
-        return lg
+        return math.log2(len(bound)) if len(bound) > 0 else 0.0
 
     measure_span = obs_spans.span(
         "measure",
@@ -269,8 +233,6 @@ def measure(
         profile=profile,
     )
     with measure_span:
-        replay_hits0 = store.hits if store is not None else 0
-        replay_misses0 = store.misses if store is not None else 0
         for i in range(min(warmup, max(n_work, 1))):
             one_lookup(i, False)
 
@@ -288,17 +250,6 @@ def measure(
             phase_window(tracer.checkpoint(), phase_base) if profile else None
         )
         counters = (tracer.snapshot() - base).per_lookup(n_lookups)
-
-        if store is not None:
-            reg = obs_metrics.get_registry()
-            reg.counter("harness.replay.hits").inc(store.hits - replay_hits0)
-            reg.counter("harness.replay.misses").inc(
-                store.misses - replay_misses0
-            )
-            reg.counter("memsim.trace_store.rejects").inc(store.rejects)
-            store.rejects = 0
-            reg.gauge("memsim.trace_store.events").set_max(store.events)
-            reg.gauge("memsim.trace_store.traces").set_max(len(store))
 
     return Measurement(
         index=index.name,
@@ -338,67 +289,12 @@ def _measure_batched(
     ``avg_log2_bound`` accumulates per-lookup floats in the same order.
     """
     index = built.index
-    data = built.data
-    n = len(data)
+    n = len(built.data)
     keys = workload.keys_py
     truths = workload.positions_py
-    n_work = len(keys)
     point_only = index.point_only
 
     tracer = PerfTracer(engine=VectorEngine())
-    # Synthesis and mega-trace assembly are pure functions of the
-    # (index, workload, window) tuple, so they are cached on the built
-    # index; repeat measures then hit the traces' compiled plans and
-    # replay memos (see repro.memsim.vector).
-    cache_key = (search, warmup, n_lookups)
-    entry = built.batches.get(cache_key) if built.batches else None
-    if entry is not None and entry[0] is not workload:
-        entry = None
-    if entry is None:
-        # The scalar loops: warmup lookups i, measured lookups warmup+i.
-        warm_seq = [i % n_work for i in range(min(warmup, max(n_work, 1)))]
-        meas_seq = [(warmup + i) % n_work for i in range(n_lookups)]
-        need = sorted(set(warm_seq) | set(meas_seq))
-        uniq, inv = np.unique(
-            np.array([keys[i] for i in need], dtype=np.uint64),
-            return_inverse=True,
-        )
-        batch = kernels.batch_lookups(
-            index, data, built.payloads, uniq, search, tracer.sites
-        )
-        row_of = dict(zip(need, (int(r) for r in inv)))
-        warm_rows = [row_of[i] for i in warm_seq]
-        meas_rows = [row_of[i] for i in meas_seq]
-        entry = (
-            workload,
-            batch,
-            meas_seq,
-            meas_rows,
-            batch.mega_trace(warm_rows) if warm_rows else None,
-            batch.mega_trace(meas_rows) if meas_rows else None,
-        )
-        if built.batches is None:
-            built.batches = {}
-        elif len(built.batches) >= 8:
-            built.batches.clear()
-        built.batches[cache_key] = entry
-    _, batch, meas_seq, meas_rows, warm_trace, meas_trace = entry
-
-    if verify:
-        # Same check, same failure order, as the scalar measured loop.
-        pos_l = batch.pos.tolist()
-        lo_l = batch.lo.tolist()
-        hi_l = batch.hi.tolist()
-        for i, r in zip(meas_seq, meas_rows):
-            pos = pos_l[r]
-            truth = truths[i]
-            if not (pos == truth or (point_only and truth >= n)):
-                raise LookupError_(
-                    f"{index.name}: key {keys[i]} -> position {pos}, "
-                    f"expected {truth} (bound [{lo_l[r]}, {hi_l[r]}))"
-                )
-
-    lg = batch.lg
     with obs_spans.span(
         "measure",
         index=index.name,
@@ -409,6 +305,39 @@ def _measure_batched(
         warm=warm,
         profile=False,
     ):
+        # Synthesis and mega-trace assembly are pure functions of the
+        # (index, workload, window) tuple, so they are cached on the
+        # built index; repeat measures then hit the traces' compiled
+        # plans and replay memos (see repro.memsim.vector).
+        cache_key = (search, warmup, n_lookups)
+        entry = built.batches.get(cache_key) if built.batches else None
+        if entry is None or entry[0] is not workload:
+            with obs_spans.span("synthesize"):
+                entry = (workload,) + _synthesize(
+                    built, keys, warmup, n_lookups, search, tracer.sites
+                )
+            if built.batches is None:
+                built.batches = {}
+            elif len(built.batches) >= 8:
+                built.batches.clear()
+            built.batches[cache_key] = entry
+        _, batch, meas_seq, meas_rows, warm_trace, meas_trace = entry
+
+        if verify:
+            # Same check, same failure order, as the scalar measured loop.
+            pos_l = batch.pos.tolist()
+            lo_l = batch.lo.tolist()
+            hi_l = batch.hi.tolist()
+            for i, r in zip(meas_seq, meas_rows):
+                pos = pos_l[r]
+                truth = truths[i]
+                if not (pos == truth or (point_only and truth >= n)):
+                    raise LookupError_(
+                        f"{index.name}: key {keys[i]} -> position {pos}, "
+                        f"expected {truth} (bound [{lo_l[r]}, {hi_l[r]}))"
+                    )
+
+        lg = batch.lg
         if warm_trace is not None:
             tracer.replay(warm_trace)
         base = tracer.snapshot()
@@ -446,6 +375,32 @@ def _measure_batched(
     )
 
 
+def _synthesize(built, keys, warmup, n_lookups, search, sites) -> tuple:
+    """One window's kernel batch, row sequences and mega-traces."""
+    n_work = len(keys)
+    # The scalar loops: warmup lookups i, measured lookups warmup+i.
+    warm_seq = [i % n_work for i in range(min(warmup, max(n_work, 1)))]
+    meas_seq = [(warmup + i) % n_work for i in range(n_lookups)]
+    need = sorted(set(warm_seq) | set(meas_seq))
+    uniq, inv = np.unique(
+        np.array([keys[i] for i in need], dtype=np.uint64),
+        return_inverse=True,
+    )
+    batch = kernels.batch_lookups(
+        built.index, built.data, built.payloads, uniq, search, sites
+    )
+    row_of = dict(zip(need, (int(r) for r in inv)))
+    warm_rows = [row_of[i] for i in warm_seq]
+    meas_rows = [row_of[i] for i in meas_seq]
+    return (
+        batch,
+        meas_seq,
+        meas_rows,
+        batch.mega_trace(warm_rows) if warm_rows else None,
+        batch.mega_trace(meas_rows) if meas_rows else None,
+    )
+
+
 def measure_index(
     dataset: Dataset,
     workload: Workload,
@@ -456,66 +411,3 @@ def measure_index(
     """Convenience: build + measure in one call."""
     built = build_index(dataset, index_name, config)
     return measure(built, workload, **measure_kwargs)
-
-
-@dataclass
-class RepeatedMeasurement:
-    """Chunked measurement with dispersion (error bars for figures)."""
-
-    measurement: Measurement  # aggregate over all chunks
-    chunk_latencies_ns: list
-
-    @property
-    def mean_latency_ns(self) -> float:
-        return sum(self.chunk_latencies_ns) / len(self.chunk_latencies_ns)
-
-    @property
-    def std_latency_ns(self) -> float:
-        mean = self.mean_latency_ns
-        var = sum((x - mean) ** 2 for x in self.chunk_latencies_ns) / max(
-            len(self.chunk_latencies_ns) - 1, 1
-        )
-        return var**0.5
-
-
-def measure_repeated(
-    built: BuiltIndex,
-    workload: Workload,
-    n_chunks: int = 5,
-    chunk_lookups: int = 300,
-    warmup: int = 300,
-    cost_model: CostModel = XEON_GOLD_6230,
-    replay: bool = True,
-    **measure_kwargs,
-) -> RepeatedMeasurement:
-    """Measure in chunks over one warm run; report per-chunk dispersion.
-
-    The simulator is deterministic given a workload, so dispersion here
-    reflects genuine workload heterogeneity (different keys hit different
-    structure regions), not timer noise.
-
-    Chunk ``i`` re-runs the previous chunks' lookups as its warmup, so
-    trace replay is on by default here: every lookup seen before is
-    replayed from its recorded event stream instead of re-executing
-    index code, with byte-identical counters
-    (``tests/test_harness_replay.py``).
-    """
-    chunks = []
-    for i in range(n_chunks):
-        # Each chunk measures a different slice of the workload (the
-        # measured window starts after `warmup` lookups).
-        m = measure(
-            built,
-            workload,
-            n_lookups=chunk_lookups,
-            warmup=warmup + i * chunk_lookups,
-            cost_model=cost_model,
-            replay=replay,
-            **measure_kwargs,
-        )
-        chunks.append(m)
-    total = chunks[-1]
-    return RepeatedMeasurement(
-        measurement=total,
-        chunk_latencies_ns=[c.latency_ns for c in chunks],
-    )

@@ -42,11 +42,6 @@ class SortedDataIndex(abc.ABC):
     capabilities: Capabilities = Capabilities(updates=False, ordered=True, kind="?")
     #: True for structures that only support lookups of present keys.
     point_only: bool = False
-    #: True for structures whose ``lookup`` mutates internal state (none
-    #: today).  Such lookups are not pure functions of the key, so the
-    #: harness must not reuse recorded event traces for them
-    #: (``measure(..., replay=True)`` falls back to direct execution).
-    mutating_lookups: bool = False
 
     def __init__(self) -> None:
         self._arrays: List[TracedArray] = []

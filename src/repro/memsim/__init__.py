@@ -27,7 +27,7 @@ from repro.memsim.tracer import NULL_TRACER, NullTracer, PerfTracer, Tracer
 from repro.memsim.cache import Cache, CacheHierarchy
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.engine import FastEngine, ReferenceEngine, SiteInterner
-from repro.memsim.trace import Trace, TraceRecorder, TraceStore
+from repro.memsim.trace import Trace, TraceRecorder
 from repro.memsim.vector import VectorEngine
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.costmodel import CostModel, XEON_GOLD_6230
@@ -47,7 +47,6 @@ __all__ = [
     "SiteInterner",
     "Trace",
     "TraceRecorder",
-    "TraceStore",
     "AddressSpace",
     "TracedArray",
     "CostModel",

@@ -12,9 +12,8 @@ freedom is what this module exploits:
   :class:`~repro.memsim.tlb.TLB`).  It is the executable specification.
 * :class:`FastEngine` re-implements the same state machines as flat
   per-set structures behind closure-bound functions, with interned
-  branch sites (integer ids into a flat 2-bit-counter table), the TLB
-  folded into the same machinery, and a batch :meth:`~FastEngine.replay`
-  loop for recorded event streams.  It must produce byte-identical
+  branch sites (integer ids into a flat 2-bit-counter table) and the
+  TLB folded into the same machinery.  It must produce byte-identical
   :class:`~repro.memsim.counters.PerfCounters` for any event stream;
   ``tests/test_memsim_differential.py`` enforces that with hypothesis,
   and the committed golden grids must pass under it unchanged.
@@ -183,10 +182,11 @@ class FastEngine:
     no state can change), and the MRU-page test skips the TLB dicts
     entirely.
 
-    ``read``/``instr``/``branch``/``replay`` are closures over shared
-    ``nonlocal`` state, bound as instance attributes -- no ``self``
-    in the hot path.  ``replay`` additionally mirrors the counters into
-    loop locals for batch speed.
+    ``read``/``instr``/``branch`` are closures over shared ``nonlocal``
+    state, bound as instance attributes -- no ``self`` in the hot path.
+    The fast engine has no replay of its own: recorded traces replay on
+    :class:`~repro.memsim.vector.VectorEngine`, which runs its batch
+    loop over this engine's state.
     """
 
     name = "fast"
@@ -198,7 +198,6 @@ class FastEngine:
         "branch",
         "snapshot",
         "flush_caches",
-        "replay",
         "n_branch_sites",
     )
 
@@ -217,7 +216,6 @@ class FastEngine:
         self.branch = ns["branch"]
         self.snapshot = ns["snapshot"]
         self.flush_caches = ns["flush_caches"]
-        self.replay = ns["replay"]
         self.n_branch_sites = ns["n_branch_sites"]
 
     @property
@@ -461,168 +459,12 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
             l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page,
         ) = values
 
-    def replay(trace):
-        # Fully inlined batch loop over a recorded event stream.  The
-        # counters are mirrored into locals and written back in
-        # `finally` so a mid-stream error cannot lose events.
-        nonlocal reads_c, instr_c, br_c, brm_c
-        nonlocal l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page
-        kinds, aa, bb = trace.lists()
-        rd = reads_c
-        ins = instr_c
-        br = br_c
-        brm = brm_c
-        h1 = l1h
-        h2 = l2h
-        h3 = l3h
-        ll = llc
-        tm = tlbm
-        ul = ultra_line
-        mp = mru_page
-        try:
-            for k, a, b in zip(kinds, aa, bb):
-                if k == 0:
-                    # read(a, size=b)
-                    first = a >> 6
-                    last = (a + b - 1) >> 6
-                    if first == ul and last == first:
-                        rd += 1
-                        ins += 1
-                        h1 += 1
-                        continue
-                    rd += 1
-                    ins += 1
-                    page = a >> 12
-                    if page != mp:
-                        if page in tlb1:
-                            tlb1.move_to_end(page)
-                        elif page in tlb2:
-                            tlb2.move_to_end(page)
-                            tlb1[page] = True
-                            if len(tlb1) > tlb1_cap:
-                                tlb1.popitem(False)
-                        else:
-                            tm += 1
-                            tlb1[page] = True
-                            if len(tlb1) > tlb1_cap:
-                                tlb1.popitem(False)
-                            tlb2[page] = True
-                            if len(tlb2) > tlb2_cap:
-                                tlb2.popitem(False)
-                            wl = (walk_base + page * 8) >> 6
-                            s = l1_sets[wl % n1]
-                            if s[0] == wl:
-                                h1 += 1
-                            elif wl in s:
-                                s.remove(wl)
-                                s.insert(0, wl)
-                                h1 += 1
-                            else:
-                                s2 = l2_sets[wl % n2]
-                                if s2[0] == wl:
-                                    h2 += 1
-                                elif wl in s2:
-                                    s2.remove(wl)
-                                    s2.insert(0, wl)
-                                    h2 += 1
-                                else:
-                                    s3 = l3_sets[wl % n3]
-                                    if s3[0] == wl:
-                                        h3 += 1
-                                    elif wl in s3:
-                                        s3.remove(wl)
-                                        s3.insert(0, wl)
-                                        h3 += 1
-                                    else:
-                                        ll += 1
-                                        s3.insert(0, wl)
-                                        s3.pop()
-                                    s2.insert(0, wl)
-                                    s2.pop()
-                                s.insert(0, wl)
-                                s.pop()
-                        mp = page
-                    ln = first
-                    while True:
-                        s = l1_sets[ln % n1]
-                        if s[0] == ln:
-                            h1 += 1
-                        elif ln in s:
-                            s.remove(ln)
-                            s.insert(0, ln)
-                            h1 += 1
-                        else:
-                            s2 = l2_sets[ln % n2]
-                            if s2[0] == ln:
-                                h2 += 1
-                            elif ln in s2:
-                                s2.remove(ln)
-                                s2.insert(0, ln)
-                                h2 += 1
-                            else:
-                                s3 = l3_sets[ln % n3]
-                                if s3[0] == ln:
-                                    h3 += 1
-                                elif ln in s3:
-                                    s3.remove(ln)
-                                    s3.insert(0, ln)
-                                    h3 += 1
-                                else:
-                                    ll += 1
-                                    s3.insert(0, ln)
-                                    s3.pop()
-                                s2.insert(0, ln)
-                                s2.pop()
-                            s.insert(0, ln)
-                            s.pop()
-                        if ln == last:
-                            break
-                        ln += 1
-                    ul = last if last >> 6 == mp else -1
-                elif k == 3:
-                    # K_REPEAT: b pure-L1-hit re-reads (recorder-verified).
-                    rd += b
-                    ins += b
-                    h1 += b
-                elif k == 1:
-                    ins += a
-                else:
-                    # branch(site=a, taken=b)
-                    br += 1
-                    ins += 1
-                    if a >= len(bst):
-                        bst.extend([-1] * (a + 1 - len(bst)))
-                    s = bst[a]
-                    if s < 0:
-                        s = 2
-                    if b:
-                        if s < 2:
-                            brm += 1
-                        bst[a] = s + 1 if s < 3 else 3
-                    else:
-                        if s >= 2:
-                            brm += 1
-                        bst[a] = s - 1 if s > 0 else 0
-        finally:
-            reads_c = rd
-            instr_c = ins
-            br_c = br
-            brm_c = brm
-            l1h = h1
-            l2h = h2
-            l3h = h3
-            llc = ll
-            tlbm = tm
-            ultra_line = ul
-            mru_page = mp
-
     return {
         "read": read,
         "instr": instr,
         "branch": branch,
         "snapshot": snapshot,
         "flush_caches": flush_caches,
-        "replay": replay,
         "n_branch_sites": n_branch_sites,
         "_structs": _structs,
         "_get_hot": _get_hot,

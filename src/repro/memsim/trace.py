@@ -1,4 +1,4 @@
-"""Trace record-replay: capture one lookup's event stream, re-run it cheaply.
+"""Trace recording: capture a lookup's event stream as typed arrays.
 
 A measured lookup is a sequence of ``read``/``instr``/``branch`` calls
 into the tracer.  All three return ``None``, so index code cannot
@@ -8,22 +8,22 @@ of cache/TLB/predictor state.  That makes replay sound: re-running a
 recorded stream through an engine produces byte-identical counters to
 re-executing the index Python, without paying for the index Python.
 
-Repeated-execution experiments exploit this: ``measure_repeated`` runs
-overlapping warmup windows over the same keys, fig14-style cold-cache
-passes re-run the exact warm-pass keys with flushes in between, and
-serving calibration replays per-request service lookups.  The harness
-keeps a :class:`TraceStore` on each ``BuiltIndex`` keyed by
-``(search, key)`` and replays on hit (``bench/harness.py``).
+:class:`Trace` is the vector engine's input format.  The batched
+measure path builds its traces from kernel-synthesized streams
+(``repro.learned.kernels``) and replays them through
+:class:`~repro.memsim.vector.VectorEngine`; :class:`TraceRecorder`
+captures the same format from live index code, which is how tests
+record oracle streams for :meth:`ReferenceEngine.replay
+<repro.memsim.engine.ReferenceEngine.replay>`.
 
 Events are stored as three parallel typed arrays (kind: uint8;
-two int64 operands), compact enough to keep thousands of lookup traces
-resident; :meth:`Trace.lists` materializes plain-int lists once for the
-engines' batch loops.
+two int64 operands); :meth:`Trace.lists` materializes plain-int lists
+once for the engines' replay loops.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -160,85 +160,3 @@ class TraceRecorder(Tracer):
 
     def finish(self) -> Trace:
         return Trace(self._k, self._a, self._b)
-
-
-class TraceStore:
-    """Keyed trace cache with a shared interner and an event budget.
-
-    The budget caps resident trace memory (~17 bytes/event).  Two
-    full-budget policies, both of which keep ``events <= max_events`` at
-    all times:
-
-    * ``evict=False`` (default): :meth:`put` declines and the harness
-      simply keeps executing those lookups directly -- replay is an
-      optimization, never a requirement.
-    * ``evict=True``: :meth:`put` deterministically evicts the oldest
-      resident traces (FIFO in insertion order) until the newcomer fits.
-      A trace larger than the whole budget is still declined -- eviction
-      never helps it fit, so emptying the store for it would be pure
-      loss.
-    """
-
-    #: ~4M events is ~70 MB of typed arrays -- far beyond any default
-    #: grid cell (a 1000-lookup measurement records ~20k events).
-    DEFAULT_MAX_EVENTS = 4_000_000
-
-    __slots__ = (
-        "sites",
-        "max_events",
-        "evict",
-        "events",
-        "hits",
-        "misses",
-        "rejects",
-        "evictions",
-        "_traces",
-    )
-
-    def __init__(
-        self,
-        sites: Optional[SiteInterner] = None,
-        max_events: int = DEFAULT_MAX_EVENTS,
-        evict: bool = False,
-    ):
-        self.sites = sites if sites is not None else SiteInterner()
-        self.max_events = max_events
-        self.evict = evict
-        self.events = 0
-        self.hits = 0
-        self.misses = 0
-        #: Traces declined by :meth:`put` because the budget was full.
-        self.rejects = 0
-        #: Traces evicted to make room (``evict=True`` only).
-        self.evictions = 0
-        self._traces: Dict[object, Tuple[Trace, object]] = {}
-
-    def get(self, key) -> Optional[Tuple[Trace, object]]:
-        entry = self._traces.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def put(self, key, trace: Trace, meta=None) -> bool:
-        """Store a trace; False (and drop it) if it cannot be admitted."""
-        if key in self._traces:
-            return True
-        if self.events + len(trace) > self.max_events:
-            if not self.evict or len(trace) > self.max_events:
-                self.rejects += 1
-                return False
-            # Dicts iterate in insertion order, so dropping from the
-            # front is FIFO -- fully determined by the put sequence.
-            while self.events + len(trace) > self.max_events:
-                old_key = next(iter(self._traces))
-                old_trace, _ = self._traces.pop(old_key)
-                self.events -= len(old_trace)
-                self.evictions += 1
-        self._traces[key] = (trace, meta)
-        self.events += len(trace)
-        return True
-
-    def __len__(self) -> int:
-        return len(self._traces)

@@ -86,7 +86,7 @@ class PerfTracer(Tracer):
     """Counting tracer backed by a memsim engine.
 
     ``engine`` is a prebuilt engine object, or ``None`` for a fresh
-    :class:`~repro.memsim.engine.FastEngine` over ``sites``.
+    :class:`~repro.memsim.engine.FastEngine`.
     ``counters``/``caches``/``predictor``/``tlb`` delegate to the
     engine; only the reference engine has the component objects, the
     others raise ``AttributeError``.
@@ -94,12 +94,8 @@ class PerfTracer(Tracer):
 
     __slots__ = ("engine", "read", "instr", "branch")
 
-    def __init__(
-        self,
-        engine: Optional[object] = None,
-        sites: Optional[SiteInterner] = None,
-    ):
-        eng = engine if engine is not None else FastEngine(sites=sites)
+    def __init__(self, engine: Optional[object] = None):
+        eng = engine if engine is not None else FastEngine()
         self.engine = eng
         self.read = eng.read
         self.instr = eng.instr
@@ -132,5 +128,5 @@ class PerfTracer(Tracer):
         self.engine.flush_caches()
 
     def replay(self, trace) -> None:
-        """Re-run a recorded event stream (see ``repro.memsim.trace``)."""
+        """Re-run a recorded event stream (reference and vector engines)."""
         self.engine.replay(trace)

@@ -1,9 +1,10 @@
 """Array-level memsim engine: trace replay as vectorized numpy passes.
 
-:class:`FastEngine` replays a recorded :class:`~repro.memsim.trace.Trace`
-one event at a time.  :class:`VectorEngine` instead *compiles* the trace
-once into a :class:`_TracePlan` -- a bundle of numpy-derived aggregates
-and compact Python lists -- and replays the plan.  The compilation
+:class:`ReferenceEngine` replays a recorded
+:class:`~repro.memsim.trace.Trace` one event at a time.
+:class:`VectorEngine` instead *compiles* the trace once into a
+:class:`_TracePlan` -- a bundle of numpy-derived aggregates and compact
+Python lists -- and replays the plan.  The compilation
 exploits three exact order-independence properties of the simulator:
 
 * ``instr``/``K_REPEAT`` events and the per-event counter increments of

@@ -1,17 +1,17 @@
 """Process-local metrics registry: named counters, gauges, histograms.
 
 One flat registry per process collects the operational numbers that are
-not per-lookup measurements: measurement-cache hits, trace-store
-rejections, replay ratios, pool queue depth, serving SLO stats.
-Everything is a plain Python scalar update -- cheap enough to leave on
-unconditionally at cell/run granularity (never called per simulated
-event) -- and :meth:`MetricsRegistry.snapshot` serializes the whole
-registry to JSON-able dicts for the run sink.
+not per-lookup measurements: measurement-cache hits and rejections,
+pool queue depth, serving SLO stats.  Everything is a plain Python
+scalar update -- cheap enough to leave on unconditionally at cell/run
+granularity (never called per simulated event) -- and
+:meth:`MetricsRegistry.snapshot` serializes the whole registry to
+JSON-able dicts for the run sink.
 
 Naming convention: dotted lowercase paths, ``<subsystem>.<object>.<what>``
-(``bench.cache.rejects``, ``memsim.trace_store.rejects``,
-``serve.slo.violations``).  Units go in the name suffix where ambiguous
-(``_ns``, ``_bytes``).  See ``docs/observability.md``.
+(``bench.cache.rejects``, ``serve.slo.violations``).  Units go in the
+name suffix where ambiguous (``_ns``, ``_bytes``).  See
+``docs/observability.md``.
 """
 
 from __future__ import annotations

@@ -117,9 +117,6 @@ class PhaseTracer(Tracer):
     def flush_caches(self) -> None:
         self.inner.flush_caches()
 
-    def replay(self, trace) -> None:  # pragma: no cover - profile disables replay
-        self.inner.replay(trace)
-
 
 def phase_window(
     end: Dict[str, PerfCounters],

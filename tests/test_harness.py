@@ -1,6 +1,7 @@
 """Measurement harness."""
 
 import dataclasses
+import inspect
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.bench.harness import (
 )
 from repro.datasets import make_dataset, make_workload
 from repro.memsim import ReferenceEngine, TracedArray
+from repro.obs import spans
 
 from conftest import mirror_built
 
@@ -97,6 +99,43 @@ class TestMeasure:
         m = measure_index(ds, wl, "BS", {}, n_lookups=80)
         assert m.size_bytes == 0
         assert m.counters.reads > 8  # all work in the last mile
+
+
+class TestReplayKeyword:
+    """``replay`` survives only as a keyword that must stay False."""
+
+    def test_replay_true_raises(self, ds, wl):
+        built = build_index(ds, "BTree", {"gap": 1})
+        with pytest.raises(ValueError, match="replay"):
+            measure(built, wl, n_lookups=10, warmup=0, replay=True)
+
+    def test_bound_default_is_false(self, ds, wl):
+        # benchmarks/e2e/tracer.py binds measure's arguments this way.
+        bound = inspect.signature(measure).bind(build_index(ds, "BS"), wl)
+        bound.apply_defaults()
+        assert bound.arguments["replay"] is False
+
+
+class TestMeasureSpans:
+    @pytest.fixture(autouse=True)
+    def spans_on(self):
+        spans.reset()
+        spans.enable(True)
+        yield
+        spans.reset()
+
+    def test_batched_synthesis_is_a_child_of_measure(self, ds, wl):
+        built = build_index(ds, "RMI", {"branching": 64})
+        with spans.capture() as first:
+            measure(built, wl, n_lookups=50, warmup=20)
+        with spans.capture() as repeat:
+            measure(built, wl, n_lookups=50, warmup=20)
+        assert [r["path"] for r in first.records] == [
+            "measure/synthesize",
+            "measure",
+        ]
+        # The repeat reuses the synthesized batch cached on `built`.
+        assert [r["path"] for r in repeat.records] == ["measure"]
 
 
 class TestListMirrors:

@@ -49,10 +49,9 @@ class TestSiteInterner:
 
 class TestEngineSelection:
     def test_default_is_fast_engine(self):
-        si = SiteInterner()
-        t = PerfTracer(sites=si)
+        t = PerfTracer()
         assert isinstance(t.engine, FastEngine)
-        assert t.sites is si
+        assert t.sites is t.engine.sites
 
     def test_custom_components_imply_reference(self):
         """Custom component objects exist only on the reference engine,

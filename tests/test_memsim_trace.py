@@ -1,16 +1,15 @@
-"""Unit tests for the trace record-replay layer (`repro.memsim.trace`)."""
+"""Unit tests for trace recording and replay (`repro.memsim.trace`)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.memsim import (
-    FastEngine,
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
     TraceRecorder,
-    TraceStore,
+    VectorEngine,
 )
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, K_REPEAT, Trace
 
@@ -80,7 +79,7 @@ class TestTraceRecorder:
         assert K_REPEAT in trace.kinds.tolist()
         direct = PerfTracer()
         drive(direct)
-        for engine in (ReferenceEngine, FastEngine):
+        for engine in (ReferenceEngine, VectorEngine):
             t = PerfTracer(engine=engine())
             t.replay(trace)
             assert t.snapshot() == direct.snapshot(), engine.name
@@ -95,43 +94,9 @@ class TestTraceRecorder:
         assert rec.finish().kinds.tolist() == [K_READ, K_READ]
 
 
-class TestTraceStore:
-    def test_round_trip_with_meta(self):
-        store = TraceStore()
-        trace = Trace([K_INSTR], [4], [0])
-        assert store.put(("binary", 42), trace, meta=3.5)
-        got = store.get(("binary", 42))
-        assert got is not None and got[0] is trace and got[1] == 3.5
-        assert store.get(("binary", 43)) is None
-        assert store.hits == 1 and store.misses == 1
-        assert len(store) == 1 and store.events == 1
-
-    def test_event_budget_declines_politely(self):
-        store = TraceStore(max_events=5)
-        big = Trace([K_INSTR] * 4, [1] * 4, [0] * 4)
-        assert store.put("a", big)
-        assert not store.put("b", big)  # 8 > 5: declined, not stored
-        assert store.get("b") is None
-        assert store.events == 4
-
-    def test_duplicate_put_is_idempotent(self):
-        store = TraceStore()
-        t1 = Trace([K_INSTR], [1], [0])
-        store.put("k", t1, meta="first")
-        assert store.put("k", Trace([K_INSTR], [9], [0]), meta="second")
-        assert store.get("k")[1] == "first"
-        assert store.events == 1
-
-    def test_interner_is_shared_with_recorders(self):
-        store = TraceStore()
-        rec = TraceRecorder(sites=store.sites)
-        rec.branch("site.a", True)
-        assert store.sites.ids["site.a"] == 0
-
-
 class TestReplayThroughTracer:
     def test_empty_trace_is_a_noop(self):
-        t = PerfTracer()
+        t = PerfTracer(engine=VectorEngine())
         t.replay(Trace([], [], []))
         assert t.snapshot() == PerfTracer().snapshot()
 
@@ -142,10 +107,10 @@ class TestReplayThroughTracer:
         rec.branch("s", True)
         rec.instr(7)
         trace = rec.finish()
-        t = PerfTracer(sites=sites)
+        t = PerfTracer(engine=VectorEngine(sites=sites))
         t.replay(trace)
         t.replay(trace)
-        direct = PerfTracer(sites=sites)
+        direct = PerfTracer()
         for _ in range(2):
             direct.read(4096, 8)
             direct.branch("s", True)

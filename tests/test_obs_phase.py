@@ -186,19 +186,6 @@ class TestMeasureProfiled:
             )
             assert ref.phases == fast.phases, index
 
-    def test_profile_disables_replay_but_not_counters(self, setup):
-        ds, wl = setup
-        built = build_index(ds, "BTree")
-        profiled = measure(
-            built, wl, n_lookups=150, warmup=40, replay=True, profile=True
-        )
-        assert built.traces is None  # replay skipped under profiling
-        replayed = measure(
-            built, wl, n_lookups=150, warmup=40, replay=True, profile=False
-        )
-        assert built.traces is not None
-        assert profiled.counters == replayed.counters
-
 
 class TestGoldenPhases:
     """Profiling the golden cells leaves their counters byte-identical."""
