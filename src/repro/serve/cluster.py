@@ -148,7 +148,8 @@ class _Replica:
 
     @property
     def backlog(self) -> int:
-        return sum(c.backlog for c in self.loop.cores)
+        """Attempts queued or in service on this replica."""
+        return self.loop.depth
 
 
 @dataclass
@@ -195,6 +196,8 @@ class Cluster:
             raise ValueError(
                 f"need at least one replica, got {self.n_replicas}"
             )
+        if self.n_cores < 1:
+            raise ValueError(f"n_cores must be >= 1, got {self.n_cores}")
 
     @property
     def n_shards(self) -> int:
@@ -506,7 +509,9 @@ class _ClusterSim:
             attempt.attempt_no = record.attempts
         rep.loop.dispatch(attempt, now)
         stats = self.shard_stats[record.shard]
-        depth = sum(r.backlog for r in replicas)
+        depth = 0
+        for r in replicas:
+            depth += r.loop.depth
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if tel is not None:
@@ -617,27 +622,21 @@ class _ClusterSim:
 
         In-flight attempts keep their already-scheduled finish events on
         the heap; the ``cancelled`` flag turns those pops into no-ops.
-        Cores are visited in id order, service slot before queue, so the
-        retry order is deterministic.
+        :meth:`~repro.serve.core._EventLoop.drain` visits cores in id
+        order, service slot before queue, so the retry order is
+        deterministic.
         """
-        lost: List[_Attempt] = []
-        for core in rep.loop.cores:
-            if core.current is not None:
-                core.current.cancelled = True
-                lost.append(core.current)
-                core.current = None
-            while core.queue:
-                lost.append(core.queue.popleft())
         tel = self.telemetry
         tracing = tel is not None and tel.traces is not None
-        for attempt in lost:
+        for attempt, in_service in rep.loop.drain():
+            attempt.cancelled = in_service
             if tracing:
                 tel.trace_attempt(
                     attempt,
                     rep.shard,
                     rep.rid,
                     now,
-                    "cancelled" if attempt.cancelled else "lost",
+                    "cancelled" if in_service else "lost",
                 )
             record = attempt.record
             record.live -= 1
@@ -657,8 +656,7 @@ class _ClusterSim:
             _FAULT_END: self.on_fault_end,
             _RECONFIG: self.on_reconfig,
         }
-        while self.events:
-            now, kind, _, payload = self.events.pop()
+        for now, kind, _, payload in iter(self.events.pop, None):
             if kind == _FINISH:
                 self.on_finish(payload, now)
             else:

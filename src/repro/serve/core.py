@@ -11,6 +11,12 @@ service *starts*, using the number of cores busy at that instant
 server reproduces Figure 16's steady-state throughput while a lightly
 loaded one serves at the uncontended latency.
 
+Occupancy is kept as two running counts per loop, ``depth`` (queued
+plus in-service requests) and ``busy`` (cores in service).  Only a
+dispatch, a core starting a request, a finish and
+:meth:`_EventLoop.drain` change them, so no event rescans the cores;
+``drain`` is the only way to empty a loop (a crashed replica).
+
 Everything is deterministic: events are totally ordered by
 ``(time, sequence number)``, arrival processes are seeded
 (:mod:`repro.serve.arrivals`), and no wall clock is consulted -- the same
@@ -21,8 +27,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
 from repro.serve.arrivals import think_times_ns
@@ -49,7 +55,8 @@ class SealedEventQueue:
     heap.  Popping the minimum of the two streams yields exactly the
     order one big heap would, so every simulation result is that of a
     plain heap by construction (``tests/test_serving.py`` pins it
-    against ``heapq``).
+    against ``heapq``).  :meth:`pop` returns None once the queue is
+    empty, so an event loop is ``for ... in iter(events.pop, None)``.
     """
 
     __slots__ = ("_static", "_cursor", "_heap", "_seq", "_sealed")
@@ -81,6 +88,8 @@ class SealedEventQueue:
             if not self._heap or entry <= self._heap[0]:
                 self._cursor = cursor + 1
                 return entry
+        elif not self._heap:
+            return None
         return heapq.heappop(self._heap)
 
     def __len__(self) -> int:
@@ -176,15 +185,20 @@ class ServingResult:
         return len(self.requests) / (self.makespan_ns * 1e-9)
 
 
-@dataclass
 class _Core:
-    cid: int
-    queue: Deque[Request] = field(default_factory=deque)
-    current: Optional[Request] = None
+    """One core: its FIFO queue and the request in service, if any.
 
-    @property
-    def backlog(self) -> int:
-        return len(self.queue) + (1 if self.current is not None else 0)
+    A core without a request in service has an empty queue: dispatch
+    starts a request on an idle core at once, and a core that finishes
+    pulls from its own queue before it steals.
+    """
+
+    __slots__ = ("cid", "queue", "current")
+
+    def __init__(self, cid: int) -> None:
+        self.cid = cid
+        self.queue: Deque[Request] = deque()
+        self.current: Optional[Request] = None
 
 
 class _EventLoop:
@@ -197,6 +211,12 @@ class _EventLoop:
     ``slow_factor`` scales service times (a degraded replica).  The defaults reproduce
     the original single-node behaviour exactly -- same events, same
     order, same float arithmetic.
+
+    ``depth`` (requests queued or in service, over all cores) and
+    ``busy`` (cores with a request in service) are running counts:
+    only :meth:`dispatch`, :meth:`start_next`, :meth:`finish` and
+    :meth:`drain` change them, and nothing else may edit a core's
+    queue or service slot.
     """
 
     def __init__(
@@ -214,21 +234,32 @@ class _EventLoop:
         self.steals = 0
         self.makespan = 0.0
         self.max_queue_depth = 0
+        self.depth = 0
+        self.busy = 0
         self.slow_factor = 1.0
         self.on_finish = None
         #: Optional TelemetryCollector.  The single-node simulators set
         #: it; the cluster router leaves it None (it has its own hooks).
         self.telemetry: Optional[TelemetryCollector] = None
 
-    def push(self, time_ns: float, kind: int, payload) -> None:
-        # (time, kind, seq) orders simultaneous events deterministically:
-        # arrivals before finishes at the same instant, then FIFO.
-        self.events.push(time_ns, kind, payload)
-
     def dispatch(self, req: Request, now: float) -> None:
-        core = min(self.cores, key=lambda c: (c.backlog, c.cid))
+        # Shortest backlog, ties to the lowest core id.  An idle core's
+        # backlog is 0 and a busy one's is its queue plus one.
+        cores = self.cores
+        if self.busy < len(cores):
+            for core in cores:
+                if core.current is None:
+                    break
+        else:
+            core = cores[0]
+            shortest = len(core.queue)
+            for c in cores:
+                n = len(c.queue)
+                if n < shortest:
+                    core, shortest = c, n
         core.queue.append(req)
-        depth = sum(c.backlog for c in self.cores)
+        self.depth += 1
+        depth = self.depth
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
         if self.telemetry is not None:
@@ -237,38 +268,68 @@ class _EventLoop:
             self.start_next(core, now)
 
     def start_next(self, core: _Core, now: float) -> None:
+        """Start ``core`` on its next request; some queue must be
+        non-empty."""
         if core.queue:
             req = core.queue.popleft()
         else:
-            victim = max(
-                self.cores, key=lambda c: (len(c.queue), -c.cid)
-            )
-            if not victim.queue:
-                return
+            # Steal from the longest queue, ties to the lowest core id.
+            victim = core
+            longest = 0
+            for c in self.cores:
+                n = len(c.queue)
+                if n > longest:
+                    victim, longest = c, n
             req = victim.queue.popleft()
             self.steals += 1
         core.current = req
-        busy = sum(1 for c in self.cores if c.current is not None)
+        self.busy += 1
         req.core = core.cid
         req.start_ns = now
-        service_ns = self.service.service_ns(busy)
+        service_ns = self.service.service_ns(self.busy)
         if self.slow_factor != 1.0:
             service_ns *= self.slow_factor
         req.finish_ns = now + service_ns
-        self.push(req.finish_ns, _FINISH, (self, core.cid, req))
+        # (time, kind, seq) orders simultaneous events deterministically:
+        # arrivals before finishes at the same instant, then FIFO.
+        self.events.push(req.finish_ns, _FINISH, (self, core.cid, req))
 
     def finish(self, core_id: int, req: Request, now: float) -> None:
         core = self.cores[core_id]
         core.current = None
+        self.busy -= 1
+        self.depth -= 1
         self.done.append(req)
-        self.makespan = max(self.makespan, now)
-        self.start_next(core, now)
+        if now > self.makespan:
+            self.makespan = now
+        if self.depth != self.busy:  # some request is still queued
+            self.start_next(core, now)
         if self.telemetry is not None:
             self.telemetry.on_completed(now, req.latency_ns)
             if self.telemetry.traces is not None:
                 self.telemetry.trace_open_loop(req, now)
         if self.on_finish is not None:
             self.on_finish(req, now)
+
+    def drain(self) -> List[Tuple[Request, bool]]:
+        """Empty every core at once (a crashed machine); the only way a
+        request leaves a loop without finishing.
+
+        Returns ``(request, in_service)`` pairs, cores in id order and
+        each core's in-service request before its queue.  An in-service
+        request's finish event stays queued; the caller must make it a
+        no-op.
+        """
+        lost: List[Tuple[Request, bool]] = []
+        for core in self.cores:
+            if core.current is not None:
+                lost.append((core.current, True))
+                core.current = None
+            while core.queue:
+                lost.append((core.queue.popleft(), False))
+        self.depth = 0
+        self.busy = 0
+        return lost
 
     def result(self) -> ServingResult:
         self.done.sort(key=lambda r: r.rid)
@@ -298,10 +359,10 @@ def simulate_open_loop(
     loop = _EventLoop(service, n_cores)
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
+    events = loop.events
     for rid, t in enumerate(arrivals_ns):
-        loop.push(float(t), _ARRIVAL, Request(rid=rid, arrival_ns=float(t)))
-    while loop.events:
-        now, kind, _, payload = loop.events.pop()
+        events.push(float(t), _ARRIVAL, Request(rid=rid, arrival_ns=float(t)))
+    for now, kind, _, payload in iter(events.pop, None):
         if kind == _ARRIVAL:
             loop.dispatch(payload, now)
         else:
@@ -343,15 +404,14 @@ def simulate_closed_loop(
         if remaining <= 0:
             return
         remaining -= 1
-        loop.push(
+        loop.events.push(
             at, _ARRIVAL, Request(rid=rid, arrival_ns=at, client=client)
         )
         rid += 1
 
     for c in range(min(n_clients, n_requests)):
         issue(c, 0.0)
-    while loop.events:
-        now, kind, _, payload = loop.events.pop()
+    for now, kind, _, payload in iter(loop.events.pop, None):
         if kind == _ARRIVAL:
             loop.dispatch(payload, now)
         else:

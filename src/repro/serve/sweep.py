@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.datasets.loader import make_dataset
 from repro.memsim.counters import PerfCountersF
+from repro.obs import spans as obs_spans
 from repro.records import OMIT_DEFAULT, Pairs, Record, to_dict
 from repro.serve.arrivals import bursty_arrivals, poisson_arrivals
 from repro.serve.contention import MachineModel
@@ -342,6 +343,10 @@ class _SimTask:
     Tasks refuse telemetry traces: task records are JSON aggregates
     sized for the persistent cache, and per-attempt traces belong on
     inline ``simulate_*`` calls, not fanned-out sweeps.
+
+    :meth:`run` wraps the kind's :meth:`simulate` in a ``simulate`` span
+    carrying ``kind`` and ``n_requests``, so a task's ``cell`` span
+    has its simulation inside it.
     """
 
     KIND = ""
@@ -356,6 +361,12 @@ class _SimTask:
 
     def label(self) -> str:
         return self.KIND
+
+    def run(self) -> dict:
+        with obs_spans.span(
+            "simulate", kind=self.KIND, n_requests=self.n_requests
+        ):
+            return self.simulate()
 
     def key_fields(self) -> dict:
         return {"kind": self.KIND, **to_dict(self)}
@@ -395,7 +406,7 @@ class OpenLoopTask(_SimTask):
     KIND = "open_loop"
     RECORD = OpenLoopRunStats
 
-    def run(self) -> dict:
+    def simulate(self) -> dict:
         service = _service(self.counters, self.fence, self.machine)
         if self.shape == "poisson":
             arrivals = poisson_arrivals(
@@ -452,7 +463,7 @@ class ClusterTask(_SimTask):
     KIND = "cluster"
     RECORD = ClusterRunStats
 
-    def run(self) -> dict:
+    def simulate(self) -> dict:
         from repro.serve.cluster import Cluster, simulate_cluster
         from repro.serve.router import ShardMap
 
@@ -506,7 +517,11 @@ class ScenarioTask(_SimTask):
     KIND = "scenario"
     RECORD = TenancyRunStats
 
-    def run(self) -> dict:
+    @property
+    def n_requests(self) -> int:
+        return self.scenario.n_requests
+
+    def simulate(self) -> dict:
         from repro.serve.router import ShardMap
         from repro.serve.tenancy import simulate_scenario
 

@@ -246,6 +246,16 @@ class TestClusterValidation:
                 n_replicas=0,
             )
 
+    def test_core_count_positive(self):
+        """Rejected at construction, not later inside a simulation."""
+        smap = ShardMap.uniform(0, 100, 1)
+        with pytest.raises(ValueError, match="n_cores must be >= 1, got 0"):
+            Cluster(
+                shard_map=smap,
+                services=[ServiceModel(counters())],
+                n_cores=0,
+            )
+
     def test_simulate_input_validation(self):
         cluster = make_cluster()
         with pytest.raises(ValueError):

@@ -626,6 +626,53 @@ class TestClusterTaskParity:
         )
 
 
+class TestSimulateSpans:
+    """Each task's ``cell`` span holds a ``simulate`` span naming the
+    task kind and its request count."""
+
+    def test_one_task_of_each_kind(self):
+        from repro.obs import spans
+        from repro.serve.sweep import scenario_task
+
+        keys = np.arange(0, 5000, 3, dtype=np.uint64)
+        shard_map = ShardMap.from_keys(keys, 2)
+        per_shard = [FakeMeasurement(), FakeMeasurement(llc_misses=4.0)]
+        tasks = [
+            open_loop_task(FakeMeasurement(), 1e6, 120, 0, 1),
+            cluster_task(
+                per_shard, shard_map, request_keys(keys, 90, 4), 2e6, 90,
+                4, 2, 2, RouterPolicy(), None, None,
+            ),
+            scenario_task(
+                single_tenant_spec(
+                    rate_per_sec=4e5,
+                    n_requests=60,
+                    seed=1,
+                    topology=TopologySpec(n_shards=2, n_cores=2),
+                ),
+                "amzn", 4_000, 1, per_shard,
+            ),
+        ]
+        spans.reset()
+        spans.enable(True)
+        try:
+            run_sim_tasks(tasks, jobs=1)
+            recorded = spans.drain()
+        finally:
+            spans.reset()
+        simulate = [r for r in recorded if r["name"] == "simulate"]
+        assert [r["path"] for r in simulate] == ["cell/simulate"] * 3
+        assert [r["attrs"] for r in simulate] == [
+            {"kind": "open_loop", "n_requests": 120},
+            {"kind": "cluster", "n_requests": 90},
+            {"kind": "scenario", "n_requests": 60},
+        ]
+        cells = {r["sid"]: r for r in recorded if r["name"] == "cell"}
+        for r in simulate:
+            cell = cells[r["parent"]]
+            assert cell["attrs"]["label"] == r["attrs"]["kind"]
+
+
 @pytest.mark.usefixtures("fresh_registry")
 class TestObsCacheCounters:
     """run_sim_tasks publishes its resolution split as obs metrics
