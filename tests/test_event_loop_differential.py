@@ -302,11 +302,6 @@ class TestScanOracle:
         assert_same_bytes(result_bytes(result), result_bytes(counted))
 
 
-def test_use_event_loop_rejects_unknown_names(monkeypatch):
-    with pytest.raises(ValueError):
-        use_event_loop(monkeypatch, "vector")
-
-
 @pytest.mark.parametrize("make", [SealedEventQueue, HeapEventQueue])
 class TestEmptyPop:
     def test_fresh_queue_pops_none(self, make):
