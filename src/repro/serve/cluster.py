@@ -509,9 +509,7 @@ class _ClusterSim:
             attempt.attempt_no = record.attempts
         rep.loop.dispatch(attempt, now)
         stats = self.shard_stats[record.shard]
-        depth = 0
-        for r in replicas:
-            depth += r.loop.depth
+        depth = sum(r.backlog for r in replicas)
         if depth > stats.max_queue_depth:
             stats.max_queue_depth = depth
         if tel is not None:

@@ -227,17 +227,11 @@ def pick_replica(
     mode (backoff + retry until a replica recovers or attempts run out).
     """
     best = None
-    least = 0
     for r in replicas:
         if not r.up or r.rid == exclude:
             continue
-        backlog = r.backlog
-        if (
-            best is None
-            or backlog < least
-            or (backlog == least and r.rid < best.rid)
-        ):
-            best, least = r, backlog
+        if best is None or (r.backlog, r.rid) < (best.backlog, best.rid):
+            best = r
     return best
 
 

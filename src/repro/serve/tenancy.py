@@ -235,9 +235,9 @@ class _TenantSim(_ClusterSim):
         admission = self.spec.admission
         if admission.enabled:
             slo_class = self.spec.tenants[record.tenant].slo_class
-            backlog = 0
-            for r in self.replicas[record.shard]:
-                backlog += r.loop.depth
+            backlog = sum(
+                r.backlog for r in self.replicas[record.shard]
+            )
             if should_shed(admission, slo_class, backlog):
                 record.shed = True
                 if self.telemetry is not None:
