@@ -54,14 +54,6 @@ class BuiltIndex:
     space: AddressSpace
     dataset: Dataset
     config: dict = field(default_factory=dict)
-    #: Lazily created by the batched measure path:
-    #: synthesized :class:`~repro.learned.kernels.BatchLookups` plus the
-    #: assembled warmup/measured mega-traces, keyed by
-    #: ``(search, warmup, n_lookups)`` and pinned to the workload object
-    #: they were derived from.  Reusing the trace objects across
-    #: ``measure`` calls is what lets the vector engine reuse its
-    #: compiled plans and replay memos.
-    batches: Optional[dict] = None
 
 
 @dataclass
@@ -305,23 +297,10 @@ def _measure_batched(
         warm=warm,
         profile=False,
     ):
-        # Synthesis and mega-trace assembly are pure functions of the
-        # (index, workload, window) tuple, so they are cached on the
-        # built index; repeat measures then hit the traces' compiled
-        # plans and replay memos (see repro.memsim.vector).
-        cache_key = (search, warmup, n_lookups)
-        entry = built.batches.get(cache_key) if built.batches else None
-        if entry is None or entry[0] is not workload:
-            with obs_spans.span("synthesize"):
-                entry = (workload,) + _synthesize(
-                    built, keys, warmup, n_lookups, search, tracer.sites
-                )
-            if built.batches is None:
-                built.batches = {}
-            elif len(built.batches) >= 8:
-                built.batches.clear()
-            built.batches[cache_key] = entry
-        _, batch, meas_seq, meas_rows, warm_trace, meas_trace = entry
+        with obs_spans.span("synthesize"):
+            batch, meas_seq, meas_rows, warm_trace, meas_trace = _synthesize(
+                built, keys, warmup, n_lookups, search, tracer.sites
+            )
 
         if verify:
             # Same check, same failure order, as the scalar measured loop.

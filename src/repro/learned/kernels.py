@@ -1,15 +1,19 @@
-"""Vectorized batch-predict kernels for the learned index families.
+"""Vectorized batch-predict kernels for the learned and baseline indexes.
 
 The scalar ``lookup`` methods of RMI, PGM and RadixSpline are pure
 arithmetic over a handful of array reads -- exactly the shape numpy
-vectorizes.  Each kernel here maps a batch of lookup keys to the same
-``(lo, hi)`` search-bound arrays the scalar path produces, *bit for
-bit*: every float operation is performed in the same order on the same
-IEEE-754 doubles (``models.py`` already guarantees scalar/batch parity
-for the model evaluations themselves), integer truncation uses
+vectorizes.  So are the SOSD baselines' descents: binary search (BS),
+radix binary search (RBS), and the BTree, IBTree and FAST trees.  Each
+kernel here maps a batch of lookup keys to the same ``(lo, hi)``
+search-bound arrays the scalar path produces, *bit for bit*: every
+float operation is performed in the same order on the same IEEE-754
+doubles (``models.py`` already guarantees scalar/batch parity for the
+model evaluations themselves), integer truncation uses
 ``astype(int64)`` whose truncate-toward-zero matches Python ``int()``,
 and unsigned key differences reproduce Python's exact big-int-to-float
-rounding via uint64 wrap arithmetic.
+rounding via uint64 wrap arithmetic.  Where float64 cannot reproduce
+the scalar arithmetic (IBTree's big-int interpolation), the kernel
+evaluates the scalar expression per key.
 
 Alongside the bounds, a kernel can synthesize the *event stream* of each
 lookup into an :class:`EventSink` -- the same reads/instrs/branches the
@@ -44,6 +48,17 @@ from repro.learned.rmi import RMIIndex, _REC as _RMI_REC
 from repro.learned.rmi import _BOUND_INSTR, _ROUTE_INSTR
 from repro.memsim.engine import SiteInterner
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace
+from repro.traditional.base import SampledIndex
+from repro.traditional.binary_search import BinarySearchIndex
+from repro.traditional.btree import BTreeIndex, IBTreeIndex
+from repro.traditional.btree import (
+    _DESCEND_INSTR,
+    _INTERP_PROBE_INSTR,
+    _NODE_SEARCH_STEP_INSTR,
+)
+from repro.traditional.fast import FASTIndex
+from repro.traditional.radix_binary_search import RadixBinarySearchIndex
+from repro.traditional.radix_binary_search import _LOOKUP_INSTR
 
 #: Last-mile searches the batched path can synthesize.
 BATCH_SEARCHES = ("binary",)
@@ -249,24 +264,36 @@ def _pgm_bounds(index: PGMIndex, keys: np.ndarray, sink, sites) -> Tuple:
     raise AssertionError("unreachable")
 
 
+def _prefix_step(
+    sink, keys: np.ndarray, table, shift: int, radix_bits: int, instr: int
+) -> Tuple:
+    """Radix-table step shared by RS and RBS: ``table[p]``, ``table[p + 1]``
+    for each key's clamped ``radix_bits``-bit prefix ``p``."""
+    sink.emit(K_INSTR, instr, 0)
+    max_prefix = (1 << radix_bits) - 1
+    # Clamp in uint64 *before* the signed cast: an unshifted 64-bit key
+    # would overflow int64.
+    prefix = np.minimum(
+        keys >> np.uint64(shift), np.uint64(max_prefix)
+    ).astype(np.int64)
+    sink.emit(K_READ, table.base + prefix * table.itemsize, table.itemsize)
+    sink.emit(K_READ, table.base + (prefix + 1) * table.itemsize, table.itemsize)
+    return (
+        table.values[prefix].astype(np.int64),
+        table.values[prefix + 1].astype(np.int64),
+    )
+
+
 def _rs_bounds(index: RadixSplineIndex, keys: np.ndarray, sink, sites) -> Tuple:
     n = index.n_keys
     site = sites.intern("rs.search")
     spline = index._spline
-    table = index._radix_table
     n_knots = index._n_knots
 
-    sink.emit(K_INSTR, _PREFIX_INSTR, 0)
-    max_prefix = (1 << index.radix_bits) - 1
-    # Clamp in uint64 *before* the signed cast: an unshifted 64-bit key
-    # would overflow int64.
-    prefix = np.minimum(
-        keys >> np.uint64(index._shift), np.uint64(max_prefix)
-    ).astype(np.int64)
-    sink.emit(K_READ, table.base + prefix * table.itemsize, table.itemsize)
-    sink.emit(K_READ, table.base + (prefix + 1) * table.itemsize, table.itemsize)
-    lo = table.values[prefix].astype(np.int64)
-    hi = table.values[prefix + 1].astype(np.int64)
+    lo, hi = _prefix_step(
+        sink, keys, index._radix_table, index._shift, index.radix_bits,
+        _PREFIX_INSTR,
+    )
     hi = np.minimum(hi + 1, n_knots)
     lo = _vec_search_loop(
         sink, keys, spline.values, spline.base, spline.itemsize,
@@ -307,10 +334,175 @@ def _rs_bounds(index: RadixSplineIndex, keys: np.ndarray, sink, sites) -> Tuple:
     return out_lo, out_hi
 
 
+# -- baseline kernels ----------------------------------------------------------
+
+
+def _bs_bounds(index: BinarySearchIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    m = len(keys)
+    return (
+        np.zeros(m, dtype=np.int64),
+        np.full(m, index.n_keys + 1, dtype=np.int64),
+    )
+
+
+def _rbs_bounds(
+    index: RadixBinarySearchIndex, keys: np.ndarray, sink, sites
+) -> Tuple:
+    lo, hi = _prefix_step(
+        sink, keys, index._table, index._shift, index.radix_bits, _LOOKUP_INSTR
+    )
+    return lo, np.minimum(hi, index.n_keys) + 1
+
+
+def _sampled_bounds(index: SampledIndex, j: np.ndarray) -> Tuple:
+    """``SampledIndex.lookup``'s bound for each predecessor sample ``j``."""
+    gap = index.gap
+    miss = j < 0
+    lo = np.where(miss, 0, j * gap)
+    hi = np.where(miss, 1, np.minimum((j + 1) * gap, index.n_keys) + 1)
+    return lo, hi
+
+
+def _tree_descend(index, keys: np.ndarray, sink, node_pred, descend_instr):
+    """The implicit k-ary trees' ``_predecessor``, level by level.
+
+    ``node_pred(level, lo, hi, mask)`` is the vectorized node search:
+    the predecessor index in ``[lo, hi)``, or ``lo - 1``.  A key whose
+    root search finds no predecessor returns -1 there and is masked out
+    of the levels below (its ``lo``/``hi`` are zeroed, ``mask`` clears
+    it; ``mask`` is None while every key is still descending).
+    """
+    levels = index._levels
+    fanout = index.fanout
+    root = levels[-1]
+    zeros = np.zeros(len(keys), dtype=np.int64)
+    pos = node_pred(root, zeros, zeros + len(root), None)
+    alive = pos >= 0
+    mask = None if alive.all() else alive
+    for depth in range(len(levels) - 2, -1, -1):
+        level = levels[depth]
+        sink.emit(K_INSTR, descend_instr, 0, mask=mask)
+        lo = pos * fanout
+        hi = np.minimum(lo + fanout, len(level))
+        if mask is not None:
+            lo = np.where(mask, lo, 0)
+            hi = np.where(mask, hi, 0)
+        pos = node_pred(level, lo, hi, mask)
+    return pos if mask is None else np.where(mask, pos, -1)
+
+
+def _btree_bounds(index: BTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    site = sites.intern("btree.node")
+
+    def node_pred(level, lo, hi, mask):
+        # Masked keys have lo == hi, so the search never activates them.
+        return _vec_search_loop(
+            sink, keys, level.values, level.base, level.itemsize, lo, hi,
+            site, le=True, step_instr=_NODE_SEARCH_STEP_INSTR,
+        ) - 1
+
+    return _sampled_bounds(
+        index, _tree_descend(index, keys, sink, node_pred, _DESCEND_INSTR)
+    )
+
+
+def _fast_bounds(index: FASTIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    instr = 12 * index._simd_ops_per_node + 10
+    lanes = np.arange(index.fanout)
+
+    def node_pred(level, lo, hi, mask):
+        # One blocked read of the node, the SIMD sequence, and the count
+        # of node keys <= the probe (a node holds at most `fanout` keys).
+        isz = level.itemsize
+        sink.emit(K_READ, level.base + lo * isz, (hi - lo) * isz, mask=mask)
+        sink.emit(K_INSTR, instr, 0, mask=mask)
+        cols = lo[:, None] + lanes
+        inside = cols < hi[:, None]
+        node = level.values[np.minimum(cols, len(level) - 1)]
+        count = np.count_nonzero(inside & (node <= keys[:, None]), axis=1)
+        return lo + count - 1
+
+    return _sampled_bounds(
+        index, _tree_descend(index, keys, sink, node_pred, 2)
+    )
+
+
+def _ibtree_bounds(index: IBTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    s_low = sites.intern("ibtree.low")
+    s_high = sites.intern("ibtree.high")
+    s_scan = sites.intern("ibtree.scan")
+    everyone = np.ones(len(keys), dtype=bool)
+
+    def node_pred(level, lo, hi, mask):
+        vals, base, isz = level.values, level.base, level.itemsize
+        live = everyone if mask is None else mask
+        first = vals[lo]
+        sink.emit(K_READ, base + lo * isz, isz, mask=mask)
+        low = keys < first
+        sink.emit(K_BRANCH, s_low, low, mask=mask)
+        on = live & ~low
+        last_i = np.maximum(hi - 1, 0)
+        last = vals[last_i]
+        sink.emit(K_READ, base + last_i * isz, isz, mask=on)
+        high = keys >= last
+        sink.emit(K_BRANCH, s_high, high, mask=on)
+        pos = np.where(low, lo - 1, hi - 1)
+        inner = on & ~high
+        if not inner.any():
+            return pos
+
+        # The interpolation probe, per key, in the scalar code's own
+        # expression: `int * int / int` is exact big-int arithmetic
+        # rounded once, which float64 cannot reproduce.
+        sink.emit(K_INSTR, _INTERP_PROBE_INSTR, 0, mask=inner)
+        rows = np.flatnonzero(inner)
+        found = []
+        for l, h, k, f, la in zip(
+            lo[rows].tolist(), hi[rows].tolist(), keys[rows].tolist(),
+            first[rows].tolist(), last[rows].tolist(),
+        ):
+            span = la - f
+            p = l + int((h - 1 - l) * (k - f) / span) if span else l
+            found.append(min(max(p, l), h - 2))
+        probe = lo.copy()
+        probe[rows] = found
+        sink.emit(K_READ, base + probe * isz, isz, mask=inner)
+
+        # Fix-up scans in lockstep: a forward key reads pos + 1 and steps
+        # while it is <= the key; a backward key reads pos and steps down
+        # until it is.
+        fwd = inner & (vals[probe] <= keys)
+        bwd = inner & ~fwd
+        pos = np.where(fwd, probe, np.where(bwd, probe - 1, pos))
+        active = (fwd & (pos + 1 < hi)) | (bwd & (pos > lo))
+        while active.any():
+            at = np.where(fwd, pos + 1, pos)
+            le = vals[np.where(active, at, 0)] <= keys
+            sink.emit(K_INSTR, 2, 0, mask=active)
+            sink.emit(K_READ, base + at * isz, isz, mask=active)
+            sink.emit(K_BRANCH, s_scan, le, mask=active)
+            up = active & fwd & le
+            down = active & bwd & ~le
+            pos = pos + up - down
+            active = (up & (pos + 1 < hi)) | (down & (pos > lo))
+        # The backward scan's closing check reads untraced.
+        miss = bwd & ~(vals[np.maximum(pos, 0)] <= keys)
+        return np.where(miss, lo - 1, pos)
+
+    return _sampled_bounds(
+        index, _tree_descend(index, keys, sink, node_pred, _DESCEND_INSTR)
+    )
+
+
 _KERNELS = {
     RMIIndex: _rmi_bounds,
     PGMIndex: _pgm_bounds,
     RadixSplineIndex: _rs_bounds,
+    BinarySearchIndex: _bs_bounds,
+    RadixBinarySearchIndex: _rbs_bounds,
+    BTreeIndex: _btree_bounds,
+    IBTreeIndex: _ibtree_bounds,
+    FASTIndex: _fast_bounds,
 }
 
 

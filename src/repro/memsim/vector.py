@@ -31,26 +31,11 @@ engine's, minus all the work the plan already did.  Counters are
 byte-identical to :class:`ReferenceEngine` for any recorder-produced
 trace; ``tests/test_memsim_differential.py`` enforces it.
 
-Plans are cached on the trace (``Trace._plan``), so the steady-state
-cost of replaying a hot trace is the hard-read loop plus a handful of
-scalar adds.  Per-call ``read``/``instr``/``branch`` are the fast
-engine's closures -- direct (non-replay) execution *is* the documented
-FastEngine fallback (``docs/vectorized.md``).
-
-On top of the plan sits *replay memoization*: a recorded trace is a
-fixed input, and the simulator is deterministic, so replaying the same
-trace from the same engine state always produces the same counter
-deltas and the same final state.  The engine therefore tracks a *state
-token* -- ``("fresh", geometry)`` at construction, ``("flushed",
-geometry, branch-state)`` after a flush, an opaque object minted after
-each real replay, and ``None`` after any per-call ``read``/``branch``
-(which mutate state outside the replay path; ``instr`` only counts, so
-it keeps the token).  A plan memoizes, per entry token, the counter
-deltas plus copies of exactly the state the replay can touch: the
-cache sets of the plan's line superset, both TLB dicts, and the
-plan's branch sites.  A token hit applies the deltas and restores the
-copies instead of re-walking the loop; byte-identical by determinism,
-and enforced -- like everything else here -- by the differential suite.
+Plans are cached on the trace (``Trace._plan``), so replaying a trace
+again costs the hard-read loop plus a handful of scalar adds.  Per-call
+``read``/``instr``/``branch`` are the fast engine's closures -- direct
+(non-replay) execution *is* the documented FastEngine fallback
+(``docs/vectorized.md``).
 """
 
 from __future__ import annotations
@@ -76,11 +61,6 @@ _SCAN_MIN_EVENTS = 256
 _NEG = -(1 << 40)
 _POS = 1 << 40
 
-#: Memo entries kept per plan.  Each well-known token chain (fresh ->
-#: warmup -> measured, or flushed -> one row) contributes one entry per
-#: trace; the cap only guards against pathological churn.
-_MEMO_MAX = 16
-
 
 class _TracePlan:
     """One trace compiled for vector replay (pure function of the trace)."""
@@ -101,9 +81,6 @@ class _TracePlan:
         "read0_first",
         "last_cand",
         "last_page",
-        "touched_lines",
-        "setidx",
-        "memo",
     )
 
 
@@ -239,20 +216,6 @@ def _build_plan(trace) -> _TracePlan:
         p.read0_first = int(first[0])
         p.last_cand = int(cand[-1])
         p.last_page = int(page[-1])
-        # Superset of cache lines whose sets this replay can mutate:
-        # every line of every hard read plus each distinct page's PTE
-        # walk line (ultra/repeat reads are state-change-free by
-        # construction).  Geometry-free here; memoization derives the
-        # per-engine set indices from it (see `_store_memo`).
-        lines = set()
-        for f, l in zip(p.hard_first, p.hard_last):
-            if f == l:
-                lines.add(f)
-            else:
-                lines.update(range(f, l + 1))
-        for pg in set(p.hard_page):
-            lines.add((_WALK_BASE + pg * 8) >> 6)
-        p.touched_lines = lines
     else:
         p.n_ultra = 0
         p.hard_first = []
@@ -263,9 +226,6 @@ def _build_plan(trace) -> _TracePlan:
         p.read0_first = -1
         p.last_cand = -1
         p.last_page = -1
-        p.touched_lines = set()
-    p.setidx = {}
-    p.memo = {}
 
     sids = a[m_br]
     takens = b[m_br]
@@ -281,103 +241,17 @@ def _build_plan(trace) -> _TracePlan:
     return p
 
 
-def _apply_memo(ns: dict, entry) -> None:
-    """Re-apply a memoized replay: counter deltas + state-copy restore."""
-    (
-        delta, ul_f, mp_f, sets1, sets2, sets3,
-        tlb1_keys, tlb2_keys, bst_len, bst_vals, token_out,
-    ) = entry
-    (
-        l1_sets, _n1, l2_sets, _n2, l3_sets, _n3,
-        tlb1, _c1, tlb2, _c2, bst,
-    ) = ns["_structs"]()
-    hot = ns["_get_hot"]()
-    ns["_set_hot"](
-        tuple(h + d for h, d in zip(hot[:9], delta)) + (ul_f, mp_f)
-    )
-    for i, ways in sets1:
-        l1_sets[i] = ways[:]
-    for i, ways in sets2:
-        l2_sets[i] = ways[:]
-    for i, ways in sets3:
-        l3_sets[i] = ways[:]
-    tlb1.clear()
-    for k in tlb1_keys:
-        tlb1[k] = True
-    tlb2.clear()
-    for k in tlb2_keys:
-        tlb2[k] = True
-    if bst_len > len(bst):
-        bst.extend([-1] * (bst_len - len(bst)))
-    for sid, v in bst_vals:
-        bst[sid] = v
-    ns["_vtoken"] = token_out
-
-
-def _store_memo(ns: dict, plan: _TracePlan, tok, hot0) -> None:
-    """Record the just-finished replay's effect under entry token ``tok``.
-
-    The stored state is exactly what the replay may have touched: the
-    sets of ``plan.touched_lines`` (a proven superset), both TLB dicts
-    wholesale, and the plan's branch sites.  Token identity guarantees
-    everything else already matches at apply time.
-    """
-    if len(plan.memo) >= _MEMO_MAX:
-        ns["_vtoken"] = None
-        return
-    (
-        l1_sets, n1, l2_sets, n2, l3_sets, n3,
-        tlb1, _c1, tlb2, _c2, bst,
-    ) = ns["_structs"]()
-    idx = plan.setidx.get((n1, n2, n3))
-    if idx is None:
-        lines = plan.touched_lines
-        idx = (
-            list({ln % n1 for ln in lines}),
-            list({ln % n2 for ln in lines}),
-            list({ln % n3 for ln in lines}),
-        )
-        plan.setidx[(n1, n2, n3)] = idx
-    t1, t2, t3 = idx
-    hot = ns["_get_hot"]()
-    entry = (
-        tuple(h - h0 for h, h0 in zip(hot[:9], hot0)),
-        hot[9],
-        hot[10],
-        [(i, l1_sets[i][:]) for i in t1],
-        [(i, l2_sets[i][:]) for i in t2],
-        [(i, l3_sets[i][:]) for i in t3],
-        list(tlb1),
-        list(tlb2),
-        len(bst),
-        [(sid, bst[sid]) for sid, _m, _f in plan.site_tables],
-        object(),
-    )
-    plan.memo[tok] = entry
-    ns["_vtoken"] = entry[-1]
-
-
 def _vector_replay(ns: dict, trace) -> None:
     """Replay a compiled trace against a fast-engine namespace."""
     plan = trace._plan
     if plan is None:
         plan = _build_plan(trace)
         trace._plan = plan
-    tok = ns.get("_vtoken")
-    if tok is not None:
-        entry = plan.memo.get(tok)
-        if entry is not None:
-            _apply_memo(ns, entry)
-            return
-        # Unknown until the replay below completes; a mid-replay error
-        # must not leave a stale token describing pre-replay state.
-        ns["_vtoken"] = None
     (
         l1_sets, n1, l2_sets, n2, l3_sets, n3,
         tlb1, tlb1_cap, tlb2, tlb2_cap, bst,
     ) = ns["_structs"]()
-    hot0 = ns["_get_hot"]()
-    (ins, br, brm, rd, h1, h2, h3, ll, tm, ul, mp) = hot0
+    (ins, br, brm, rd, h1, h2, h3, ll, tm, ul, mp) = ns["_get_hot"]()
 
     # Order-independent aggregates (each read/branch charges one
     # instruction; repeats and recorder-proven repeat-like reads are pure
@@ -399,8 +273,6 @@ def _vector_replay(ns: dict, trace) -> None:
 
     if plan.n_read == 0:
         ns["_set_hot"]((ins, br, brm, rd, h1, h2, h3, ll, tm, ul, mp))
-        if tok is not None:
-            _store_memo(ns, plan, tok, hot0[:9])
         return
 
     hf = plan.hard_first
@@ -510,8 +382,6 @@ def _vector_replay(ns: dict, trace) -> None:
             (ins, br, brm, rd, h1, h2, h3, ll, tm,
              plan.last_cand, plan.last_page)
         )
-    if tok is not None:
-        _store_memo(ns, plan, tok, hot0[:9])
 
 
 class VectorEngine:
@@ -547,38 +417,11 @@ class VectorEngine:
         self.sites = sites if sites is not None else SiteInterner()
         ns = _build_fast_engine(l1, l2, l3, tlb_entries, self.sites)
         self._ns = ns
-        # Replay-memoization state token.  Any two engines with equal
-        # geometry start in identical state, so the fresh token is a
-        # value (tuple); tokens minted after real replays are identity
-        # objects reachable only by repeating the same replay chain.
-        geom = (l1, l2, l3, tlb_entries)
-        ns["_vtoken"] = ("fresh", geom)
-        raw_read = ns["read"]
-        raw_branch = ns["branch"]
-        raw_flush = ns["flush_caches"]
-        bst = ns["_structs"]()[10]
-
-        def read(addr, size=8):
-            # Per-call reads mutate state outside the replay path.
-            ns["_vtoken"] = None
-            raw_read(addr, size)
-
-        def branch(site, taken):
-            ns["_vtoken"] = None
-            raw_branch(site, taken)
-
-        def flush_caches():
-            # A flush resets caches/TLB/MRU but keeps predictor state,
-            # so the post-flush state is fully named by the branch
-            # table (counters are excluded: memo entries store deltas).
-            raw_flush()
-            ns["_vtoken"] = ("flushed", geom, tuple(bst))
-
-        self.read = read
+        self.read = ns["read"]
         self.instr = ns["instr"]
-        self.branch = branch
+        self.branch = ns["branch"]
         self.snapshot = ns["snapshot"]
-        self.flush_caches = flush_caches
+        self.flush_caches = ns["flush_caches"]
         self.n_branch_sites = ns["n_branch_sites"]
         self.replay = lambda trace, _ns=ns: _vector_replay(_ns, trace)
 

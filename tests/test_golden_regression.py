@@ -77,7 +77,13 @@ class TestGoldenCells:
             assert_matches_golden(measurement, record)
 
     def test_repeat_run_hits_replay_memo_and_matches(self):
-        """Back-to-back runs reuse cached batches/plans/memos exactly."""
+        """Back-to-back runs of one cell reproduce the golden record.
+
+        Each ``cell.run()`` builds a fresh index, synthesizes fresh
+        traces and replays them on a fresh engine, so the second run
+        shares no state with the first.  (The name predates the removal
+        of replay memoization, which this test never exercised.)
+        """
         record = GOLDEN[0]
         cell = cell_of(record)
         assert_matches_golden(cell.run(), record)

@@ -35,9 +35,15 @@ class TestBuildIndex:
         built = build_index(ds, "RMI", {"branching": 64})
         assert built.index.size_bytes() > 0
         assert len(built.data) == ds.n
-        # Data, payloads and index internals share the address space.
-        names = [name for name, _, _ in built.space.allocations]
-        assert "data" in names and "payloads" in names
+        # Data, payloads and index internals share the address space:
+        # allocated in that order, at distinct, increasing bases.
+        index = built.index
+        internals = [index._records, index._root_params]
+        bases = [a.base for a in [built.data, built.payloads] + internals]
+        assert bases == sorted(set(bases))
+        assert built.data.base + built.data.nbytes <= built.payloads.base
+        assert built.payloads.base + built.payloads.nbytes <= bases[2]
+        assert built.space._next >= bases[-1] + internals[-1].nbytes
 
     def test_32bit_dataset_gets_32bit_data_array(self):
         ds32 = make_dataset("amzn", 2_000, key_bits=32)
@@ -134,25 +140,44 @@ class TestMeasureSpans:
             "measure/synthesize",
             "measure",
         ]
-        # The repeat reuses the synthesized batch cached on `built`.
-        assert [r["path"] for r in repeat.records] == ["measure"]
+        # Nothing is cached on `built`: a repeat synthesizes again.
+        assert [r["path"] for r in repeat.records] == [
+            "measure/synthesize",
+            "measure",
+        ]
+
+
+@pytest.fixture
+def batched_calls(monkeypatch):
+    """Names of the indexes ``measure`` sent down the batched path."""
+    entered = []
+    real = harness._measure_batched
+
+    def spy(*args, **kwargs):
+        entered.append(args[0].index.name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_measure_batched", spy)
+    return entered
 
 
 class TestListMirrors:
     """Which traced arrays a grid cell turns into Python lists."""
 
-    def test_batched_cell_builds_no_mirror(self, ds, wl):
+    def test_batched_cell_builds_no_mirror(self, ds, wl, batched_calls):
         built = build_index(ds, "RMI", {"branching": 64})
         measure(built, wl, n_lookups=50, warmup=20)
-        assert built.batches  # the batched path ran
+        assert batched_calls == ["RMI"]
         assert not mirror_built(built.data)
         assert not mirror_built(built.payloads)
 
-    def test_scalar_cell_builds_only_the_data_mirror(self, ds, wl):
-        built = build_index(ds, "BTree", {"gap": 1})
+    def test_scalar_cell_builds_only_the_data_mirror(
+        self, ds, wl, batched_calls
+    ):
+        built = build_index(ds, "ART", {"gap": 1})
         assert not mirror_built(built.data)
         measure(built, wl, n_lookups=50, warmup=20)
-        assert built.batches is None  # the per-lookup loop ran
+        assert batched_calls == []  # the per-lookup loop ran
         assert mirror_built(built.data)
         assert not mirror_built(built.payloads)
 
@@ -168,23 +193,16 @@ class TestMeasureDispatch:
         "BTree": {"gap": 4},
         "ART": {"gap": 4},
     }
-    BATCHED = ("RMI", "PGM", "RS")
+    BATCHED = ("RMI", "PGM", "RS", "BTree")
 
     @pytest.mark.parametrize("index", CONFIGS)
     @pytest.mark.parametrize("warm", [True, False])
     def test_batched_exactly_where_kernels_apply(
-        self, ds, wl, monkeypatch, index, warm
+        self, ds, wl, batched_calls, index, warm
     ):
         config = self.CONFIGS[index]
         batched = index in self.BATCHED
-        entered = []
-        real = harness._measure_batched
-
-        def spy(*args, **kwargs):
-            entered.append(args[0].index.name)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "_measure_batched", spy)
+        entered = batched_calls
         kw = dict(n_lookups=120, warmup=60, warm=warm)
         product = measure(build_index(ds, index, config), wl, **kw)
         assert entered == ([index] if batched else [])

@@ -1,7 +1,8 @@
 """Batch-predict kernels == scalar lookups, element-wise.
 
 ``repro.learned.kernels`` vectorizes the model phase of RMI/PGM/RS
-lookups (and the last-mile binary search) over sorted key batches.  The
+lookups, the baselines' descents (BS, RBS, BTree, IBTree, FAST) and the
+last-mile binary search over sorted key batches.  The
 contract is *bit*-equality with the scalar path: same positions, same
 error bounds, and a synthesized per-key event stream whose replay is
 counter-identical to recording the scalar lookup -- for present keys,
@@ -32,8 +33,20 @@ _CONFIGS = [
     ("RMI", {"branching": 64, "stage1": "linear"}),
     ("PGM", {"epsilon": 4}),
     ("RS", {"radix_bits": 8, "epsilon": 4}),
+    ("BS", {}),
+    ("RBS", {"radix_bits": 6}),
+    ("RBS", {"radix_bits": 10}),
+    ("BTree", {"gap": 1}),
+    ("BTree", {"gap": 8}),
+    ("BTree", {"gap": 1, "fanout": 4}),
+    ("IBTree", {"gap": 1}),
+    ("IBTree", {"gap": 8}),
+    ("FAST", {"gap": 1}),
+    ("FAST", {"gap": 8}),
 ]
-_IDS = [f"{n}-{'-'.join(map(str, c.values()))}" for n, c in _CONFIGS]
+_IDS = [
+    f"{n}-{'-'.join(map(str, c.values()))}" if c else n for n, c in _CONFIGS
+]
 
 
 def _dataset(key_set, key_bits=64) -> Dataset:
@@ -124,6 +137,21 @@ def test_batch_equals_scalar_32bit(index_name, config):
     _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
 
 
+@pytest.mark.parametrize("index_name,config", _CONFIGS, ids=_IDS)
+def test_batch_equals_scalar_outlier_keys(index_name, config):
+    """A few huge outliers over dense small keys, as in ``face``: RBS's
+    prefixes collapse, so nearly every key shares prefix 0."""
+    keys = list(range(1_000, 41_000, 97)) + [
+        (1 << 64) - 1 - 3 * i for i in range(5)
+    ]
+    ds = _dataset(keys)
+    built = build_index(ds, index_name, config)
+    picks = [(i * 13, k) for i, k in enumerate(
+        ["present", "absent", "low", "high"] * 8
+    )]
+    _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
+
+
 def test_batch_bounds_alone_matches_lookup():
     ds = _dataset(range(0, 50_000, 7))
     built = build_index(ds, "PGM", {"epsilon": 16})
@@ -139,15 +167,16 @@ def test_batch_bounds_alone_matches_lookup():
 def test_supports_is_exact_class_match():
     ds = _dataset(range(0, 3_000, 3))
     assert kernels.supports(build_index(ds, "RMI", {"branching": 8}).index)
-    assert not kernels.supports(build_index(ds, "BTree", {}).index)
+    assert kernels.supports(build_index(ds, "BTree", {}).index)
+    assert not kernels.supports(build_index(ds, "ART", {}).index)
 
 
 def test_unsupported_index_and_search_raise():
     ds = _dataset(range(0, 3_000, 3))
-    btree = build_index(ds, "BTree", {})
+    art = build_index(ds, "ART", {})
     probes = np.array([3, 9], dtype=np.uint64)
     with pytest.raises(TypeError, match="no batch kernel"):
-        kernels.batch_bounds(btree.index, probes)
+        kernels.batch_bounds(art.index, probes)
     rmi = build_index(ds, "RMI", {"branching": 8})
     with pytest.raises(ValueError, match="no batched synthesis"):
         kernels.batch_lookups(

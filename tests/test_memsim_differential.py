@@ -10,8 +10,8 @@ a subtle state divergence would hide.
 
 The same property is asserted for record-replay: replaying a recorded
 stream must equal executing it directly, on every engine that replays
--- including repeat replays of the *same* trace objects, which exercise
-the vector engine's compiled plans and replay memoization.
+-- including repeat replays of the *same* trace objects, which reuse
+the vector engine's compiled plans.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def test_replay_equals_direct_execution(events):
         t = _tracer(name, sites)
         t.replay(trace)
         assert t.snapshot() == expected, name
-        # A second fresh engine replaying the same trace object takes
-        # the vector engine's memoized path; still byte-identical.
+        # A second fresh engine replaying the same trace object reuses
+        # the vector engine's compiled plan; still byte-identical.
         t2 = _tracer(name, sites)
         t2.replay(trace)
         assert t2.snapshot() == expected, name
@@ -202,15 +202,15 @@ def test_replay_composes_with_live_events(events, events2):
     results = []
     for name in _REPLAY_NAMES:
         t = _tracer(name, sites)
-        t.replay(trace)  # from pristine state (vector: memoizable)
+        t.replay(trace)  # from pristine state
         snaps = [t.snapshot()]
-        t.replay(trace2)  # chained replay (vector: token chain)
+        t.replay(trace2)  # chained replay
         snaps.append(t.snapshot())
-        _apply(t, stream)  # live events invalidate any memo token...
+        _apply(t, stream)  # live events between replays...
         t.replay(trace)  # ...so this replays against warmed state
         snaps.append(t.snapshot())
         t.flush_caches()
-        t.replay(trace)  # and again from cold (vector: flushed token)
+        t.replay(trace)  # and again from cold, twice
         t.flush_caches()
         t.replay(trace)
         snaps.append(t.snapshot())
