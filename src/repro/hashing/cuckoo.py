@@ -61,7 +61,7 @@ class CuckooMapIndex(SortedDataIndex):
         rng = np.random.default_rng(7)
         while not self._try_build(data.as_list(), n_buckets, rng):
             n_buckets = int(n_buckets * 1.05) + 1
-        self._base = space.alloc(self._n_buckets * _BUCKET_BYTES, name="cuckoo")
+        self._base = space.alloc(self._n_buckets * _BUCKET_BYTES)
         self._register_bytes(self._n_buckets * _BUCKET_BYTES)
 
     def _try_build(self, keys, n_buckets: int, rng) -> bool:

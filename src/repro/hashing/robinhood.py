@@ -83,7 +83,7 @@ class RobinHashIndex(SortedDataIndex):
                 slot = (slot + 1) & mask
                 dist += 1
 
-        self._base = space.alloc(capacity * _SLOT_BYTES, name="robinhash.slots")
+        self._base = space.alloc(capacity * _SLOT_BYTES)
         self._register_bytes(capacity * _SLOT_BYTES)
 
     def lookup(self, key: int, tracer: Tracer = NULL_TRACER) -> SearchBound:

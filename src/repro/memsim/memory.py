@@ -21,44 +21,45 @@ class AddressSpace:
 
     def __init__(self, base: int = 1 << 20):
         self._next = base
-        self.allocations: List[tuple] = []  # (name, base, nbytes)
+        self._total = 0  # bytes reserved, alignment padding excluded
 
-    def alloc(self, nbytes: int, name: str = "anon", align: int = _ALIGN) -> int:
+    def alloc(self, nbytes: int, align: int = _ALIGN) -> int:
         """Reserve ``nbytes`` (aligned) and return the base address."""
         if nbytes < 0:
             raise ValueError("nbytes must be non-negative")
         base = -(-self._next // align) * align
         self._next = base + nbytes
-        self.allocations.append((name, base, nbytes))
+        self._total += nbytes
         return base
 
-    def alloc_many(self, sizes: Sequence[int], names: Sequence[str]) -> List[int]:
+    def alloc_many(self, sizes: Sequence[int]) -> List[int]:
         """Reserve one block per entry of ``sizes``, in order.
 
-        Equivalent to ``[alloc(s, n) for s, n in zip(sizes, names)]`` --
-        same bases, same :attr:`allocations` log, same next address -- but
-        done in one vectorized bump: every base after the first is
-        aligned, so each next base is the previous one plus its size
-        rounded up to the alignment.  Nothing is reserved if any size is
-        negative.
+        Equivalent to ``[alloc(s) for s in sizes]`` -- same bases, same
+        next address, same total -- but done in one vectorized bump:
+        every base after the first is aligned, so each next base is the
+        previous one plus its size rounded up to the alignment.  Nothing
+        is reserved if any size is negative or ``sizes`` is not flat.
         """
-        if len(sizes) != len(names):
-            raise ValueError("sizes and names differ in length")
-        if not len(sizes):
-            return []
         steps = np.asarray(sizes, dtype=np.int64)
+        if steps.ndim != 1:
+            raise ValueError("sizes must be one-dimensional")
+        if not len(steps):
+            return []
         if steps.min() < 0:
             raise ValueError("nbytes must be non-negative")
-        nbytes = steps.tolist()
+        last = int(steps[-1])
+        total = int(steps.sum())
         steps = -(-steps // _ALIGN) * _ALIGN
         first = -(-self._next // _ALIGN) * _ALIGN
         bases = list(accumulate(steps[:-1].tolist(), initial=first))
-        self._next = bases[-1] + nbytes[-1]
-        self.allocations.extend(zip(names, bases, nbytes))
+        self._next = bases[-1] + last
+        self._total += total
         return bases
 
     def total_allocated(self) -> int:
-        return sum(nbytes for _, _, nbytes in self.allocations)
+        """Bytes reserved so far (alignment padding excluded)."""
+        return self._total
 
 
 class TracedArray:
@@ -100,8 +101,7 @@ class TracedArray:
         dtype: Optional[np.dtype] = None,
     ) -> "TracedArray":
         arr = np.asarray(values, dtype=dtype)
-        base = space.alloc(arr.nbytes, name=name)
-        return cls(arr, base, name=name)
+        return cls(arr, space.alloc(arr.nbytes), name=name)
 
     def __len__(self) -> int:
         return len(self.values)

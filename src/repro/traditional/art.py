@@ -193,13 +193,10 @@ class ARTIndex(SampledIndex):
         m = len(caps)
         node_pos = np.asarray(leaves_before, dtype=np.int64) + np.arange(m)
         sizes = np.full(n + m, _LEAF_BYTES, dtype=np.int64)
-        names = np.full(n + m, "art.leaf", dtype=object)
         cap_arr = np.asarray(caps)
         for cap, size in _KINDS:
-            of_kind = node_pos[cap_arr == cap]
-            sizes[of_kind] = size
-            names[of_kind] = f"art.node{cap}"
-        bases = np.asarray(space.alloc_many(sizes, names))
+            sizes[node_pos[cap_arr == cap]] = size
+        bases = np.asarray(space.alloc_many(sizes))
         self._register_bytes(int(sizes.sum()))
         is_leaf = np.ones(n + m, dtype=bool)
         is_leaf[node_pos] = False

@@ -129,13 +129,13 @@ class FSTIndex(SampledIndex):
         n_words = -(-n_edges // 64)
         n_leaves = len(values)
         self._addr = {
-            "labels": space.alloc(n_edges, name="fst.labels"),
-            "hc_bits": space.alloc(n_words * 8, name="fst.has_child"),
-            "louds_bits": space.alloc(n_words * 8, name="fst.louds"),
-            "hc_rank": space.alloc(n_words * 4, name="fst.has_child.rank"),
-            "louds_sel": space.alloc(n_words * 4, name="fst.louds.select"),
-            "values": space.alloc(n_leaves * 4, name="fst.values"),
-            "leaf_keys": space.alloc(n_leaves * self._width, name="fst.leaf_keys"),
+            "labels": space.alloc(n_edges),
+            "hc_bits": space.alloc(n_words * 8),
+            "louds_bits": space.alloc(n_words * 8),
+            "hc_rank": space.alloc(n_words * 4),
+            "louds_sel": space.alloc(n_words * 4),
+            "values": space.alloc(n_leaves * 4),
+            "leaf_keys": space.alloc(n_leaves * self._width),
         }
         self._register_bytes(
             n_edges + 2 * n_words * 8 + 2 * n_words * 4 + n_leaves * (4 + self._width)

@@ -79,9 +79,7 @@ class WormholeIndex(SampledIndex):
 
         # Simulated open-addressed table at load factor ~0.75.
         self._n_buckets = max(int(len(self._map) / 0.75), 4)
-        self._hash_base = space.alloc(
-            self._n_buckets * _ENTRY_BYTES, name="wormhole.hash"
-        )
+        self._hash_base = space.alloc(self._n_buckets * _ENTRY_BYTES)
         self._register_bytes(self._n_buckets * _ENTRY_BYTES)
 
     # -- lookup ------------------------------------------------------------

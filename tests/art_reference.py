@@ -60,7 +60,7 @@ class RecursiveART(ARTIndex):
             node.is_leaf = True
             node.leaf_idx = lo
             node.leaf_key = keys[lo]
-            node.addr = space.alloc(_LEAF_BYTES, name="art.leaf")
+            node.addr = space.alloc(_LEAF_BYTES)
             self._register_bytes(_LEAF_BYTES)
             return node
 
@@ -85,7 +85,7 @@ class RecursiveART(ARTIndex):
 
         cap, size = _kind_for(len(node.children))
         node.kind_cap = cap
-        node.addr = space.alloc(size, name=f"art.node{cap}")
+        node.addr = space.alloc(size)
         self._register_bytes(size)
         return node
 

@@ -2,9 +2,10 @@
 
 ``art_reference.RecursiveART`` is the original builder: one ``np.unique``
 split and one node object per trie node.  For random key sets the flat
-builder must give the same trie (node by node), the same address-space
-log, the same size, and the same tracer event stream for every lookup.
-``AddressSpace.alloc_many`` must equal the ``alloc`` calls it replaces.
+builder must give the same trie (node by node, each at the same
+address), the same next free address, the same size, and the same
+tracer event stream for every lookup.  ``AddressSpace.alloc_many`` must
+equal the ``alloc`` calls it replaces.
 """
 
 from __future__ import annotations
@@ -85,8 +86,8 @@ class TestFlatMatchesRecursive:
         keys = np.array(sorted(keys), dtype=np.uint32 if bits == 32 else np.uint64)
         (ref, ref_space), (flat, flat_space) = build_both(keys, gap, sampling, base)
 
+        # The walks carry every node's and leaf's address.
         assert list(flat_walk(flat)) == list(ref.walk())
-        assert flat_space.allocations == ref_space.allocations
         assert flat_space._next == ref_space._next
         assert flat.size_bytes() == ref.size_bytes()
         assert flat._extra_bytes == ref._extra_bytes
@@ -101,8 +102,11 @@ class TestFlatMatchesRecursive:
         keys = np.array([42], dtype=np.uint64)
         (ref, ref_space), (flat, flat_space) = build_both(keys, 1, "uniform", 1 << 20)
         assert flat._root == ~0
-        assert flat_space.allocations == ref_space.allocations
-        assert flat_space.allocations[1:] == [("art.leaf", (1 << 20) + 64, 16)]
+        # The data array sits at the base; the one 16-byte leaf follows.
+        assert list(flat_walk(flat)) == list(ref.walk())
+        assert list(flat_walk(flat)) == [((1 << 20) + 64, "leaf", b"", b"", 0)]
+        assert flat_space._next == ref_space._next == (1 << 20) + 64 + 16
+        assert flat.size_bytes() == ref.size_bytes()
         for key in (0, 41, 42, 43, 2**64):
             assert events(flat, key) == events(ref, key)
 
@@ -113,7 +117,8 @@ class TestFlatMatchesRecursive:
                     ds.keys, gap, "uniform", 1 << 20
                 )
                 assert list(flat_walk(flat)) == list(ref.walk()), name
-                assert flat_space.allocations == ref_space.allocations, name
+                assert flat_space._next == ref_space._next, name
+                assert flat.size_bytes() == ref.size_bytes(), name
                 for key in ds.keys[::97].tolist():
                     assert events(flat, key) == events(ref, key), name
 
@@ -126,30 +131,34 @@ class TestAllocMany:
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_sequential_alloc(self, start, sizes, prior):
-        names = [f"block{i % 3}" for i in range(len(sizes))]
         one_by_one, batched = AddressSpace(start), AddressSpace(start)
         for space in (one_by_one, batched):
             for k in range(prior):
-                space.alloc(7 * k + 3, name="prior")
-        expected = [one_by_one.alloc(s, n) for s, n in zip(sizes, names)]
-        assert batched.alloc_many(sizes, names) == expected
-        assert batched.allocations == one_by_one.allocations
+                space.alloc(7 * k + 3)
+        expected = [one_by_one.alloc(s) for s in sizes]
+        assert batched.alloc_many(sizes) == expected
         assert batched._next == one_by_one._next
         assert batched.total_allocated() == one_by_one.total_allocated()
 
     def test_accepts_numpy_sizes(self):
         space = AddressSpace(0)
-        bases = space.alloc_many(np.array([16, 56, 16]), ["a", "b", "c"])
+        bases = space.alloc_many(np.array([16, 56, 16]))
         assert bases == [0, 64, 128]
-        assert all(type(b) is int for _, b, n in space.allocations)
-        assert all(type(n) is int for _, b, n in space.allocations)
+        assert all(type(b) is int for b in bases)
+        assert type(space._next) is int and space._next == 144
+        assert type(space.total_allocated()) is int
+        assert space.total_allocated() == 88
 
     def test_negative_size_reserves_nothing(self):
         space = AddressSpace(0)
         with pytest.raises(ValueError):
-            space.alloc_many([8, -1], ["a", "b"])
-        assert space.allocations == [] and space._next == 0
+            space.alloc_many([8, -1])
+        assert space._next == 0 and space.total_allocated() == 0
 
     def test_length_mismatch_rejected(self):
+        """Sizes must be one flat sequence (one block per entry); a
+        nested one, e.g. (size, name)-style rows, reserves nothing."""
+        space = AddressSpace(0)
         with pytest.raises(ValueError):
-            AddressSpace().alloc_many([8], [])
+            space.alloc_many([[8, 16], [24, 32]])
+        assert space._next == 0 and space.total_allocated() == 0

@@ -20,7 +20,7 @@ class TestAddressSpace:
 
     def test_no_overlap(self):
         s = AddressSpace()
-        regions = [(s.alloc(100, name=f"r{i}"), 100) for i in range(20)]
+        regions = [(s.alloc(100), 100) for i in range(20)]
         for i, (base, size) in enumerate(regions):
             for other_base, other_size in regions[i + 1 :]:
                 assert base + size <= other_base or other_base + other_size <= base
