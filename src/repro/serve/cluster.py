@@ -659,7 +659,7 @@ class _ClusterSim:
                 self.on_finish(payload, now)
             else:
                 handlers[kind](payload, now)
-        return ClusterResult(
+        result = ClusterResult(
             records=self.records,
             n_shards=self.cluster.n_shards,
             n_replicas=self.cluster.n_replicas,
@@ -704,6 +704,23 @@ class _ClusterSim:
                 else None
             ),
         )
+        self._release()
+        return result
+
+    def _release(self) -> None:
+        """Break the run's reference cycles once it is over.
+
+        Each replica loop's completion hook refers back to its replica
+        and to this simulator, and the reconfig runtime refers back to
+        the simulator, which holds every record.  Dropping those links
+        lets reference counting free a finished run, so none of it
+        waits for the cyclic collector.
+        """
+        for row in self.replicas:
+            for rep in row:
+                rep.loop.on_finish = None
+        if self.reconfig is not None:
+            self.reconfig.sim = None
 
 
 def simulate_cluster(

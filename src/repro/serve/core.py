@@ -230,7 +230,6 @@ class _EventLoop:
         self.service = service
         self.cores = [_Core(cid) for cid in range(n_cores)]
         self.events = events if events is not None else SealedEventQueue()
-        self.done: List[Request] = []
         self.steals = 0
         self.makespan = 0.0
         self.max_queue_depth = 0
@@ -299,7 +298,6 @@ class _EventLoop:
         core.current = None
         self.busy -= 1
         self.depth -= 1
-        self.done.append(req)
         if now > self.makespan:
             self.makespan = now
         if self.depth != self.busy:  # some request is still queued
@@ -331,11 +329,13 @@ class _EventLoop:
         self.busy = 0
         return lost
 
-    def result(self) -> ServingResult:
-        self.done.sort(key=lambda r: r.rid)
+    def result(self, requests: List[Request]) -> ServingResult:
+        """The run's result; ``requests`` are every request the run
+        issued, in ``rid`` order.  A single-node run drops none, so all
+        of them have finished."""
         tel = self.telemetry
         return ServingResult(
-            requests=self.done,
+            requests=requests,
             n_cores=len(self.cores),
             makespan_ns=self.makespan,
             total_steals=self.steals,
@@ -360,14 +360,17 @@ def simulate_open_loop(
     if telemetry is not None:
         loop.telemetry = TelemetryCollector(telemetry)
     events = loop.events
+    requests = []
     for rid, t in enumerate(arrivals_ns):
-        events.push(float(t), _ARRIVAL, Request(rid=rid, arrival_ns=float(t)))
+        req = Request(rid=rid, arrival_ns=float(t))
+        requests.append(req)
+        events.push(req.arrival_ns, _ARRIVAL, req)
     for now, kind, _, payload in iter(events.pop, None):
         if kind == _ARRIVAL:
             loop.dispatch(payload, now)
         else:
             loop.finish(payload[1], payload[2], now)
-    return loop.result()
+    return loop.result(requests)
 
 
 def simulate_closed_loop(
@@ -396,18 +399,17 @@ def simulate_closed_loop(
         for c in range(n_clients)
     }
     issued = {c: 0 for c in range(n_clients)}
-    rid = 0
+    requests: List[Request] = []
     remaining = n_requests
 
     def issue(client: int, at: float) -> None:
-        nonlocal rid, remaining
+        nonlocal remaining
         if remaining <= 0:
             return
         remaining -= 1
-        loop.events.push(
-            at, _ARRIVAL, Request(rid=rid, arrival_ns=at, client=client)
-        )
-        rid += 1
+        req = Request(rid=len(requests), arrival_ns=at, client=client)
+        requests.append(req)
+        loop.events.push(at, _ARRIVAL, req)
 
     for c in range(min(n_clients, n_requests)):
         issue(c, 0.0)
@@ -422,4 +424,4 @@ def simulate_closed_loop(
             issued[client] = i + 1
             think = thinks[client][i % len(thinks[client])]
             issue(client, now + think)
-    return loop.result()
+    return loop.result(requests)

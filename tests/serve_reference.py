@@ -156,7 +156,6 @@ class ScanEventLoop(_EventLoop):
     def finish(self, core_id: int, req, now: float) -> None:
         target = self.cores[core_id]
         target.current = None
-        self.done.append(req)
         self.makespan = max(self.makespan, now)
         self.start_next(target, now)
         if self.telemetry is not None:
