@@ -485,9 +485,10 @@ def _ibtree_bounds(index: IBTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
             down = active & bwd & ~le
             pos = pos + up - down
             active = (up & (pos + 1 < hi)) | (down & (pos > lo))
-        # The backward scan's closing check reads untraced.
-        miss = bwd & ~(vals[np.maximum(pos, 0)] <= keys)
-        return np.where(miss, lo - 1, pos)
+        # The scalar backward scan closes with an untraced check that
+        # `level[pos] <= key`; it always holds here, since the scan
+        # stops at such a key or at `lo`, whose key `first` is <= key.
+        return pos
 
     return _sampled_bounds(
         index, _tree_descend(index, keys, sink, node_pred, _DESCEND_INSTR)
