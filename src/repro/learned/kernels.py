@@ -36,7 +36,7 @@ per-key stream equals the scalar stream exactly.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,17 +48,13 @@ from repro.learned.rmi import RMIIndex, _REC as _RMI_REC
 from repro.learned.rmi import _BOUND_INSTR, _ROUTE_INSTR
 from repro.memsim.engine import SiteInterner
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace
-from repro.traditional.base import SampledIndex
-from repro.traditional.binary_search import BinarySearchIndex
-from repro.traditional.btree import BTreeIndex, IBTreeIndex
-from repro.traditional.btree import (
-    _DESCEND_INSTR,
-    _INTERP_PROBE_INSTR,
-    _NODE_SEARCH_STEP_INSTR,
-)
-from repro.traditional.fast import FASTIndex
-from repro.traditional.radix_binary_search import RadixBinarySearchIndex
-from repro.traditional.radix_binary_search import _LOOKUP_INSTR
+
+if TYPE_CHECKING:  # imported where used; see _kernel_table
+    from repro.traditional.base import SampledIndex
+    from repro.traditional.binary_search import BinarySearchIndex
+    from repro.traditional.btree import BTreeIndex, IBTreeIndex
+    from repro.traditional.fast import FASTIndex
+    from repro.traditional.radix_binary_search import RadixBinarySearchIndex
 
 #: Last-mile searches the batched path can synthesize.
 BATCH_SEARCHES = ("binary",)
@@ -348,6 +344,8 @@ def _bs_bounds(index: BinarySearchIndex, keys: np.ndarray, sink, sites) -> Tuple
 def _rbs_bounds(
     index: RadixBinarySearchIndex, keys: np.ndarray, sink, sites
 ) -> Tuple:
+    from repro.traditional.radix_binary_search import _LOOKUP_INSTR
+
     lo, hi = _prefix_step(
         sink, keys, index._table, index._shift, index.radix_bits, _LOOKUP_INSTR
     )
@@ -392,6 +390,8 @@ def _tree_descend(index, keys: np.ndarray, sink, node_pred, descend_instr):
 
 
 def _btree_bounds(index: BTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    from repro.traditional.btree import _DESCEND_INSTR, _NODE_SEARCH_STEP_INSTR
+
     site = sites.intern("btree.node")
 
     def node_pred(level, lo, hi, mask):
@@ -428,6 +428,8 @@ def _fast_bounds(index: FASTIndex, keys: np.ndarray, sink, sites) -> Tuple:
 
 
 def _ibtree_bounds(index: IBTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    from repro.traditional.btree import _DESCEND_INSTR, _INTERP_PROBE_INSTR
+
     s_low = sites.intern("ibtree.low")
     s_high = sites.intern("ibtree.high")
     s_scan = sites.intern("ibtree.scan")
@@ -495,21 +497,34 @@ def _ibtree_bounds(index: IBTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
     )
 
 
-_KERNELS = {
-    RMIIndex: _rmi_bounds,
-    PGMIndex: _pgm_bounds,
-    RadixSplineIndex: _rs_bounds,
-    BinarySearchIndex: _bs_bounds,
-    RadixBinarySearchIndex: _rbs_bounds,
-    BTreeIndex: _btree_bounds,
-    IBTreeIndex: _ibtree_bounds,
-    FASTIndex: _fast_bounds,
-}
+def _kernel_table() -> dict:
+    """Index class -> kernel.
+
+    The baseline classes are imported here, not at module level: the
+    harness imports this module at start-up, and importing them there
+    would load every traditional index before the first build does.  A
+    caller that holds a baseline index has imported them already.
+    """
+    from repro.traditional.binary_search import BinarySearchIndex
+    from repro.traditional.btree import BTreeIndex, IBTreeIndex
+    from repro.traditional.fast import FASTIndex
+    from repro.traditional.radix_binary_search import RadixBinarySearchIndex
+
+    return {
+        RMIIndex: _rmi_bounds,
+        PGMIndex: _pgm_bounds,
+        RadixSplineIndex: _rs_bounds,
+        BinarySearchIndex: _bs_bounds,
+        RadixBinarySearchIndex: _rbs_bounds,
+        BTreeIndex: _btree_bounds,
+        IBTreeIndex: _ibtree_bounds,
+        FASTIndex: _fast_bounds,
+    }
 
 
 def supports(index) -> bool:
     """Whether a batch kernel exists for this index (exact class match)."""
-    return type(index) in _KERNELS
+    return type(index) in _kernel_table()
 
 
 def batch_bounds(
@@ -528,7 +543,7 @@ def batch_bounds(
     if sites is None:
         sites = SiteInterner()
     try:
-        kernel = _KERNELS[type(index)]
+        kernel = _kernel_table()[type(index)]
     except KeyError:
         raise TypeError(f"no batch kernel for {type(index).__name__}") from None
     return kernel(index, keys, sink, sites)
