@@ -1,15 +1,16 @@
-"""Vector engine companion: batched replay + model kernels, wall clock.
+"""Batched measure path: trace-plan replay + model kernels, wall clock.
 
-Distils the vector tentpole's speedups into ``BENCH_vector.json`` so CI
+Distils the batched path's speedups into ``BENCH_vector.json`` so CI
 can track the perf trajectory:
 
 * ``cell_*`` — the representative fig7 measurement cell (RMI/amzn,
   1000 lookups + 500 warmup), timed as a product cell pays for it: one
   ``measure`` of a freshly built index (the build is outside the
-  timer).  The per-lookup loop on a fast engine passed to ``measure``,
-  and ``measure``'s own choice for this cell, the batched path on the
-  vector engine (kernel-synthesized streams + compiled plans).
-  ``cell_vector_speedup`` is the headline batched-vs-fast number.
+  timer).  The per-lookup loop (``measure`` passed a ``FastEngine``,
+  keys ``cell_fast_*``), and ``measure``'s own choice for this cell,
+  the batched path (kernel-synthesized streams replayed from compiled
+  plans on the same engine, keys ``cell_vector_*``).
+  ``cell_vector_speedup`` is the headline batched-vs-loop number.
 * ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM and RS
   ``batch_bounds`` over a large sorted probe batch versus the scalar
   ``index.lookup`` loop on the same keys.

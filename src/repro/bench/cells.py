@@ -11,6 +11,7 @@ simulated CPU makes the resulting counters exact, not statistical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -19,6 +20,21 @@ from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
 from repro.obs.phase import profiling_enabled
 from repro.records import to_dict
+
+
+@functools.lru_cache(maxsize=None)
+def cell_inputs(
+    dataset: str, n_keys: int, seed: int, key_bits: int, lookups: int
+) -> Tuple[Dataset, Workload]:
+    """The dataset and present-key workload a grid cell measures against.
+
+    ``lookups`` is the cell's warmup plus measured lookup count; the
+    workload is seeded at ``seed + 1``.  The arguments are every input
+    that shapes the pair, so they key the memo: all cells over one
+    dataset share one workload.  ``common.clear_caches`` empties it.
+    """
+    ds = make_dataset(dataset, n_keys, seed=seed, key_bits=key_bits)
+    return ds, make_workload(ds, max(lookups, 1), seed=seed + 1)
 
 
 def freeze_config(config: dict) -> Tuple[Tuple[str, object], ...]:
@@ -120,17 +136,11 @@ class MeasureCell:
         return Measurement.from_dict(record)
 
     def materialize(self) -> Tuple[Dataset, Workload]:
-        """Rebuild the dataset + workload this cell measures against.
-
-        Mirrors ``common.dataset_and_workload`` exactly: the workload
-        covers warmup plus measured lookups and is seeded at ``seed + 1``.
-        """
-        ds = make_dataset(
-            self.dataset, self.n_keys, seed=self.seed, key_bits=self.key_bits
+        """The dataset + workload this cell measures against."""
+        return cell_inputs(
+            self.dataset, self.n_keys, self.seed, self.key_bits,
+            self.n_lookups + self.warmup,
         )
-        lookups = max(self.n_lookups + self.warmup, 1)
-        wl = make_workload(ds, lookups, seed=self.seed + 1)
-        return ds, wl
 
     def run(
         self,

@@ -15,18 +15,17 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.cache import MeasurementCache
-from repro.bench.cells import MeasureCell
+from repro.bench.cells import MeasureCell, cell_inputs
 from repro.bench.config import BenchSettings, sweep_configs
 from repro.bench.harness import Measurement
 from repro.core.registry import get_index_class
 from repro.datasets.loader import Dataset, make_dataset
-from repro.datasets.workload import Workload, make_workload
+from repro.datasets.workload import Workload
 
 #: The index set of the paper's Figure 7.
 FIG7_INDEXES = ["RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST"]
 
 _MEASUREMENTS: Dict[MeasureCell, Measurement] = {}
-_WORKLOADS: Dict[Tuple, Workload] = {}
 
 #: Process-wide persistent cache handle (None = memo only): measurement
 #: cells and the serving experiments' simulation tasks share it.
@@ -46,13 +45,11 @@ def get_active_cache() -> Optional[MeasurementCache]:
 def dataset_and_workload(
     name: str, settings: BenchSettings, key_bits: int = 64
 ) -> Tuple[Dataset, Workload]:
-    """Dataset + present-key workload, both memoized per process."""
-    ds = make_dataset(name, settings.n_keys, seed=settings.seed, key_bits=key_bits)
-    wl_key = (name, ds.n, settings.seed, key_bits, settings.n_lookups)
-    if wl_key not in _WORKLOADS:
-        lookups = max(settings.n_lookups + settings.warmup, 1)
-        _WORKLOADS[wl_key] = make_workload(ds, lookups, seed=settings.seed + 1)
-    return ds, _WORKLOADS[wl_key]
+    """Dataset + present-key workload, the pair a grid cell rebuilds."""
+    return cell_inputs(
+        name, settings.n_keys, settings.seed, key_bits,
+        settings.n_lookups + settings.warmup,
+    )
 
 
 def resolve_cell(
@@ -176,7 +173,7 @@ def closest_to_size(
 def clear_caches() -> None:
     """Reset memoized measurements and simulations (mainly for tests)."""
     _MEASUREMENTS.clear()
-    _WORKLOADS.clear()
+    cell_inputs.cache_clear()
     # Imported here: repro.serve.sweep is independent of this module and
     # only needed when serving experiments have run.
     from repro.serve.sweep import clear_sim_results

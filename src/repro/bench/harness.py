@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
 from repro.memsim.counters import PerfCounters, PerfCountersF
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import PerfTracer
-from repro.memsim.vector import VectorEngine
 from repro.obs import spans as obs_spans
 from repro.obs.phase import PhaseTracer, phase_window, profiling_enabled
 from repro.records import OMIT_DEFAULT, Record
@@ -140,13 +139,14 @@ def measure(
     and TLB are flushed before every measured lookup (the branch predictor
     stays warm, matching the paper's method of flushing only the cache).
 
-    The execution path follows from the inputs alone.  Indexes the
-    lookup kernels support (``kernels.supports``) take the batched path
-    unless profiling or a non-batch search rules it out; everything
-    else runs the per-lookup loop on a fast engine.  Both paths produce
-    the same counters, byte for byte.  ``engine`` is the test oracle
-    hook: an engine class (e.g. ``ReferenceEngine``) that runs the
-    per-lookup loop instead.
+    The execution path follows from the inputs alone; both run on one
+    fast engine and produce the same counters, byte for byte.  Indexes
+    the lookup kernels support (``kernels.supports``) take the batched
+    path unless profiling or a non-batch search rules it out: the
+    engine replays kernel-synthesized event streams.  Everything else
+    runs the per-lookup loop, which sends the engine one call per
+    event.  ``engine`` is the test oracle hook: an engine class (e.g.
+    ``ReferenceEngine``) that runs the per-lookup loop instead.
 
     ``profile`` (None -> ambient ``REPRO_OBS_PROFILE``, the CLI's
     ``--profile``) attributes counters to lookup phases via a
@@ -168,24 +168,13 @@ def measure(
     point_only = index.point_only
     if profile is None:
         profile = profiling_enabled()
-
-    if (
+    batched = (
         engine is None
         and not profile
         and n_work > 0
         and search in kernels.BATCH_SEARCHES
         and kernels.supports(index)
-    ):
-        # Batched path: one kernel call synthesizes every distinct
-        # lookup's event stream, then the vector engine replays the
-        # warmup and measured windows wholesale.  Counter-identical to
-        # the loop below (same event stream at both snapshot points);
-        # unsupported indexes/searches and profiling fall back to the
-        # per-lookup loop.
-        return _measure_batched(
-            built, workload, n_lookups, warmup, warm, search,
-            cost_model, verify,
-        )
+    )
 
     tracer = PerfTracer(engine=engine() if engine is not None else None)
     if profile:
@@ -206,12 +195,8 @@ def measure(
             payloads.touch(pos, tracer)
         if check:
             truth = truths[i % n_work]
-            ok = pos == truth or (point_only and truth >= n)
-            if not ok:
-                raise LookupError_(
-                    f"{index.name}: key {key} -> position {pos}, "
-                    f"expected {truth} (bound [{bound.lo}, {bound.hi}))"
-                )
+            if not (pos == truth or (point_only and truth >= n)):
+                raise _lookup_error(index, key, pos, truth, bound.lo, bound.hi)
         return math.log2(len(bound)) if len(bound) > 0 else 0.0
 
     measure_span = obs_spans.span(
@@ -225,23 +210,28 @@ def measure(
         profile=profile,
     )
     with measure_span:
-        for i in range(min(warmup, max(n_work, 1))):
-            one_lookup(i, False)
-
-        base = tracer.snapshot()
-        # Checkpoint immediately after the base snapshot (no events can
-        # interleave), so per-phase window deltas telescope to exactly
-        # `snapshot() - base`.
-        phase_base = tracer.checkpoint() if profile else None
-        log2_sum = 0.0
-        for i in range(n_lookups):
-            if not warm:
-                tracer.flush_caches()
-            log2_sum += one_lookup(warmup + i, verify)
+        if batched:
+            base, log2_sum = _measure_batched(
+                built, workload, n_lookups, warmup, warm, search, verify,
+                tracer,
+            )
+        else:
+            for i in range(min(warmup, max(n_work, 1))):
+                one_lookup(i, False)
+            base = tracer.snapshot()
+            # Checkpoint immediately after the base snapshot (no events
+            # can interleave), so per-phase window deltas telescope to
+            # exactly `snapshot() - base`.
+            phase_base = tracer.checkpoint() if profile else None
+            log2_sum = 0.0
+            for i in range(n_lookups):
+                if not warm:
+                    tracer.flush_caches()
+                log2_sum += one_lookup(warmup + i, verify)
+        counters = (tracer.snapshot() - base).per_lookup(n_lookups)
         phases = (
             phase_window(tracer.checkpoint(), phase_base) if profile else None
         )
-        counters = (tracer.snapshot() - base).per_lookup(n_lookups)
 
     return Measurement(
         index=index.name,
@@ -262,6 +252,13 @@ def measure(
     )
 
 
+def _lookup_error(index, key, pos, truth, lo, hi) -> LookupError_:
+    return LookupError_(
+        f"{index.name}: key {key} -> position {pos}, "
+        f"expected {truth} (bound [{lo}, {hi}))"
+    )
+
+
 def _measure_batched(
     built: BuiltIndex,
     workload: Workload,
@@ -269,89 +266,58 @@ def _measure_batched(
     warmup: int,
     warm: bool,
     search: str,
-    cost_model: CostModel,
     verify: bool,
-) -> Measurement:
-    """Vectorized measure: kernel-synthesized streams + batch replay.
+    tracer: PerfTracer,
+) -> Tuple[PerfCounters, float]:
+    """The batched path's body: synthesis, verification and replay.
 
-    Produces the same :class:`Measurement` as the scalar loop, byte for
-    byte: the synthesized per-key event streams equal the scalar ones
+    Returns the counter snapshot at the start of the measured window
+    and the window's ``log2`` bound sum, the same as the per-lookup
+    loop: the synthesized per-key event streams equal the scalar ones
     (``repro.learned.kernels``), the warmup/measured windows replay the
-    same lookup sequence around the same snapshot boundary, and
-    ``avg_log2_bound`` accumulates per-lookup floats in the same order.
+    same lookup sequence around the same snapshot boundary, and the
+    per-lookup ``log2`` floats accumulate in the same order.
     """
     index = built.index
     n = len(built.data)
     keys = workload.keys_py
     truths = workload.positions_py
     point_only = index.point_only
+    with obs_spans.span("synthesize"):
+        batch, meas_seq, meas_rows, warm_trace, meas_trace = _synthesize(
+            built, keys, warmup, n_lookups, search, tracer.sites
+        )
 
-    tracer = PerfTracer(engine=VectorEngine())
-    with obs_spans.span(
-        "measure",
-        index=index.name,
-        dataset=built.dataset.name,
-        n_lookups=n_lookups,
-        warmup=warmup,
-        search=search,
-        warm=warm,
-        profile=False,
-    ):
-        with obs_spans.span("synthesize"):
-            batch, meas_seq, meas_rows, warm_trace, meas_trace = _synthesize(
-                built, keys, warmup, n_lookups, search, tracer.sites
-            )
+    if verify:
+        # Same check, same failure order, as the per-lookup loop.
+        pos_l = batch.pos.tolist()
+        for i, r in zip(meas_seq, meas_rows):
+            pos = pos_l[r]
+            truth = truths[i]
+            if not (pos == truth or (point_only and truth >= n)):
+                raise _lookup_error(
+                    index, keys[i], pos, truth, int(batch.lo[r]),
+                    int(batch.hi[r]),
+                )
 
-        if verify:
-            # Same check, same failure order, as the scalar measured loop.
-            pos_l = batch.pos.tolist()
-            lo_l = batch.lo.tolist()
-            hi_l = batch.hi.tolist()
-            for i, r in zip(meas_seq, meas_rows):
-                pos = pos_l[r]
-                truth = truths[i]
-                if not (pos == truth or (point_only and truth >= n)):
-                    raise LookupError_(
-                        f"{index.name}: key {keys[i]} -> position {pos}, "
-                        f"expected {truth} (bound [{lo_l[r]}, {hi_l[r]}))"
-                    )
-
-        lg = batch.lg
-        if warm_trace is not None:
-            tracer.replay(warm_trace)
-        base = tracer.snapshot()
-        log2_sum = 0.0
-        if warm:
-            if meas_trace is not None:
-                tracer.replay(meas_trace)
-            for r in meas_rows:
-                log2_sum += lg[r]
-        else:
-            # Cold-cache: flush before every measured lookup, so each
-            # lookup replays individually (per-row plans are cached).
-            for r in meas_rows:
-                tracer.flush_caches()
-                tracer.replay(batch.trace_for(r))
-                log2_sum += lg[r]
-        counters = (tracer.snapshot() - base).per_lookup(n_lookups)
-
-    return Measurement(
-        index=index.name,
-        dataset=built.dataset.name,
-        config=built.config,
-        n_keys=n,
-        size_bytes=index.size_bytes(),
-        build_seconds=index.build_seconds,
-        counters=counters,
-        latency_ns=cost_model.latency_ns(counters, fence=False),
-        fence_latency_ns=cost_model.latency_ns(counters, fence=True),
-        avg_log2_bound=log2_sum / max(n_lookups, 1),
-        n_lookups=n_lookups,
-        warm=warm,
-        search=search,
-        key_bits=built.dataset.key_bits,
-        phases=None,
-    )
+    lg = batch.lg
+    if warm_trace is not None:
+        tracer.replay(warm_trace)
+    base = tracer.snapshot()
+    log2_sum = 0.0
+    if warm:
+        if meas_trace is not None:
+            tracer.replay(meas_trace)
+        for r in meas_rows:
+            log2_sum += lg[r]
+    else:
+        # Cold-cache: flush before every measured lookup, so each
+        # lookup replays individually (per-row plans are cached).
+        for r in meas_rows:
+            tracer.flush_caches()
+            tracer.replay(batch.trace_for(r))
+            log2_sum += lg[r]
+    return base, log2_sum
 
 
 def _synthesize(built, keys, warmup, n_lookups, search, sites) -> tuple:

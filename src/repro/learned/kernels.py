@@ -22,9 +22,9 @@ the same reason trace record-replay is sound (tracer calls return
 ``None``; see ``repro.memsim.trace``): the stream is a pure function of
 the index contents and the key.  The harness's batched measure path
 (``bench/harness.py``) turns those streams into
-:class:`~repro.memsim.trace.Trace` objects and replays them through the
-vector engine, so a measured cell is one kernel call plus vectorized
-replays instead of N Python lookups.
+:class:`~repro.memsim.trace.Trace` objects and replays them on the fast
+engine (``FastEngine.replay``), so a measured cell is one kernel call
+plus compiled-plan replays instead of N Python lookups.
 
 Event columns: keys proceed through the synthesized control flow in
 lockstep, one column per step; keys not executing a step (shorter binary

@@ -13,7 +13,9 @@ provides a software stand-in:
   lines.
 * :class:`BranchPredictor` -- per-site two-bit saturating counters.
 * :class:`PerfTracer` -- the tracer indexes call into during a lookup; it
-  accumulates a :class:`PerfCounters`.
+  accumulates a :class:`PerfCounters` on a :class:`FastEngine`, which
+  also replays recorded :class:`Trace` streams.  :class:`ReferenceEngine`
+  is the executable specification tests hold it to.
 * :class:`CostModel` -- maps counters to estimated nanoseconds, including
   memory-fence and memory-level-parallelism effects.
 
@@ -28,7 +30,6 @@ from repro.memsim.cache import Cache, CacheHierarchy
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.engine import FastEngine, ReferenceEngine, SiteInterner
 from repro.memsim.trace import Trace, TraceRecorder
-from repro.memsim.vector import VectorEngine
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.costmodel import CostModel, XEON_GOLD_6230
 
@@ -43,7 +44,6 @@ __all__ = [
     "BranchPredictor",
     "FastEngine",
     "ReferenceEngine",
-    "VectorEngine",
     "SiteInterner",
     "Trace",
     "TraceRecorder",

@@ -13,16 +13,19 @@ freedom is what this module exploits:
 * :class:`FastEngine` re-implements the same state machines as flat
   per-set structures behind closure-bound functions, with interned
   branch sites (integer ids into a flat 2-bit-counter table) and the
-  TLB folded into the same machinery.  It must produce byte-identical
+  TLB folded into the same machinery.  It takes events one call at a
+  time or a recorded :class:`~repro.memsim.trace.Trace` at once, through
+  the trace's compiled replay plan.  It must produce byte-identical
   :class:`~repro.memsim.counters.PerfCounters` for any event stream;
   ``tests/test_memsim_differential.py`` enforces that with hypothesis,
   and the committed golden grids must pass under it unchanged.
 
 There is no engine switch.  ``PerfTracer`` always runs a
-:class:`FastEngine`, and the harness's batched measure path runs a
-:class:`~repro.memsim.vector.VectorEngine` (see ``docs/memsim.md``).
-:class:`ReferenceEngine` is built only by tests, which pass it to
-``PerfTracer(engine=...)`` as the oracle the other two must match.
+:class:`FastEngine`: the harness's per-lookup loop sends it per-call
+events, and its batched path replays kernel-synthesized traces (see
+``docs/memsim.md``).  :class:`ReferenceEngine` is built only by tests,
+which pass it to ``PerfTracer(engine=...)`` as the oracle the fast
+engine must match.
 """
 
 from __future__ import annotations
@@ -182,11 +185,14 @@ class FastEngine:
     no state can change), and the MRU-page test skips the TLB dicts
     entirely.
 
-    ``read``/``instr``/``branch`` are closures over shared ``nonlocal``
-    state, bound as instance attributes -- no ``self`` in the hot path.
-    The fast engine has no replay of its own: recorded traces replay on
-    :class:`~repro.memsim.vector.VectorEngine`, which runs its batch
-    loop over this engine's state.
+    ``replay(trace)`` runs a recorded stream through the same state
+    from the trace's compiled plan (:meth:`~repro.memsim.trace.Trace.plan`):
+    counter sums and per-site branch tables are added in one step, and
+    only the reads that can change cache or TLB state walk the sets.
+
+    ``read``/``instr``/``branch``/``replay`` are closures over shared
+    ``nonlocal`` state, bound as instance attributes -- no ``self`` in
+    the hot path.
     """
 
     name = "fast"
@@ -196,6 +202,7 @@ class FastEngine:
         "read",
         "instr",
         "branch",
+        "replay",
         "snapshot",
         "flush_caches",
         "n_branch_sites",
@@ -214,6 +221,7 @@ class FastEngine:
         self.read = ns["read"]
         self.instr = ns["instr"]
         self.branch = ns["branch"]
+        self.replay = ns["replay"]
         self.snapshot = ns["snapshot"]
         self.flush_caches = ns["flush_caches"]
         self.n_branch_sites = ns["n_branch_sites"]
@@ -328,8 +336,30 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         s1.insert(0, ln)
         s1.pop()
 
+    def _walk(page):
+        # TLB miss: install `page` in both levels, then read its PTE
+        # through the data caches.
+        nonlocal tlbm, l1h
+        tlbm += 1
+        tlb1[page] = True
+        if len(tlb1) > tlb1_cap:
+            tlb1.popitem(False)
+        tlb2[page] = True
+        if len(tlb2) > tlb2_cap:
+            tlb2.popitem(False)
+        wl = (walk_base + page * 8) >> 6
+        s = l1_sets[wl % n1]
+        if s[0] == wl:
+            l1h += 1
+        elif wl in s:
+            s.remove(wl)
+            s.insert(0, wl)
+            l1h += 1
+        else:
+            _fill(wl, s)
+
     def read(addr, size=8):
-        nonlocal reads_c, instr_c, l1h, tlbm, ultra_line, mru_page
+        nonlocal reads_c, instr_c, l1h, ultra_line, mru_page
         first = addr >> 6
         last = (addr + size - 1) >> 6
         if first == ultra_line and last == first:
@@ -352,24 +382,7 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
                 if len(tlb1) > tlb1_cap:
                     tlb1.popitem(False)
             else:
-                tlbm += 1
-                tlb1[page] = True
-                if len(tlb1) > tlb1_cap:
-                    tlb1.popitem(False)
-                tlb2[page] = True
-                if len(tlb2) > tlb2_cap:
-                    tlb2.popitem(False)
-                # Page walk: one PTE read through the data caches.
-                wl = (walk_base + page * 8) >> 6
-                s = l1_sets[wl % n1]
-                if s[0] == wl:
-                    l1h += 1
-                elif wl in s:
-                    s.remove(wl)
-                    s.insert(0, wl)
-                    l1h += 1
-                else:
-                    _fill(wl, s)
+                _walk(page)
             mru_page = page
         ln = first
         while True:
@@ -412,6 +425,72 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
                 brm_c += 1
             bst[sid] = s - 1 if s > 0 else 0
 
+    def replay(trace):
+        nonlocal instr_c, br_c, brm_c, reads_c, l1h, ultra_line, mru_page
+        p = trace.plan()
+        # Order-independent aggregates: each read and branch charges one
+        # instruction; repeats and recorder-proven repeat-like reads are
+        # pure L1 hits.
+        reads = p.n_read + p.rep_total
+        reads_c += reads
+        instr_c += p.instr_total + reads + p.n_branch
+        br_c += p.n_branch
+        l1h += p.rep_total + p.n_ultra
+        # One precomputed (misses, final state) lookup per branch site,
+        # indexed by the site's current 2-bit state.
+        if p.max_sid >= len(bst):
+            bst.extend([-1] * (p.max_sid + 1 - len(bst)))
+        for sid, miss, fin in p.site_tables:
+            s = bst[sid]
+            j = 2 if s < 0 else s
+            brm_c += miss[j]
+            bst[sid] = fin[j]
+        if not p.n_read:
+            return
+        hf = p.hard_first
+        hl = p.hard_last
+        hp = p.hard_page
+        hsp = p.hard_same_page
+        start = 0
+        if p.read0_single and p.read0_first == ultra_line:
+            # The trace's first read repeats the line the previous read
+            # left MRU (line in L1, page in TLB): a pure L1 hit.
+            l1h += 1
+            start = 1
+        for i in range(start, len(hf)):
+            ln = hf[i]
+            last = hl[i]
+            page = hp[i]
+            # Only the first read's page is compared with live state;
+            # the plan knows whether each later one repeats its
+            # predecessor's page.
+            if not (hsp[i] if i else page == mru_page):
+                if page in tlb1:
+                    tlb1.move_to_end(page)
+                elif page in tlb2:
+                    tlb2.move_to_end(page)
+                    tlb1[page] = True
+                    if len(tlb1) > tlb1_cap:
+                        tlb1.popitem(False)
+                else:
+                    _walk(page)
+            while True:
+                s = l1_sets[ln % n1]
+                if s[0] == ln:
+                    l1h += 1
+                elif ln in s:
+                    s.remove(ln)
+                    s.insert(0, ln)
+                    l1h += 1
+                else:
+                    _fill(ln, s)
+                if ln == last:
+                    break
+                ln += 1
+        # After any read the MRU shortcuts are the last read's.
+        ultra_line = p.last_cand
+        mru_page = p.last_page
+
     def snapshot():
         return PerfCounters(
             instr_c, br_c, brm_c, reads_c, l1h, l2h, l3h, llc, tlbm
@@ -419,7 +498,7 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
 
     def flush_caches():
         nonlocal ultra_line, mru_page
-        # Reset in place: `_structs` hands these level lists out.
+        # Reset in place: `_sets` hands these level lists out.
         l1_sets[:] = _copies(empty1, n1)
         l2_sets[:] = _copies(empty2, n2)
         l3_sets[:] = _copies(empty3, n3)
@@ -431,42 +510,14 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
     def n_branch_sites():
         return sum(1 for s in bst if s >= 0)
 
-    # -- state hooks for the vector engine --------------------------------
-    #
-    # The vector replay path (repro.memsim.vector) reuses this namespace's
-    # mutable structures directly and runs its own batch loop over them.
-    # Lists/dicts are shared by reference; the scalar counters and the
-    # MRU shortcuts travel through the getter/setter pair because they
-    # are closure nonlocals.
-
-    def _structs():
-        return (
-            l1_sets, n1, l2_sets, n2, l3_sets, n3,
-            tlb1, tlb1_cap, tlb2, tlb2_cap, bst,
-        )
-
-    def _get_hot():
-        return (
-            instr_c, br_c, brm_c, reads_c,
-            l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page,
-        )
-
-    def _set_hot(values):
-        nonlocal instr_c, br_c, brm_c, reads_c
-        nonlocal l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page
-        (
-            instr_c, br_c, brm_c, reads_c,
-            l1h, l2h, l3h, llc, tlbm, ultra_line, mru_page,
-        ) = values
-
     return {
         "read": read,
         "instr": instr,
         "branch": branch,
+        "replay": replay,
         "snapshot": snapshot,
         "flush_caches": flush_caches,
         "n_branch_sites": n_branch_sites,
-        "_structs": _structs,
-        "_get_hot": _get_hot,
-        "_set_hot": _set_hot,
+        # The three cache levels' set lists, for tests.
+        "_sets": lambda: (l1_sets, l2_sets, l3_sets),
     }

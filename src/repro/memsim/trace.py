@@ -1,4 +1,4 @@
-"""Trace recording: capture a lookup's event stream as typed arrays.
+"""Traces: a lookup's event stream as typed arrays, and its replay plan.
 
 A measured lookup is a sequence of ``read``/``instr``/``branch`` calls
 into the tracer.  All three return ``None``, so index code cannot
@@ -8,22 +8,43 @@ of cache/TLB/predictor state.  That makes replay sound: re-running a
 recorded stream through an engine produces byte-identical counters to
 re-executing the index Python, without paying for the index Python.
 
-:class:`Trace` is the vector engine's input format.  The batched
-measure path builds its traces from kernel-synthesized streams
-(``repro.learned.kernels``) and replays them through
-:class:`~repro.memsim.vector.VectorEngine`; :class:`TraceRecorder`
-captures the same format from live index code, which is how tests
-record oracle streams for :meth:`ReferenceEngine.replay
-<repro.memsim.engine.ReferenceEngine.replay>`.
+:class:`Trace` is the input of :meth:`FastEngine.replay
+<repro.memsim.engine.FastEngine>`.  The batched measure path builds its
+traces from kernel-synthesized streams (``repro.learned.kernels``);
+:class:`TraceRecorder` captures the same format from live index code,
+which is how tests record oracle streams for
+:meth:`ReferenceEngine.replay <repro.memsim.engine.ReferenceEngine.replay>`.
 
 Events are stored as three parallel typed arrays (kind: uint8;
 two int64 operands); :meth:`Trace.lists` materializes plain-int lists
-once for the engines' replay loops.
+once for the reference engine's event loop, and :meth:`Trace.plan`
+compiles the arrays once into the fast engine's replay plan.
+
+The plan exploits three exact order-independence properties of the
+simulator:
+
+* ``instr``/``K_REPEAT`` events and the per-event counter increments of
+  reads and branches are pure sums: one ``np.sum`` per kind replaces the
+  per-event loop entirely.
+* Branch-predictor state is per-site: grouping branch events by site
+  and pre-computing, for each site, the misprediction count and final
+  2-bit state *for every possible initial state* turns replay into one
+  table lookup per site.  For long traces the per-site automaton is
+  evaluated with a segmented prefix scan over clamp-function
+  compositions (``min(B, max(A, x+T))`` triples, log-depth doubling)
+  instead of a Python loop.
+* Cache and TLB state change only on reads, and the recorder's MRU
+  invariant identifies reads that are *provably* pure L1 hits with zero
+  state change (the fast engine's ``ultra_line`` shortcut).  Vectorized
+  address decomposition (``>> 6``/``>> 12`` over the whole event array)
+  classifies those up front, so the replay loop visits only the
+  genuinely state-changing reads, driven by precomputed
+  line/page/same-page lists.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,10 +84,9 @@ class Trace:
         self.a = np.asarray(a, dtype=np.int64)
         self.b = np.asarray(b, dtype=np.int64)
         self._lists: Optional[Tuple[list, list, list]] = None
-        #: Compiled form for the vector engine (repro.memsim.vector),
-        #: built lazily on first vectorized replay.  A trace is
-        #: immutable, so the plan never invalidates.
-        self._plan = None
+        #: Compiled replay plan, built by the first :meth:`plan` call.
+        #: A trace is immutable, so the plan never invalidates.
+        self._plan: Optional[_TracePlan] = None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -85,8 +105,198 @@ class Trace:
             )
         return self._lists
 
+    def plan(self) -> _TracePlan:
+        """The compiled form :meth:`FastEngine.replay` runs, built once."""
+        if self._plan is None:
+            self._plan = _build_plan(self)
+        return self._plan
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Trace({len(self)} events, {self.nbytes} bytes)"
+
+
+#: Below this many branch events the 4-state Python simulation beats the
+#: numpy segmented scan's fixed overhead.
+_SCAN_MIN_EVENTS = 256
+
+
+class _TracePlan:
+    """One trace compiled for replay (a pure function of the trace)."""
+
+    __slots__ = (
+        "n_read",
+        "rep_total",
+        "instr_total",
+        "n_branch",
+        "n_ultra",
+        "site_tables",
+        "max_sid",
+        "hard_first",
+        "hard_last",
+        "hard_page",
+        "hard_same_page",
+        "read0_single",
+        "read0_first",
+        "last_cand",
+        "last_page",
+    )
+
+
+def _site_tables_python(sids: List[int], takens: List[int]):
+    """Per-site (misses, final-state) tables via direct 4-state simulation."""
+    groups: Dict[int, List[int]] = {}
+    for sid, taken in zip(sids, takens):
+        groups.setdefault(sid, []).append(taken)
+    tables = []
+    for sid, outs in groups.items():
+        states = [0, 1, 2, 3]
+        miss = [0, 0, 0, 0]
+        for o in outs:
+            for j in range(4):
+                s = states[j]
+                if o:
+                    if s < 2:
+                        miss[j] += 1
+                    states[j] = s + 1 if s < 3 else 3
+                else:
+                    if s >= 2:
+                        miss[j] += 1
+                    states[j] = s - 1 if s > 0 else 0
+        tables.append((sid, tuple(miss), tuple(states)))
+    return tables
+
+
+def _site_tables_scan(sids: np.ndarray, takens: np.ndarray):
+    """Per-site tables via a segmented prefix scan of clamp compositions.
+
+    A branch outcome ``d`` (+1 taken / -1 not-taken) acts on the 2-bit
+    state as ``x -> min(3, max(0, x + d))``.  Compositions of such maps
+    stay in the 3-parameter family ``x -> min(B, max(A, x + T))`` with
+
+        compose(earlier=(t1,a1,b1), later=(t2,a2,b2)) =
+            (t1 + t2, max(a2, a1 + t2), min(b2, max(a2, b1 + t2)))
+
+    so the prefix composition over each site's outcome subsequence is a
+    Hillis-Steele doubling scan (log-depth, all numpy).  Evaluating the
+    scan at every position for each of the four initial states yields the
+    per-event predictor state, hence exact misprediction counts.
+    """
+    order = np.argsort(sids, kind="stable")
+    s_sorted = sids[order]
+    t_sorted = takens[order] != 0
+    m = len(s_sorted)
+    # Segment ids: one segment per site, events in original order.
+    seg_start = np.empty(m, dtype=bool)
+    seg_start[0] = True
+    seg_start[1:] = s_sorted[1:] != s_sorted[:-1]
+    seg = np.cumsum(seg_start) - 1
+
+    d = np.where(t_sorted, 1, -1).astype(np.int64)
+    T = d.copy()
+    A = np.zeros(m, dtype=np.int64)
+    B = np.full(m, 3, dtype=np.int64)
+    shift = 1
+    while shift < m:
+        ok = np.zeros(m, dtype=bool)
+        ok[shift:] = seg[shift:] == seg[:-shift]
+        t1 = T[:-shift][ok[shift:]]
+        a1 = A[:-shift][ok[shift:]]
+        b1 = B[:-shift][ok[shift:]]
+        t2 = T[shift:][ok[shift:]]
+        a2 = A[shift:][ok[shift:]]
+        b2 = B[shift:][ok[shift:]]
+        T[shift:][ok[shift:]] = t1 + t2
+        A[shift:][ok[shift:]] = np.maximum(a2, a1 + t2)
+        B[shift:][ok[shift:]] = np.minimum(b2, np.maximum(a2, b1 + t2))
+        shift *= 2
+
+    n_seg = int(seg[-1]) + 1
+    ends = np.nonzero(np.append(seg_start[1:], True))[0]
+    site_of_seg = s_sorted[ends]
+    miss_mat = np.empty((4, n_seg), dtype=np.int64)
+    final_mat = np.empty((4, n_seg), dtype=np.int64)
+    for s0 in range(4):
+        after = np.minimum(B, np.maximum(A, s0 + T))
+        pre = np.empty(m, dtype=np.int64)
+        pre[0] = s0
+        pre[1:] = np.where(seg_start[1:], s0, after[:-1])
+        miss = (pre >= 2) != t_sorted
+        miss_mat[s0] = np.bincount(seg, weights=miss, minlength=n_seg).astype(
+            np.int64
+        )
+        final_mat[s0] = after[ends]
+    return [
+        (int(site_of_seg[k]), tuple(int(x) for x in miss_mat[:, k]),
+         tuple(int(x) for x in final_mat[:, k]))
+        for k in range(n_seg)
+    ]
+
+
+def _build_plan(trace) -> _TracePlan:
+    """Compile a trace: vectorized decomposition + per-site branch tables."""
+    kinds = trace.kinds
+    a = trace.a
+    b = trace.b
+    p = _TracePlan()
+    m_rep = kinds == K_REPEAT
+    m_ins = kinds == K_INSTR
+    m_br = kinds == K_BRANCH
+    m_rd = kinds == K_READ
+    p.rep_total = int(b[m_rep].sum())
+    p.instr_total = int(a[m_ins].sum())
+    p.n_branch = int(np.count_nonzero(m_br))
+
+    addr = a[m_rd]
+    size = b[m_rd]
+    n_read = p.n_read = int(addr.shape[0])
+    if n_read:
+        first = addr >> 6
+        last = (addr + size - 1) >> 6
+        page = addr >> 12
+        single = first == last
+        cross = (last >> 6) != page
+        # The line a follow-up single-line read may repeat as a pure L1
+        # hit: the read's own MRU line, when it lies in the translated
+        # page (the fast engine's `ultra_line` rule, vectorized).
+        cand = np.where(single, first, np.where(~cross, last, -1))
+        iu = np.zeros(n_read, dtype=bool)
+        sp = np.zeros(n_read, dtype=bool)
+        if n_read > 1:
+            iu[1:] = single[1:] & (cand[:-1] >= 0) & (first[1:] == cand[:-1])
+            sp[1:] = page[1:] == page[:-1]
+        p.n_ultra = int(np.count_nonzero(iu))
+        hard = ~iu
+        p.hard_first = first[hard].tolist()
+        p.hard_last = last[hard].tolist()
+        p.hard_page = page[hard].tolist()
+        p.hard_same_page = sp[hard].tolist()
+        p.read0_single = bool(single[0])
+        p.read0_first = int(first[0])
+        p.last_cand = int(cand[-1])
+        p.last_page = int(page[-1])
+    else:
+        p.n_ultra = 0
+        p.hard_first = []
+        p.hard_last = []
+        p.hard_page = []
+        p.hard_same_page = []
+        p.read0_single = False
+        p.read0_first = -1
+        p.last_cand = -1
+        p.last_page = -1
+
+    sids = a[m_br]
+    takens = b[m_br]
+    if p.n_branch == 0:
+        p.site_tables = []
+        p.max_sid = -1
+    else:
+        p.max_sid = int(sids.max())
+        if p.n_branch < _SCAN_MIN_EVENTS:
+            p.site_tables = _site_tables_python(sids.tolist(), takens.tolist())
+        else:
+            p.site_tables = _site_tables_scan(sids, takens)
+    return p
 
 
 class TraceRecorder(Tracer):

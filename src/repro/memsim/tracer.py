@@ -8,10 +8,9 @@ separate "fast" and "measured" code paths that could diverge.
 
 :class:`PerfTracer` delegates the actual simulation to an engine
 (``repro.memsim.engine``): the flat-structure fast engine unless the
-caller passes another engine object (the harness's vector engine, or
-the reference engine tests use as an oracle).  ``read``/``instr``/
-``branch`` are bound straight off the engine in ``__init__`` so the hot
-path pays no per-event delegation.
+caller passes another engine object (the reference engine tests use as
+an oracle).  ``read``/``instr``/``branch`` are bound straight off the
+engine in ``__init__`` so the hot path pays no per-event delegation.
 """
 
 from __future__ import annotations
@@ -89,7 +88,7 @@ class PerfTracer(Tracer):
     :class:`~repro.memsim.engine.FastEngine`.
     ``counters``/``caches``/``predictor``/``tlb`` delegate to the
     engine; only the reference engine has the component objects, the
-    others raise ``AttributeError``.
+    fast engine raises ``AttributeError``.
     """
 
     __slots__ = ("engine", "read", "instr", "branch")
@@ -128,5 +127,5 @@ class PerfTracer(Tracer):
         self.engine.flush_caches()
 
     def replay(self, trace) -> None:
-        """Re-run a recorded event stream (reference and vector engines)."""
+        """Re-run a recorded event stream (``repro.memsim.trace``)."""
         self.engine.replay(trace)

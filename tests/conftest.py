@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import make_dataset, make_workload
-from repro.memsim import AddressSpace, TracedArray
+from repro.memsim import AddressSpace, FastEngine, TracedArray, TraceRecorder
 from serve_reference import EVENT_QUEUES, use_event_queue
 
 
@@ -61,6 +61,58 @@ def mirror_built(arr):
     except AttributeError:
         return False
     return True
+
+
+class ReplayedFastEngine:
+    """A :class:`FastEngine` fed only through ``replay``.
+
+    ``read``/``instr``/``branch`` are recorded; every observation
+    (``snapshot``, ``flush_caches``, ``n_branch_sites``, ``replay``)
+    first replays the events recorded since the last one as a single
+    trace.  So the same event stream that a plain fast engine takes per
+    call reaches this one through the replay path, in segments that
+    start against live engine state.  The engine tests parametrize it
+    under the id ``vector``.
+    """
+
+    name = "vector"
+
+    def __init__(self, sites=None, **geometry):
+        self._engine = FastEngine(sites=sites, **geometry)
+        self.sites = self._engine.sites
+        self._recorder = TraceRecorder(sites=self.sites)
+
+    def read(self, addr, size=8):
+        self._recorder.read(addr, size)
+
+    def instr(self, n=1):
+        self._recorder.instr(n)
+
+    def branch(self, site, taken):
+        self._recorder.branch(site, taken)
+
+    def _synced(self):
+        if len(self._recorder):
+            trace = self._recorder.finish()
+            self._recorder = TraceRecorder(sites=self.sites)
+            self._engine.replay(trace)
+        return self._engine
+
+    def replay(self, trace):
+        self._synced().replay(trace)
+
+    def snapshot(self):
+        return self._synced().snapshot()
+
+    @property
+    def counters(self):
+        return self.snapshot()
+
+    def flush_caches(self):
+        self._synced().flush_caches()
+
+    def n_branch_sites(self):
+        return self._synced().n_branch_sites()
 
 
 @pytest.fixture()

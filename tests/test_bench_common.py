@@ -69,3 +69,38 @@ class TestSweep:
         ds, wl = common.dataset_and_workload("amzn", tiny_settings)
         ms = common.sweep(ds, wl, "RMI", tiny_settings, max_configs=1)
         assert len(ms) == 1
+
+
+class TestWorkloads:
+    """One memoized workload builder serves inline drivers and cells."""
+
+    def test_workload_keyed_on_warmup(self):
+        common.clear_caches()
+        short = BenchSettings(n_keys=2_500, n_lookups=100, warmup=50)
+        long = BenchSettings(n_keys=2_500, n_lookups=100, warmup=300)
+        assert common.dataset_and_workload("amzn", short)[1].n == 150
+        _, wl = common.dataset_and_workload("amzn", long)
+        assert wl.n == 400
+        # A cell of the same grid measures the very same workload.
+        cell = common.cell_for("amzn", "BS", {}, long)
+        assert cell.materialize()[1] is wl
+
+    def test_grid_over_one_dataset_builds_one_workload(
+        self, tiny_settings, monkeypatch
+    ):
+        from repro.bench import cells, parallel
+
+        built = []
+        real = cells.make_workload
+
+        def spy(*args, **kwargs):
+            built.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cells, "make_workload", spy)
+        common.clear_caches()
+        grid = common.sweep_cells("amzn", "RMI", tiny_settings)
+        grid += common.sweep_cells("amzn", "PGM", tiny_settings)
+        assert len(grid) == 4
+        parallel.run_cells(grid, jobs=1, memo={})
+        assert built == [tiny_settings.n_lookups + tiny_settings.warmup]

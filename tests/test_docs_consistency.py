@@ -63,6 +63,22 @@ class TestDesignDoc:
         assert "Marcus" in design
 
 
+class TestDocPaths:
+    #: A backticked source path: ``repro/...py`` (under ``src/``),
+    #: ``tests/...py`` or ``benchmarks/...py``.
+    PATH = re.compile(r"`(?:src/)?((repro|tests|benchmarks)/[\w/]+\.py)")
+
+    def test_backticked_source_paths_exist(self):
+        docs = sorted((REPO / "docs").glob("*.md"))
+        missing = []
+        for doc in docs + [REPO / "README.md", REPO / "DESIGN.md"]:
+            for path, top in self.PATH.findall(doc.read_text()):
+                root = REPO / "src" if top == "repro" else REPO
+                if not (root / path).exists():
+                    missing.append(f"{doc.name}: {path}")
+        assert not missing, missing
+
+
 class TestExperimentsDoc:
     def test_every_paper_artifact_has_a_section(self):
         text = (REPO / "EXPERIMENTS.md").read_text()

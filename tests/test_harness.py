@@ -192,8 +192,12 @@ class TestMeasureDispatch:
         "RS": {"epsilon": 16, "radix_bits": 8},
         "BTree": {"gap": 4},
         "ART": {"gap": 4},
+        "BS": {},
+        "RBS": {"radix_bits": 8},
+        "IBTree": {"gap": 4},
+        "FAST": {"gap": 4},
     }
-    BATCHED = ("RMI", "PGM", "RS", "BTree")
+    BATCHED = ("RMI", "PGM", "RS", "BTree", "BS", "RBS", "IBTree", "FAST")
 
     @pytest.mark.parametrize("index", CONFIGS)
     @pytest.mark.parametrize("warm", [True, False])

@@ -1,17 +1,20 @@
-"""Differential suite: every engine IS the reference engine, counter-wise.
+"""Differential suite: the fast engine IS the reference engine, counter-wise.
 
-Hypothesis drives random read/instr/branch/flush streams through all
-engines (reference, fast, vector) and asserts byte-identical
+Hypothesis drives random read/instr/branch/flush streams through the
+reference engine and the fast engine and asserts byte-identical
 :class:`PerfCounters` -- not just at the end, but at every intermediate
-snapshot.  Streams mix tight spatial locality (repeated lines and
-pages, the fast paths' home turf) with scattered addresses (eviction
-pressure), because the engines' shortcuts are exactly the places where
-a subtle state divergence would hide.
+snapshot.  The fast engine takes each stream twice: per call
+(``fast``) and through ``replay`` of the recorded events between
+observations (``vector``, see ``conftest.ReplayedFastEngine``).
+Streams mix tight spatial locality (repeated lines and pages, the fast
+paths' home turf) with scattered addresses (eviction pressure),
+because the engines' shortcuts are exactly the places where a subtle
+state divergence would hide.
 
 The same property is asserted for record-replay: replaying a recorded
-stream must equal executing it directly, on every engine that replays
--- including repeat replays of the *same* trace objects, which reuse
-the vector engine's compiled plans.
+stream must equal executing it directly, on both engines -- including
+repeat replays of the *same* trace objects, which reuse the trace's
+compiled plan.
 """
 
 from __future__ import annotations
@@ -28,17 +31,19 @@ from repro.memsim import (
     ReferenceEngine,
     SiteInterner,
     TraceRecorder,
-    VectorEngine,
 )
 from repro.memsim.engine import FastEngine
 from repro.memsim.tlb import TLB
 from repro.memsim.trace import K_REPEAT
 
-#: Every engine, the reference (the oracle) first.
+from conftest import ReplayedFastEngine
+
+#: Every engine, the reference (the oracle) first; ``vector`` is the
+#: fast engine fed through its replay path.
 ENGINES = {
     "reference": ReferenceEngine,
     "fast": FastEngine,
-    "vector": VectorEngine,
+    "vector": ReplayedFastEngine,
 }
 _NAMES = tuple(ENGINES)
 
@@ -46,7 +51,7 @@ _NAMES = tuple(ENGINES)
 _ALT_ENGINES = _NAMES[1:]
 
 #: The engines that replay recorded traces, the reference first.
-_REPLAY_NAMES = ("reference", "vector")
+_REPLAY_NAMES = ("reference", "fast")
 
 
 def _tracer(name, sites=None):
@@ -111,7 +116,7 @@ def test_engines_are_counter_identical(events):
         assert _drive(_tracer(name), events) == ref_snaps, name
 
 
-def _tiny_reference():
+def _tiny_reference(sites=None):
     return PerfTracer(
         engine=ReferenceEngine(
             caches=CacheHierarchy(
@@ -120,6 +125,7 @@ def _tiny_reference():
                 l3=Cache(16 * 64, 4, "L3"),
             ),
             tlb=TLB(l1_entries=2, l2_entries=4),
+            sites=sites,
         )
     )
 
@@ -134,7 +140,7 @@ _TINY_KW = dict(
 def test_engines_identical_under_tiny_geometry(events):
     """Small caches/TLBs put every access on the eviction paths."""
     ref_snaps = _drive(_tiny_reference(), events)
-    for eng in (FastEngine(**_TINY_KW), VectorEngine(**_TINY_KW)):
+    for eng in (FastEngine(**_TINY_KW), ReplayedFastEngine(**_TINY_KW)):
         assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
 
 
@@ -154,7 +160,7 @@ def test_engines_identical_under_degenerate_geometry(events):
     )
     kw = dict(l1=(64, 1), l2=(2 * 64, 2), l3=(4 * 64, 4), tlb_entries=(1, 1))
     ref_snaps = _drive(ref, events)
-    for eng in (FastEngine(**kw), VectorEngine(**kw)):
+    for eng in (FastEngine(**kw), ReplayedFastEngine(**kw)):
         assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
 
 
@@ -179,7 +185,7 @@ def test_replay_equals_direct_execution(events):
         t.replay(trace)
         assert t.snapshot() == expected, name
         # A second fresh engine replaying the same trace object reuses
-        # the vector engine's compiled plan; still byte-identical.
+        # the trace's compiled plan; still byte-identical.
         t2 = _tracer(name, sites)
         t2.replay(trace)
         assert t2.snapshot() == expected, name
@@ -217,6 +223,27 @@ def test_replay_composes_with_live_events(events, events2):
         results.append(snaps)
     for name, snaps in zip(_REPLAY_NAMES[1:], results[1:]):
         assert snaps == results[0], name
+
+
+def test_live_reads_after_replay_see_the_state_it_left():
+    """A replay moves the MRU line and page.  A per-call read after it
+    must not take the shortcuts the previous per-call read armed: here
+    the replay evicts that read's line and page from tiny caches."""
+    sites = SiteInterner()
+    recorder = TraceRecorder(sites=sites)
+    for page in range(1, 6):
+        recorder.read(page * 4096, 8)
+    trace = recorder.finish()
+    snaps = []
+    for t in (
+        _tiny_reference(sites),
+        PerfTracer(engine=FastEngine(sites=sites, **_TINY_KW)),
+    ):
+        t.read(0, 8)
+        t.replay(trace)
+        t.read(0, 8)
+        snaps.append(t.snapshot())
+    assert snaps[1] == snaps[0]
 
 
 @given(st.integers(1, 9), st.integers(0, 64), st.booleans())
@@ -257,7 +284,7 @@ def test_repeat_compression_boundaries(run_len, offset, branch_between):
 def test_vector_replay_resolves_leading_repeat_against_live_state():
     """A trace whose first read repeats the engine's MRU line.
 
-    The vector plan cannot classify the first read at compile time (it
+    The replay plan cannot classify the first read at compile time (it
     depends on the replaying engine's state), so it is resolved at
     replay time -- both ways.
     """

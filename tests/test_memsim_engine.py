@@ -1,7 +1,8 @@
 """Unit tests for the memsim engine layer (`repro.memsim.engine`).
 
 The tracer's default engine, the SiteInterner, API parity between
-PerfTracer over the reference, fast and vector engines, and the
+PerfTracer over the reference engine and the fast engine (fed per call,
+and under the ``vector`` id through ``replay``), and the
 BranchPredictor table-materialization regression.  Counter *equivalence*
 between engines lives in ``tests/test_memsim_differential.py``.
 """
@@ -19,15 +20,17 @@ from repro.memsim import (
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
-    VectorEngine,
+    TraceRecorder,
 )
 from repro.memsim.engine import _build_fast_engine
 from repro.memsim.tlb import TLB
 
+from conftest import ReplayedFastEngine
+
 ENGINES = {
     "reference": ReferenceEngine,
     "fast": FastEngine,
-    "vector": VectorEngine,
+    "vector": ReplayedFastEngine,
 }
 
 
@@ -125,12 +128,19 @@ LEVELS = ((32 * 1024, 8), (256 * 1024, 8), (1024 * 1024, 16))
 def fast_state():
     """The state a FastEngine wraps: (sets getter, read, flush)."""
     ns = _build_fast_engine(*LEVELS, (64, 1536), SiteInterner())
-    return ns["_structs"], ns["read"], ns["flush_caches"]
+    return ns["_sets"], ns["read"], ns["flush_caches"]
 
 
 def vector_state():
-    engine = VectorEngine()
-    return engine._ns["_structs"], engine.read, engine.flush_caches
+    """The same state, with every read sent through ``replay``."""
+    ns = _build_fast_engine(*LEVELS, (64, 1536), SiteInterner())
+
+    def read(addr):
+        recorder = TraceRecorder()
+        recorder.read(addr)
+        ns["replay"](recorder.finish())
+
+    return ns["_sets"], read, ns["flush_caches"]
 
 
 @pytest.mark.parametrize("state", [fast_state, vector_state])
@@ -138,8 +148,8 @@ class TestEmptySets:
     """Every empty set is its own copy of the level's sentinel list."""
 
     @staticmethod
-    def assert_empty_and_distinct(structs):
-        levels = structs()[0:6:2]
+    def assert_empty_and_distinct(sets_of):
+        levels = sets_of()
         for sets, (_, assoc) in zip(levels, LEVELS):
             sentinel = list(range(-1, -assoc - 1, -1))
             assert all(s == sentinel for s in sets)
@@ -152,18 +162,18 @@ class TestEmptySets:
         assert all(s[0] < 0 for s in all_sets[1:])
 
     def test_fresh_engine(self, state):
-        structs, _, _ = state()
-        self.assert_empty_and_distinct(structs)
+        sets_of, _, _ = state()
+        self.assert_empty_and_distinct(sets_of)
 
     def test_flush_resets_sets_in_place(self, state):
-        structs, read, flush = state()
-        levels = structs()[0:6:2]
+        sets_of, read, flush = state()
+        levels = sets_of()
         for addr in range(0, 1 << 21, 4096 + 64):
             read(addr)
         assert any(s[0] >= 0 for sets in levels for s in sets)
         flush()
-        assert all(a is b for a, b in zip(structs()[0:6:2], levels))
-        self.assert_empty_and_distinct(structs)
+        assert all(a is b for a, b in zip(sets_of(), levels))
+        self.assert_empty_and_distinct(sets_of)
 
 
 class TestBranchTableMaterialization:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.memsim import (
+    FastEngine,
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
     TraceRecorder,
-    VectorEngine,
 )
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, K_REPEAT, Trace
 
@@ -79,7 +79,7 @@ class TestTraceRecorder:
         assert K_REPEAT in trace.kinds.tolist()
         direct = PerfTracer()
         drive(direct)
-        for engine in (ReferenceEngine, VectorEngine):
+        for engine in (ReferenceEngine, FastEngine):
             t = PerfTracer(engine=engine())
             t.replay(trace)
             assert t.snapshot() == direct.snapshot(), engine.name
@@ -96,7 +96,7 @@ class TestTraceRecorder:
 
 class TestReplayThroughTracer:
     def test_empty_trace_is_a_noop(self):
-        t = PerfTracer(engine=VectorEngine())
+        t = PerfTracer()
         t.replay(Trace([], [], []))
         assert t.snapshot() == PerfTracer().snapshot()
 
@@ -107,7 +107,7 @@ class TestReplayThroughTracer:
         rec.branch("s", True)
         rec.instr(7)
         trace = rec.finish()
-        t = PerfTracer(engine=VectorEngine(sites=sites))
+        t = PerfTracer(engine=FastEngine(sites=sites))
         t.replay(trace)
         t.replay(trace)
         direct = PerfTracer()
