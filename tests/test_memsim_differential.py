@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memsim import (
@@ -116,7 +116,7 @@ def test_engines_are_counter_identical(events):
         assert _drive(_tracer(name), events) == ref_snaps, name
 
 
-def _tiny_reference(sites=None):
+def _tiny_reference():
     return PerfTracer(
         engine=ReferenceEngine(
             caches=CacheHierarchy(
@@ -125,7 +125,6 @@ def _tiny_reference(sites=None):
                 l3=Cache(16 * 64, 4, "L3"),
             ),
             tlb=TLB(l1_entries=2, l2_entries=4),
-            sites=sites,
         )
     )
 
@@ -144,11 +143,8 @@ def test_engines_identical_under_tiny_geometry(events):
         assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
 
 
-@given(_events())
-@settings(max_examples=40, deadline=None)
-def test_engines_identical_under_degenerate_geometry(events):
-    """1-set/1-way caches and a 1-entry TLB: everything evicts, always."""
-    ref = PerfTracer(
+def _degenerate_reference(sites=None):
+    return PerfTracer(
         engine=ReferenceEngine(
             caches=CacheHierarchy(
                 l1=Cache(64, 1, "L1"),
@@ -156,11 +152,24 @@ def test_engines_identical_under_degenerate_geometry(events):
                 l3=Cache(4 * 64, 4, "L3"),
             ),
             tlb=TLB(l1_entries=1, l2_entries=1),
+            sites=sites,
         )
     )
-    kw = dict(l1=(64, 1), l2=(2 * 64, 2), l3=(4 * 64, 4), tlb_entries=(1, 1))
-    ref_snaps = _drive(ref, events)
-    for eng in (FastEngine(**kw), ReplayedFastEngine(**kw)):
+
+
+_DEGENERATE_KW = dict(
+    l1=(64, 1), l2=(2 * 64, 2), l3=(4 * 64, 4), tlb_entries=(1, 1)
+)
+
+
+@given(_events())
+@settings(max_examples=40, deadline=None)
+def test_engines_identical_under_degenerate_geometry(events):
+    """1-set/1-way caches and a 1-entry TLB: everything evicts, always."""
+    ref_snaps = _drive(_degenerate_reference(), events)
+    for eng in (
+        FastEngine(**_DEGENERATE_KW), ReplayedFastEngine(**_DEGENERATE_KW)
+    ):
         assert _drive(PerfTracer(engine=eng), events) == ref_snaps, eng.name
 
 
@@ -225,25 +234,38 @@ def test_replay_composes_with_live_events(events, events2):
         assert snaps == results[0], name
 
 
-def test_live_reads_after_replay_see_the_state_it_left():
-    """A replay moves the MRU line and page.  A per-call read after it
-    must not take the shortcuts the previous per-call read armed: here
-    the replay evicts that read's line and page from tiny caches."""
+@given(_events(), _events())
+@example(
+    [("read", page * 4096, 0, 8) for page in range(1, 6)],
+    [("read", 0, 0, 8)],
+)
+@settings(max_examples=60, deadline=None)
+def test_live_reads_after_replay_see_the_state_it_left(events, events2):
+    """A replay moves the MRU line and page.  A per-call read right
+    after it must not take the shortcuts the previous per-call read
+    armed: on the degenerate geometry a replay that touches any other
+    line or page evicts that read's."""
+    stream = [e for e in events if e[0] in ("read", "branch", "instr")]
+    stream2 = [e for e in events2 if e[0] in ("read", "branch", "instr")]
     sites = SiteInterner()
     recorder = TraceRecorder(sites=sites)
-    for page in range(1, 6):
-        recorder.read(page * 4096, 8)
+    _apply(recorder, stream)
     trace = recorder.finish()
-    snaps = []
+
+    results = []
     for t in (
-        _tiny_reference(sites),
-        PerfTracer(engine=FastEngine(sites=sites, **_TINY_KW)),
+        _degenerate_reference(sites),
+        PerfTracer(engine=FastEngine(sites=sites, **_DEGENERATE_KW)),
     ):
-        t.read(0, 8)
-        t.replay(trace)
-        t.read(0, 8)
-        snaps.append(t.snapshot())
-    assert snaps[1] == snaps[0]
+        snaps = []
+        for live in (stream2, stream, stream2):
+            _apply(t, live)
+            t.replay(trace)
+            # Read again what the last per-call read read.
+            _apply(t, [e for e in live if e[0] == "read"][-1:])
+            snaps.append(t.snapshot())
+        results.append(snaps)
+    assert results[1] == results[0]
 
 
 @given(st.integers(1, 9), st.integers(0, 64), st.booleans())
