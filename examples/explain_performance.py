@@ -9,17 +9,17 @@ Run:  python examples/explain_performance.py
 """
 
 from repro.bench.config import BenchSettings
-from repro.bench.experiments.common import dataset_and_workload, sweep
+from repro.bench.experiments.common import measure_cells, sweep_cells
 from repro.bench.stats import ols
 
 
 def main() -> None:
     settings = BenchSettings(n_keys=60_000, n_lookups=300, max_configs=4)
-    measurements = []
+    cells = []
     for ds_name in ("amzn", "osm"):
-        ds, wl = dataset_and_workload(ds_name, settings)
         for index_name in ("RMI", "PGM", "RS", "BTree", "ART"):
-            measurements.extend(sweep(ds, wl, index_name, settings))
+            cells.extend(sweep_cells(ds_name, index_name, settings))
+    measurements = measure_cells(cells)
 
     print(f"{len(measurements)} measurements\n")
     print(f"{'index':8s} {'dataset':6s} {'size MB':>9s} {'ns':>6s} "

@@ -13,20 +13,23 @@ import sys
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     FIG7_INDEXES,
-    dataset_and_workload,
-    sweep,
+    measure_cells,
+    sweep_cells,
 )
 from repro.core.pareto import ParetoPoint, pareto_front
 
 
 def main(dataset_name: str = "amzn", budget_mb: float = 0.05) -> None:
     settings = BenchSettings(n_keys=80_000, n_lookups=400, max_configs=5)
-    ds, wl = dataset_and_workload(dataset_name, settings)
-    print(f"sweeping {FIG7_INDEXES} on {dataset_name} ({ds.n} keys)...")
+    print(
+        f"sweeping {FIG7_INDEXES} on {dataset_name} "
+        f"({settings.n_keys} keys)..."
+    )
 
-    measurements = []
+    cells = []
     for index_name in FIG7_INDEXES:
-        measurements.extend(sweep(ds, wl, index_name, settings))
+        cells.extend(sweep_cells(dataset_name, index_name, settings))
+    measurements = measure_cells(cells)
 
     points = [
         ParetoPoint(m.index, m.size_bytes, m.latency_ns, m.config)

@@ -107,9 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 #: Smallest value each size option accepts: an index needs two keys to
-#: have a key range, a measurement at least one lookup, and warmup counts
-#: lookups so it cannot be negative.
-_MIN_SIZES = (("n_keys", 2), ("n_lookups", 1), ("warmup", 0))
+#: have a key range, a measurement at least one lookup, warmup counts
+#: lookups so it cannot be negative, and a sweep needs one configuration.
+_MIN_SIZES = (
+    ("n_keys", 2), ("n_lookups", 1), ("warmup", 0), ("max_configs", 1)
+)
 
 
 def settings_from_args(args) -> BenchSettings:

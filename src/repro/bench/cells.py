@@ -142,21 +142,15 @@ class MeasureCell:
             self.n_lookups + self.warmup,
         )
 
-    def run(
-        self,
-        dataset: Optional[Dataset] = None,
-        workload: Optional[Workload] = None,
-        profile: Optional[bool] = None,
-    ) -> Measurement:
-        """Execute the cell; pass dataset/workload to reuse built objects.
+    def run(self, profile: Optional[bool] = None) -> Measurement:
+        """Execute the cell against its own dataset and workload.
 
         ``profile`` (None = ambient ``REPRO_OBS_PROFILE``) is deliberately
         NOT part of the cell's identity or :meth:`key_fields`: phase
         attribution annotates a measurement without changing any of its
         counters, so the same cached measurement serves either.
         """
-        if dataset is None or workload is None:
-            dataset, workload = self.materialize()
+        dataset, workload = self.materialize()
         return measure_index(
             dataset,
             workload,

@@ -4,13 +4,13 @@ Each module exposes ``run(settings: BenchSettings) -> str`` returning the
 harness's text report.  ``EXPERIMENTS`` maps the ids used by the CLI
 (``python -m repro.bench --experiment fig7``) to those callables.
 
-Drivers whose grid goes through ``common.cached_measure`` additionally
-expose ``cells(settings) -> List[MeasureCell]`` enumerating that grid
-without executing it; ``EXPERIMENT_CELLS`` maps their ids to those
-enumerators so the parallel runner (:mod:`repro.bench.parallel`) can
-pre-compute every measurement before the drivers format reports.
-Experiments absent from ``EXPERIMENT_CELLS`` (capability tables, CDF
-plots, non-grid extensions) run inline as before.
+A grid driver also exposes ``cells(settings) -> List[MeasureCell]``, its
+measurement grid, and its ``run`` formats the measurements
+``common.measure_cells`` returns for those cells.  ``EXPERIMENT_CELLS``
+maps the ids of every module that defines ``cells`` to it, so the
+parallel runner (:mod:`repro.bench.parallel`) can pre-compute every
+measurement before the drivers format reports.  The other experiments
+(capability tables, CDF plots, non-grid extensions) run inline.
 """
 
 from repro.bench.experiments import (
@@ -38,51 +38,39 @@ from repro.bench.experiments import (
     table2_fastest,
 )
 
-EXPERIMENTS = {
-    "table1": table1_capabilities.run,
-    "fig6": fig6_cdfs.run,
-    "fig7": fig7_pareto.run,
-    "fig8": fig8_strings.run,
-    "table2": table2_fastest.run,
-    "fig9": fig9_scaling.run,
-    "fig10": fig10_keysize.run,
-    "fig11": fig11_search.run,
-    "fig12": fig12_metrics.run,
-    "sec4.3": sec43_regression.run,
-    "fig13": fig13_compression.run,
-    "fig14": fig14_cold_cache.run,
-    "fig15": fig15_fences.run,
-    "fig16": fig16_multithread.run,
-    "fig17": fig17_build_times.run,
-    "ext1": ext_learned_variants.run,
-    "ext2": ext_skew.run,
-    "ext3": ext_readwrite.run,
-    "ext_serving": ext_serving.run,
-    "ext_cluster": ext_cluster.run,
-    "ext_tenants": ext_tenants.run,
-    "ext_reconfig": ext_reconfig.run,
+#: Every experiment id the CLI accepts, in ``--experiment all`` order.
+_MODULES = {
+    "table1": table1_capabilities,
+    "fig6": fig6_cdfs,
+    "fig7": fig7_pareto,
+    "fig8": fig8_strings,
+    "table2": table2_fastest,
+    "fig9": fig9_scaling,
+    "fig10": fig10_keysize,
+    "fig11": fig11_search,
+    "fig12": fig12_metrics,
+    "sec4.3": sec43_regression,
+    "fig13": fig13_compression,
+    "fig14": fig14_cold_cache,
+    "fig15": fig15_fences,
+    "fig16": fig16_multithread,
+    "fig17": fig17_build_times,
+    "ext1": ext_learned_variants,
+    "ext2": ext_skew,
+    "ext3": ext_readwrite,
+    "ext_serving": ext_serving,
+    "ext_cluster": ext_cluster,
+    "ext_tenants": ext_tenants,
+    "ext_reconfig": ext_reconfig,
 }
 
-#: Grid enumerators for the parallel runner (subset of EXPERIMENTS).
+EXPERIMENTS = {exp_id: module.run for exp_id, module in _MODULES.items()}
+
+#: Grid enumerators for the parallel runner: every driver that has one.
 EXPERIMENT_CELLS = {
-    "fig7": fig7_pareto.cells,
-    "fig8": fig8_strings.cells,
-    "table2": table2_fastest.cells,
-    "fig9": fig9_scaling.cells,
-    "fig10": fig10_keysize.cells,
-    "fig11": fig11_search.cells,
-    "fig12": fig12_metrics.cells,
-    "sec4.3": sec43_regression.cells,
-    "fig13": fig13_compression.cells,
-    "fig14": fig14_cold_cache.cells,
-    "fig15": fig15_fences.cells,
-    "fig16": fig16_multithread.cells,
-    "fig17": fig17_build_times.cells,
-    "ext1": ext_learned_variants.cells,
-    "ext_serving": ext_serving.cells,
-    "ext_cluster": ext_cluster.cells,
-    "ext_tenants": ext_tenants.cells,
-    "ext_reconfig": ext_reconfig.cells,
+    exp_id: module.cells
+    for exp_id, module in _MODULES.items()
+    if hasattr(module, "cells")
 }
 
 __all__ = ["EXPERIMENTS", "EXPERIMENT_CELLS"]

@@ -2,25 +2,25 @@
 
 Measurements flow through a single abstraction: a picklable
 :class:`~repro.bench.cells.MeasureCell` (one grid point) mapping to one
-:class:`~repro.bench.harness.Measurement`.  ``cached_measure`` resolves a
-cell through two layers -- the per-process memo ``_MEASUREMENTS`` and, if
-one is active, the persistent on-disk :mod:`repro.bench.cache` -- before
-executing it.  The parallel runner (:mod:`repro.bench.parallel`) fills
-the same layers from a process pool, so drivers that run afterwards hit
-memoized results regardless of how they were computed.
+:class:`~repro.bench.harness.Measurement`.  A grid driver lists its grid
+in ``cells(settings)`` and formats what :func:`measure_cells` returns
+for those cells, through the runner's one ladder: the per-process memo
+``_MEASUREMENTS``, the active persistent :mod:`repro.bench.cache`, then
+execution.  The CLI's runner pass fills the memo first, from a process
+pool, so every cell a driver reads is a memo hit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import Dict, List, Optional, Sequence
 
 from repro.bench.cache import MeasurementCache
 from repro.bench.cells import MeasureCell, cell_inputs
 from repro.bench.config import BenchSettings, sweep_configs
 from repro.bench.harness import Measurement
 from repro.core.registry import get_index_class
-from repro.datasets.loader import Dataset, make_dataset
-from repro.datasets.workload import Workload
+from repro.datasets.loader import make_dataset
 
 #: The index set of the paper's Figure 7.
 FIG7_INDEXES = ["RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST"]
@@ -42,71 +42,15 @@ def get_active_cache() -> Optional[MeasurementCache]:
     return _ACTIVE_CACHE
 
 
-def dataset_and_workload(
-    name: str, settings: BenchSettings, key_bits: int = 64
-) -> Tuple[Dataset, Workload]:
-    """Dataset + present-key workload, the pair a grid cell rebuilds."""
-    return cell_inputs(
-        name, settings.n_keys, settings.seed, key_bits,
-        settings.n_lookups + settings.warmup,
-    )
+def measure_cells(cells: Sequence[MeasureCell]) -> List[Measurement]:
+    """The measurements of ``cells``, aligned with them.
 
+    Memo -> active cache -> inline execution, memoizing on the way out.
+    """
+    # Imported here: repro.bench.parallel imports this module.
+    from repro.bench.parallel import _resolve
 
-def resolve_cell(
-    cell: MeasureCell,
-    dataset: Optional[Dataset] = None,
-    workload: Optional[Workload] = None,
-) -> Measurement:
-    """Memo -> persistent cache -> execute, memoizing on the way out."""
-    m = _MEASUREMENTS.get(cell)
-    if m is not None:
-        return m
-    cache = _ACTIVE_CACHE
-    if cache is not None:
-        m = cache.get(cell)
-    if m is None:
-        m = cell.run(dataset, workload)
-        if cache is not None:
-            cache.put(cell, m)
-    _MEASUREMENTS[cell] = m
-    return m
-
-
-def cached_measure(
-    dataset: Dataset,
-    workload: Workload,
-    index_name: str,
-    config: dict,
-    settings: BenchSettings,
-    warm: bool = True,
-    search: str = "binary",
-) -> Measurement:
-    """Measure one cell, reusing the memo and any active persistent cache."""
-    cell = MeasureCell.make(
-        dataset.name,
-        index_name,
-        config,
-        settings,
-        key_bits=dataset.key_bits,
-        warm=warm,
-        search=search,
-    )
-    return resolve_cell(cell, dataset, workload)
-
-
-def cell_for(
-    ds_name: str,
-    index_name: str,
-    config: dict,
-    settings: BenchSettings,
-    key_bits: int = 64,
-    warm: bool = True,
-    search: str = "binary",
-) -> MeasureCell:
-    """The cell ``cached_measure`` would resolve for these arguments."""
-    return MeasureCell.make(
-        ds_name, index_name, config, settings, key_bits, warm, search
-    )
+    return _resolve(cells, jobs=1, cache=_ACTIVE_CACHE, memo=_MEASUREMENTS)[0]
 
 
 def sweep_cells(
@@ -116,42 +60,27 @@ def sweep_cells(
     key_bits: int = 64,
     warm: bool = True,
     search: str = "binary",
-    max_configs: Optional[int] = None,
 ) -> List[MeasureCell]:
-    """The cells :func:`sweep` would measure, without measuring them."""
+    """The cells of an index's size sweep over one dataset."""
     ds = make_dataset(
         ds_name, settings.n_keys, seed=settings.seed, key_bits=key_bits
     )
     cls = get_index_class(index_name)
-    limit = max_configs if max_configs is not None else settings.max_configs
     return [
         MeasureCell.make(
             ds_name, index_name, config, settings, key_bits, warm, search
         )
-        for config in sweep_configs(cls, ds.n, limit)
+        for config in sweep_configs(cls, ds.n, settings.max_configs)
     ]
 
 
-def sweep(
-    dataset: Dataset,
-    workload: Workload,
-    index_name: str,
-    settings: BenchSettings,
-    warm: bool = True,
-    search: str = "binary",
-    max_configs: Optional[int] = None,
-) -> List[Measurement]:
-    """Measure an index across its size sweep."""
-    cls = get_index_class(index_name)
-    limit = max_configs if max_configs is not None else settings.max_configs
-    results = []
-    for config in sweep_configs(cls, dataset.n, limit):
-        results.append(
-            cached_measure(
-                dataset, workload, index_name, config, settings, warm, search
-            )
-        )
-    return results
+def group_by(measurements: Sequence[Measurement], field: str) -> Dict:
+    """Measurements by the value of one field, in first-seen order.  An
+    absent value reads as an empty list, on which :func:`fastest` raises."""
+    groups: Dict[object, List[Measurement]] = defaultdict(list)
+    for m in measurements:
+        groups[getattr(m, field)].append(m)
+    return groups
 
 
 def fastest(measurements: List[Measurement]) -> Measurement:

@@ -56,7 +56,7 @@ from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     fastest,
     get_active_cache,
-    resolve_cell,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import Measurement
@@ -138,13 +138,8 @@ def shard_measurements(
     """Fastest sweep variant per shard (one real build per shard)."""
     out: List[Measurement] = []
     for shard in range(N_SHARDS):
-        sweep = [
-            resolve_cell(cell)
-            for cell in sweep_cells(
-                ds_name, index_name, shard_settings(settings, shard)
-            )
-        ]
-        out.append(fastest(sweep))
+        grid = sweep_cells(ds_name, index_name, shard_settings(settings, shard))
+        out.append(fastest(measure_cells(grid)))
     return out
 
 

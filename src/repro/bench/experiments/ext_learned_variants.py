@@ -13,8 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -37,11 +37,9 @@ def run(settings: BenchSettings) -> str:
         "Extension: learned-index variants (RMI3 = three-stage RMI, "
         "FITing = FITing-Tree)\n"
     ]
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
     for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        measurements = []
-        for index_name in settings.indexes or INDEXES:
-            measurements.extend(sweep(ds, wl, index_name, settings))
+        measurements = by_dataset[ds_name]
         points = [
             ParetoPoint(m.index, m.size_bytes, m.latency_ns, m.config)
             for m in measurements

@@ -39,10 +39,9 @@ from typing import Dict, List, Sequence, Tuple
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
     fastest,
     get_active_cache,
-    sweep,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import Measurement
@@ -219,9 +218,8 @@ def run(settings: BenchSettings) -> str:
     ]
     sim_cache = get_active_cache()
     for ds_name in _datasets(settings):
-        ds, wl = dataset_and_workload(ds_name, settings)
         sweeps = {
-            name: sweep(ds, wl, name, settings)
+            name: measure_cells(sweep_cells(ds_name, name, settings))
             for name in _indexes(settings)
         }
         pinned = {name: fastest(ms) for name, ms in sweeps.items()}

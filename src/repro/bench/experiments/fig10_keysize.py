@@ -13,8 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -34,18 +34,12 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 10: key size (32 vs 64 bit), amzn\n"]
+    by_index = group_by(measure_cells(cells(settings)), "index")
     for index_name in settings.indexes or INDEXES:
-        rows = []
-        for bits in (64, 32):
-            ds, wl = dataset_and_workload("amzn", settings, key_bits=bits)
-            for m in sweep(ds, wl, index_name, settings):
-                rows.append(
-                    (
-                        f"{bits}-bit",
-                        f"{m.size_mb:.4f}",
-                        f"{m.latency_ns:.0f}",
-                    )
-                )
+        rows = [
+            (f"{m.key_bits}-bit", f"{m.size_mb:.4f}", f"{m.latency_ns:.0f}")
+            for m in by_index[index_name]
+        ]
         parts.append(f"index={index_name}")
         parts.append(format_table(["keys", "size MB", "lookup ns"], rows))
         parts.append("")

@@ -12,8 +12,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -36,20 +36,12 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 11: last-mile search technique comparison\n"]
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
     for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        rows = []
-        for index_name in settings.indexes or INDEXES:
-            for search in SEARCH_FUNCTIONS:
-                for m in sweep(ds, wl, index_name, settings, search=search):
-                    rows.append(
-                        (
-                            m.index,
-                            search,
-                            f"{m.size_mb:.4f}",
-                            f"{m.latency_ns:.0f}",
-                        )
-                    )
+        rows = [
+            (m.index, m.search, f"{m.size_mb:.4f}", f"{m.latency_ns:.0f}")
+            for m in by_dataset[ds_name]
+        ]
         parts.append(f"dataset={ds_name}")
         parts.append(
             format_table(["index", "search", "size MB", "lookup ns"], rows)

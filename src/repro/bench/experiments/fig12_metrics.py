@@ -8,16 +8,15 @@ column predicts the latency column.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
-from repro.bench.harness import Measurement
 from repro.bench.report import format_table
 from repro.bench.stats import correlations
 
@@ -33,20 +32,11 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
     return out
 
 
-def collect(settings: BenchSettings) -> Dict[str, List[Measurement]]:
-    out: Dict[str, List[Measurement]] = {}
-    for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        ms: List[Measurement] = []
-        for index_name in settings.indexes or INDEXES:
-            ms.extend(sweep(ds, wl, index_name, settings))
-        out[ds_name] = ms
-    return out
-
-
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 12: metrics vs lookup time\n"]
-    for ds_name, ms in collect(settings).items():
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
+    for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
+        ms = by_dataset[ds_name]
         rows = [
             (
                 m.index,

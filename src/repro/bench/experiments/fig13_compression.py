@@ -13,8 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -33,19 +33,17 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 13: size vs log2 error (compression view)\n"]
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
     for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        rows = []
-        for index_name in settings.indexes or INDEXES:
-            for m in sweep(ds, wl, index_name, settings):
-                rows.append(
-                    (
-                        m.index,
-                        f"{m.size_mb:.4f}",
-                        f"{m.avg_log2_bound:.2f}",
-                        f"{m.latency_ns:.0f}",
-                    )
-                )
+        rows = [
+            (
+                m.index,
+                f"{m.size_mb:.4f}",
+                f"{m.avg_log2_bound:.2f}",
+                f"{m.latency_ns:.0f}",
+            )
+            for m in by_dataset[ds_name]
+        ]
         parts.append(f"dataset={ds_name}")
         parts.append(
             format_table(

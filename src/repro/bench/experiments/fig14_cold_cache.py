@@ -13,8 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -31,11 +31,11 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 
 def run(settings: BenchSettings) -> str:
-    ds, wl = dataset_and_workload("amzn", settings)
     parts = ["Figure 14: cold vs warm cache, amzn\n"]
+    by_index = group_by(measure_cells(cells(settings)), "index")
     for index_name in settings.indexes or INDEXES:
-        warm = sweep(ds, wl, index_name, settings, warm=True)
-        cold = sweep(ds, wl, index_name, settings, warm=False)
+        by_warm = group_by(by_index[index_name], "warm")
+        warm, cold = by_warm[True], by_warm[False]
         rows = []
         for w, c in zip(warm, cold):
             rows.append(

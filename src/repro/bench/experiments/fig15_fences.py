@@ -14,8 +14,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -31,11 +31,11 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 
 def run(settings: BenchSettings) -> str:
-    ds, wl = dataset_and_workload("amzn", settings)
     parts = ["Figure 15: memory fence impact, amzn\n"]
+    by_index = group_by(measure_cells(cells(settings)), "index")
     for index_name in settings.indexes or INDEXES:
         rows = []
-        for m in sweep(ds, wl, index_name, settings):
+        for m in by_index[index_name]:
             slowdown = m.fence_latency_ns / max(m.latency_ns, 1e-9)
             rows.append(
                 (

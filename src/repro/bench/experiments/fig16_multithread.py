@@ -13,11 +13,9 @@ from typing import Dict, List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    cached_measure,
-    cell_for,
     closest_to_size,
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import Measurement
@@ -34,25 +32,21 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
     out: List[MeasureCell] = []
     for index_name in settings.indexes or INDEXES:
         out.extend(sweep_cells("amzn", index_name, settings))
-    out.append(cell_for("amzn", "RobinHash", {}, settings))
-    return out
-
-
-def pinned_measurements(settings: BenchSettings) -> Dict[str, Measurement]:
-    ds, wl = dataset_and_workload("amzn", settings)
-    target = BYTES_PER_KEY * ds.n
-    out: Dict[str, Measurement] = {}
-    for index_name in settings.indexes or INDEXES:
-        out[index_name] = closest_to_size(
-            sweep(ds, wl, index_name, settings), target
-        )
-    out["RobinHash"] = cached_measure(ds, wl, "RobinHash", {}, settings)
+    out.append(MeasureCell.make("amzn", "RobinHash", {}, settings))
     return out
 
 
 def run(settings: BenchSettings) -> str:
     machine = MachineModel()
-    pinned = pinned_measurements(settings)
+    # cells() lists the RobinHash cell after every sweep.
+    *swept, robin = measure_cells(cells(settings))
+    by_index = group_by(swept, "index")
+    target = BYTES_PER_KEY * robin.n_keys
+    pinned: Dict[str, Measurement] = {
+        index_name: closest_to_size(by_index[index_name], target)
+        for index_name in settings.indexes or INDEXES
+    }
+    pinned["RobinHash"] = robin
     parts = [
         "Figure 16a: throughput vs threads, amzn "
         f"(~{BYTES_PER_KEY:.2f} B/key models; RobinHash full size)\n"
@@ -60,11 +54,11 @@ def run(settings: BenchSettings) -> str:
     for fence in (False, True):
         rows = []
         for name, m in pinned.items():
-            cells: List[str] = [name]
+            row: List[str] = [name]
             for t in THREADS:
                 p = throughput(m, t, fence=fence, machine=machine)
-                cells.append(f"{p.lookups_per_sec / 1e6:.1f}")
-            rows.append(tuple(cells))
+                row.append(f"{p.lookups_per_sec / 1e6:.1f}")
+            rows.append(tuple(row))
         parts.append("with fence" if fence else "no fence")
         parts.append(
             format_table(
@@ -74,14 +68,12 @@ def run(settings: BenchSettings) -> str:
         parts.append("")
 
     # 16b: size vs 40-thread throughput.
-    ds, wl = dataset_and_workload("amzn", settings)
     rows_b = []
-    for index_name in settings.indexes or INDEXES:
-        for m in sweep(ds, wl, index_name, settings):
-            p = throughput(m, 40, machine=machine)
-            rows_b.append(
-                (m.index, f"{m.size_mb:.4f}", f"{p.lookups_per_sec / 1e6:.1f}")
-            )
+    for m in swept:
+        p = throughput(m, 40, machine=machine)
+        rows_b.append(
+            (m.index, f"{m.size_mb:.4f}", f"{p.lookups_per_sec / 1e6:.1f}")
+        )
     parts.append("Figure 16b: size vs 40-thread throughput")
     parts.append(
         format_table(["index", "size MB", "40T throughput (M/s)"], rows_b)
@@ -92,11 +84,11 @@ def run(settings: BenchSettings) -> str:
     # like the paper's figure).
     rows_c = []
     for name, m in pinned.items():
-        cells = [name]
+        row = [name]
         for t in THREADS:
             p = throughput(m, t, fence=True, machine=machine)
-            cells.append(f"{p.cache_misses_per_sec / 1e6:.0f}")
-        rows_c.append(tuple(cells))
+            row.append(f"{p.cache_misses_per_sec / 1e6:.0f}")
+        rows_c.append(tuple(row))
     parts.append("Figure 16c: cache misses per second (millions), fence")
     parts.append(format_table(["index"] + [f"{t}T" for t in THREADS], rows_c))
     parts.append("")

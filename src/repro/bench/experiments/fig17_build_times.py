@@ -17,9 +17,9 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
     fastest,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import build_index
@@ -53,22 +53,22 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 def run(settings: BenchSettings) -> str:
     # "Fastest variant" configs picked at base size.
-    ds, wl = dataset_and_workload("amzn", settings)
+    by_index = group_by(measure_cells(cells(settings)), "index")
     configs = {}
     for index_name in settings.indexes or INDEXES:
-        ms = sweep(ds, wl, index_name, settings)
+        ms = by_index[index_name]
         configs[index_name] = fastest(ms).config if ms else {}
 
     rows = []
     for index_name, config in configs.items():
-        cells = [index_name, str(config)]
+        row = [index_name, str(config)]
         for scale in SCALES:
             scaled_ds = make_dataset(
                 "amzn", settings.n_keys * scale, seed=settings.seed
             )
             built = build_index(scaled_ds, index_name, config)
-            cells.append(f"{built.index.build_seconds:.3f}")
-        rows.append(tuple(cells))
+            row.append(f"{built.index.build_seconds:.3f}")
+        rows.append(tuple(row))
     header = ["index", "config"] + [
         f"{settings.n_keys * s} keys (s)" for s in SCALES
     ]

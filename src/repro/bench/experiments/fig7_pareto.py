@@ -9,16 +9,14 @@ optimal") is checked.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     FIG7_INDEXES,
-    cached_measure,
-    cell_for,
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import Measurement
@@ -33,21 +31,7 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
     for ds_name in settings.datasets:
         for index_name in indexes:
             out.extend(sweep_cells(ds_name, index_name, settings))
-        out.append(cell_for(ds_name, "BS", {}, settings))
-    return out
-
-
-def collect(settings: BenchSettings) -> Dict[str, List[Measurement]]:
-    """All sweep measurements plus the BS baseline, per dataset."""
-    out: Dict[str, List[Measurement]] = {}
-    indexes = settings.indexes or FIG7_INDEXES
-    for ds_name in settings.datasets:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        measurements: List[Measurement] = []
-        for index_name in indexes:
-            measurements.extend(sweep(ds, wl, index_name, settings))
-        measurements.append(cached_measure(ds, wl, "BS", {}, settings))
-        out[ds_name] = measurements
+        out.append(MeasureCell.make(ds_name, "BS", {}, settings))
     return out
 
 
@@ -63,7 +47,8 @@ def pareto_names(measurements: List[Measurement]) -> set:
 
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 7: performance / size tradeoffs (simulated ns)\n"]
-    for ds_name, measurements in collect(settings).items():
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
+    for ds_name, measurements in by_dataset.items():
         front = pareto_names(measurements)
         bs = next(m for m in measurements if m.index == "BS")
         rows = []

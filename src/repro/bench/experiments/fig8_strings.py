@@ -13,10 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    cached_measure,
-    cell_for,
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -28,7 +26,7 @@ DATASETS = ["amzn", "face"]
 def cells(settings: BenchSettings) -> List[MeasureCell]:
     out: List[MeasureCell] = []
     for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        out.append(cell_for(ds_name, "BS", {}, settings))
+        out.append(MeasureCell.make(ds_name, "BS", {}, settings))
         for index_name in INDEXES:
             out.extend(sweep_cells(ds_name, index_name, settings))
     return out
@@ -36,15 +34,12 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
 
 def run(settings: BenchSettings) -> str:
     parts = ["Figure 8: structures designed for strings, on integer keys\n"]
-    for ds_name in [d for d in DATASETS if d in settings.datasets] or DATASETS:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        bs = cached_measure(ds, wl, "BS", {}, settings)
-        rows = []
-        for index_name in INDEXES:
-            for m in sweep(ds, wl, index_name, settings):
-                rows.append(
-                    (m.index, f"{m.size_mb:.4f}", f"{m.latency_ns:.0f}")
-                )
+    by_dataset = group_by(measure_cells(cells(settings)), "dataset")
+    # cells() lists each dataset's BS baseline before its sweeps.
+    for ds_name, (bs, *swept) in by_dataset.items():
+        rows = [
+            (m.index, f"{m.size_mb:.4f}", f"{m.latency_ns:.0f}") for m in swept
+        ]
         parts.append(
             f"dataset={ds_name}  (binary search baseline: {bs.latency_ns:.0f} ns)"
         )

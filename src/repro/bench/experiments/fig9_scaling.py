@@ -13,8 +13,8 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    dataset_and_workload,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -37,20 +37,18 @@ def run(settings: BenchSettings) -> str:
         "Figure 9: dataset-size scaling on amzn "
         f"(sizes {[settings.n_keys * s for s in SCALES]}; the paper's 200M-800M)\n"
     ]
+    by_index = group_by(measure_cells(cells(settings)), "index")
     for index_name in settings.indexes or INDEXES:
-        rows = []
-        for scale in SCALES:
-            scaled = replace(settings, n_keys=settings.n_keys * scale)
-            ds, wl = dataset_and_workload("amzn", scaled)
-            for m in sweep(ds, wl, index_name, scaled):
-                rows.append(
-                    (
-                        f"{scale}x",
-                        ds.n,
-                        f"{m.size_mb:.4f}",
-                        f"{m.latency_ns:.0f}",
-                    )
-                )
+        # amzn has exactly the requested key count at every scale.
+        rows = [
+            (
+                f"{m.n_keys // settings.n_keys}x",
+                m.n_keys,
+                f"{m.size_mb:.4f}",
+                f"{m.latency_ns:.0f}",
+            )
+            for m in by_index[index_name]
+        ]
         parts.append(f"index={index_name}")
         parts.append(
             format_table(["scale", "keys", "size MB", "lookup ns"], rows)

@@ -15,8 +15,7 @@ from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
     FIG7_INDEXES,
-    dataset_and_workload,
-    sweep,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.harness import Measurement
@@ -32,15 +31,6 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
     return out
 
 
-def collect(settings: BenchSettings) -> List[Measurement]:
-    ms: List[Measurement] = []
-    for ds_name in settings.datasets:
-        ds, wl = dataset_and_workload(ds_name, settings)
-        for index_name in settings.indexes or FIG7_INDEXES:
-            ms.extend(sweep(ds, wl, index_name, settings))
-    return ms
-
-
 def regress(ms: List[Measurement], with_size_and_error: bool) -> RegressionResult:
     features = {
         "cache_misses": [m.counters.llc_misses for m in ms],
@@ -54,7 +44,7 @@ def regress(ms: List[Measurement], with_size_and_error: bool) -> RegressionResul
 
 
 def run(settings: BenchSettings) -> str:
-    ms = collect(settings)
+    ms = measure_cells(cells(settings))
     base = regress(ms, with_size_and_error=False)
     extended = regress(ms, with_size_and_error=True)
 

@@ -12,11 +12,9 @@ from typing import List
 from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments.common import (
-    cached_measure,
-    cell_for,
-    dataset_and_workload,
     fastest,
-    sweep,
+    group_by,
+    measure_cells,
     sweep_cells,
 )
 from repro.bench.report import format_table
@@ -29,23 +27,21 @@ def cells(settings: BenchSettings) -> List[MeasureCell]:
     out: List[MeasureCell] = []
     for index_name in SWEPT:
         out.extend(sweep_cells("amzn", index_name, settings, key_bits=32))
-    out.append(cell_for("amzn", "BS", {}, settings, key_bits=32))
-    for index_name in HASHES:
-        out.append(cell_for("amzn", index_name, {}, settings, key_bits=32))
+    for index_name in ["BS"] + HASHES:
+        out.append(
+            MeasureCell.make("amzn", index_name, {}, settings, key_bits=32)
+        )
     return out
 
 
 def run(settings: BenchSettings) -> str:
-    ds, wl = dataset_and_workload("amzn", settings, key_bits=32)
+    by_index = group_by(measure_cells(cells(settings)), "index")
     rows = []
-    for index_name in SWEPT:
-        m = fastest(sweep(ds, wl, index_name, settings))
-        rows.append((m.index, f"{m.latency_ns:.2f} ns", f"{m.size_mb:.3f} MB"))
-    bs = cached_measure(ds, wl, "BS", {}, settings)
-    rows.append(("BS", f"{bs.latency_ns:.2f} ns", "0.0 MB"))
-    for index_name in HASHES:
-        m = cached_measure(ds, wl, index_name, {}, settings)
-        rows.append((m.index, f"{m.latency_ns:.2f} ns", f"{m.size_mb:.3f} MB"))
+    # BS and the hashes have one configuration each: a one-cell sweep.
+    for index_name in SWEPT + ["BS"] + HASHES:
+        m = fastest(by_index[index_name])
+        size = "0.0 MB" if index_name == "BS" else f"{m.size_mb:.3f} MB"
+        rows.append((m.index, f"{m.latency_ns:.2f} ns", size))
     return (
         "Table 2: fastest variant of each index vs hashing (amzn, 32-bit)\n\n"
         + format_table(["Method", "Time", "Size"], rows)

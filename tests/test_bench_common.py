@@ -1,7 +1,11 @@
 """Experiment-driver plumbing: sweeps, caches, selection helpers."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.bench.cache import MeasurementCache
+from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
 from repro.bench.experiments import common
 
@@ -13,8 +17,8 @@ def tiny_settings():
 
 class TestSelectionHelpers:
     def _measurements(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        return common.sweep(ds, wl, "PGM", tiny_settings)
+        cells = common.sweep_cells("amzn", "PGM", tiny_settings)
+        return common.measure_cells(cells)
 
     def test_fastest_picks_min_latency(self, tiny_settings):
         ms = self._measurements(tiny_settings)
@@ -34,55 +38,79 @@ class TestSelectionHelpers:
 
 class TestMemoization:
     def test_cached_measure_reuses(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        a = common.cached_measure(ds, wl, "BS", {}, tiny_settings)
-        b = common.cached_measure(ds, wl, "BS", {}, tiny_settings)
+        cell = MeasureCell.make("amzn", "BS", {}, tiny_settings)
+        (a,) = common.measure_cells([cell])
+        (b,) = common.measure_cells([cell])
         assert a is b
 
     def test_different_search_not_conflated(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        a = common.cached_measure(ds, wl, "BS", {}, tiny_settings, search="binary")
-        b = common.cached_measure(
-            ds, wl, "BS", {}, tiny_settings, search="interpolation"
+        a, b = common.measure_cells(
+            [
+                MeasureCell.make(
+                    "amzn", "BS", {}, tiny_settings, search="binary"
+                ),
+                MeasureCell.make(
+                    "amzn", "BS", {}, tiny_settings, search="interpolation"
+                ),
+            ]
         )
         assert a is not b
 
     def test_clear_caches(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        a = common.cached_measure(ds, wl, "BS", {}, tiny_settings)
+        cell = MeasureCell.make("amzn", "BS", {}, tiny_settings)
+        (a,) = common.measure_cells([cell])
         common.clear_caches()
-        b = common.cached_measure(ds, wl, "BS", {}, tiny_settings)
+        (b,) = common.measure_cells([cell])
         assert a is not b
 
     def test_workload_covers_warmup(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
+        _, wl = MeasureCell.make("amzn", "BS", {}, tiny_settings).materialize()
         assert wl.n >= tiny_settings.n_lookups + tiny_settings.warmup
+
+    def test_reads_active_cache(self, tiny_settings, tmp_path, monkeypatch):
+        cell = MeasureCell.make("amzn", "BS", {}, tiny_settings)
+        common.clear_caches()
+        common.set_active_cache(MeasurementCache(str(tmp_path)))
+        try:
+            (a,) = common.measure_cells([cell])
+            common.clear_caches()
+
+            def fail(self, *args, **kwargs):
+                raise AssertionError(f"executed {self.label()}")
+
+            monkeypatch.setattr(MeasureCell, "run", fail)
+            (b,) = common.measure_cells([cell])
+        finally:
+            common.set_active_cache(None)
+        assert b.to_dict() == a.to_dict()
+        assert common._MEASUREMENTS[cell] is b
 
 
 class TestSweep:
     def test_sweep_respects_max_configs(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        ms = common.sweep(ds, wl, "RMI", tiny_settings)
-        assert len(ms) <= tiny_settings.max_configs
+        cells = common.sweep_cells("amzn", "RMI", tiny_settings)
+        ms = common.measure_cells(cells)
+        assert 0 < len(ms) <= tiny_settings.max_configs
 
     def test_sweep_override(self, tiny_settings):
-        ds, wl = common.dataset_and_workload("amzn", tiny_settings)
-        ms = common.sweep(ds, wl, "RMI", tiny_settings, max_configs=1)
-        assert len(ms) == 1
+        one = replace(tiny_settings, max_configs=1)
+        cells = common.sweep_cells("amzn", "RMI", one)
+        assert len(common.measure_cells(cells)) == 1
 
 
 class TestWorkloads:
-    """One memoized workload builder serves inline drivers and cells."""
+    """One memoized workload builder serves every cell."""
 
     def test_workload_keyed_on_warmup(self):
         common.clear_caches()
         short = BenchSettings(n_keys=2_500, n_lookups=100, warmup=50)
         long = BenchSettings(n_keys=2_500, n_lookups=100, warmup=300)
-        assert common.dataset_and_workload("amzn", short)[1].n == 150
-        _, wl = common.dataset_and_workload("amzn", long)
+        bs_short = MeasureCell.make("amzn", "BS", {}, short)
+        assert bs_short.materialize()[1].n == 150
+        _, wl = MeasureCell.make("amzn", "BS", {}, long).materialize()
         assert wl.n == 400
-        # A cell of the same grid measures the very same workload.
-        cell = common.cell_for("amzn", "BS", {}, long)
+        # Another cell over the same dataset measures the very same workload.
+        cell = common.sweep_cells("amzn", "RMI", long)[0]
         assert cell.materialize()[1] is wl
 
     def test_grid_over_one_dataset_builds_one_workload(

@@ -60,7 +60,7 @@ def test_all_experiments_tiny(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag,value",
     [("--n-keys", "0"), ("--n-keys", "1"), ("--n-lookups", "0"),
-     ("--warmup", "-5")],
+     ("--warmup", "-5"), ("--max-configs", "0"), ("--max-configs", "-1")],
 )
 def test_rejects_sizes_that_cannot_run(flag, value, capsys):
     """Refused at argument parsing (exit 2, usage error), before any

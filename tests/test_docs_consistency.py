@@ -1,5 +1,8 @@
 """Keep the documentation honest: files, ids and names it references exist."""
 
+import ast
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -77,6 +80,46 @@ class TestDocPaths:
                 if not (root / path).exists():
                     missing.append(f"{doc.name}: {path}")
         assert not missing, missing
+
+
+class TestDocCodeBlocks:
+    """Every ``python`` block in the docs parses, and each name it
+    imports from ``repro`` exists, so a block cannot keep showing an API
+    that is gone."""
+
+    def test_python_blocks_parse_and_imports_resolve(self):
+        docs = sorted((REPO / "docs").glob("*.md"))
+        problems = []
+        n_blocks = 0
+        for doc in docs + [REPO / "README.md", REPO / "DESIGN.md"]:
+            text = doc.read_text()
+            for block in re.findall(r"```python\n(.*?)```", text, re.DOTALL):
+                n_blocks += 1
+                try:
+                    tree = ast.parse(block)
+                except SyntaxError as exc:
+                    problems.append(f"{doc.name}: {exc}")
+                    continue
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.ImportFrom):
+                        continue
+                    if (node.module or "").split(".")[0] != "repro":
+                        continue
+                    try:
+                        module = importlib.import_module(node.module)
+                    except ImportError as exc:
+                        problems.append(f"{doc.name}: {exc}")
+                        continue
+                    for alias in node.names:
+                        name = f"{node.module}.{alias.name}"
+                        if not (
+                            hasattr(module, alias.name)
+                            or hasattr(module, "__path__")
+                            and importlib.util.find_spec(name)
+                        ):
+                            problems.append(f"{doc.name}: {name}")
+        assert n_blocks > 0
+        assert not problems, problems
 
 
 class TestExperimentsDoc:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.bench.cells import MeasureCell
 from repro.bench.config import BenchSettings
-from repro.bench.experiments import EXPERIMENTS
+from repro.bench.experiments import EXPERIMENT_CELLS, EXPERIMENTS
+from repro.bench.parallel import run_cells
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +38,18 @@ def test_cli_lists_all_paper_artifacts():
 
 
 @pytest.mark.parametrize("exp_id", ALL_IDS)
-def test_experiment_produces_report(tiny, exp_id):
+def test_experiment_produces_report(tiny, exp_id, monkeypatch):
+    """A grid driver reads only the cells its ``cells()`` lists: once
+    the runner has resolved them, the driver executes no cell."""
+    if exp_id in EXPERIMENT_CELLS:
+        run_cells(EXPERIMENT_CELLS[exp_id](tiny))
+
+        def unlisted(cell, *args, **kwargs):
+            raise AssertionError(
+                f"{exp_id} executed unlisted cell {cell.label()}"
+            )
+
+        monkeypatch.setattr(MeasureCell, "run", unlisted)
     report = EXPERIMENTS[exp_id](tiny)
     assert isinstance(report, str)
     assert len(report) > 50

@@ -1,9 +1,9 @@
 """Golden regression: the measurement pipeline must not silently drift.
 
-``tests/data/golden_measurements.json`` holds counters recorded by the
-pre-refactor harness (``common.dataset_and_workload`` +
-``cached_measure``) at a tiny scale, for (index, dataset, config) cells
-that also appear -- at the paper's full scale -- in ``results_full.json``.
+``tests/data/golden_measurements.json`` holds counters recorded at a
+tiny scale by the drivers' inline measurement path, as it stood before
+the cell runner existed, for (index, dataset, config) cells that also
+appear -- at the paper's full scale -- in ``results_full.json``.
 A fresh run today, serial or parallel, must reproduce those counters
 exactly; any mismatch means the refactor changed measurement behavior,
 not just its plumbing.  The cells run the product path: ``measure``

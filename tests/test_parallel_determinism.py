@@ -59,7 +59,7 @@ def grid():
     for ds_name in ("amzn", "osm"):
         for index_name in ("RMI", "BTree"):
             cells.extend(common.sweep_cells(ds_name, index_name, settings))
-        cells.append(common.cell_for(ds_name, "BS", {}, settings))
+        cells.append(MeasureCell.make(ds_name, "BS", {}, settings))
     assert len(cells) >= 8
     return cells
 

@@ -73,11 +73,9 @@ class TestAcceptance:
         common.clear_caches()
         run_cells(ext_serving.cells(settings), jobs=1)
         for ds_name in ext_serving._datasets(settings):
-            ds, wl = common.dataset_and_workload(ds_name, settings)
             for index_name in ext_serving._indexes(settings):
-                m = common.fastest(
-                    common.sweep(ds, wl, index_name, settings)
-                )
+                grid = common.sweep_cells(ds_name, index_name, settings)
+                m = common.fastest(common.measure_cells(grid))
                 curve = ext_serving.latency_curve(m, settings)
                 p99s = [s.p99_ns for _, _, s in curve]
                 assert p99s == sorted(p99s), (ds_name, index_name, p99s)
