@@ -11,9 +11,10 @@ can track the perf trajectory:
   the batched path (kernel-synthesized streams replayed from compiled
   plans on the same engine, keys ``cell_vector_*``).
   ``cell_vector_speedup`` is the headline batched-vs-loop number.
-* ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM and RS
-  ``batch_bounds`` over a large sorted probe batch versus the scalar
-  ``index.lookup`` loop on the same keys.
+* ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM, RS
+  and ART (gap 1, the lockstep trie descent) ``batch_bounds`` over a
+  large sorted probe batch versus the scalar ``index.lookup`` loop on
+  the same keys.
 
 Set ``BENCH_VECTOR_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -49,7 +50,7 @@ def _write_bench_vector_json():
         r["cell_vector_speedup"] = (
             r["cell_vector_cells_per_sec"] / r["cell_fast_cells_per_sec"]
         )
-    for name in ("rmi", "pgm", "rs"):
+    for name, _, _ in _KERNEL_CONFIGS:
         batch = r.get(f"kernel_{name}_keys_per_sec")
         scalar = r.get(f"kernel_{name}_scalar_keys_per_sec")
         if batch and scalar:
@@ -110,6 +111,7 @@ _KERNEL_CONFIGS = [
     ("rmi", "RMI", {"branching": 1024}),
     ("pgm", "PGM", {"epsilon": 64}),
     ("rs", "RS", {"epsilon": 32, "radix_bits": 14}),
+    ("art", "ART", {"gap": 1}),
 ]
 
 _N_PROBES = 50_000

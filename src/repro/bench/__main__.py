@@ -21,6 +21,7 @@ from repro.bench.config import BenchSettings
 from repro.bench.experiments import EXPERIMENTS
 from repro.bench.parallel import collect_cells, resolve_jobs, run_cells
 from repro.bench.report import format_runner_stats
+from repro.datasets.generators import FACE_N_OUTLIERS
 from repro.datasets.loader import DATASET_NAMES
 
 #: Process-wide switches ``--profile`` and ``--obs-dir`` turn on for pool
@@ -106,12 +107,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Smallest value each size option accepts: an index needs two keys to
-#: have a key range, a measurement at least one lookup, warmup counts
-#: lookups so it cannot be negative, and a sweep needs one configuration.
+#: Smallest value each size option accepts: face places its fixed count
+#: of huge outlier keys among the ``n`` keys, a measurement needs at
+#: least one lookup, warmup counts lookups so it cannot be negative, and
+#: a sweep needs one configuration.
 _MIN_SIZES = (
-    ("n_keys", 2), ("n_lookups", 1), ("warmup", 0), ("max_configs", 1)
+    ("n_keys", FACE_N_OUTLIERS), ("n_lookups", 1), ("warmup", 0),
+    ("max_configs", 1),
 )
+
+
+def _check_names(flag: str, names, known) -> None:
+    """Reject a name ``known`` lacks, or one given twice: the drivers
+    print a row or a section per name."""
+    seen = set()
+    for name in names:
+        if name not in known:
+            raise ValueError(
+                f"{flag}: unknown name {name!r} (choose from "
+                f"{', '.join(sorted(known))})"
+            )
+        if name in seen:
+            raise ValueError(f"{flag}: {name!r} is given twice")
+        seen.add(name)
 
 
 def settings_from_args(args) -> BenchSettings:
@@ -122,6 +140,12 @@ def settings_from_args(args) -> BenchSettings:
                 f"--{field_name.replace('_', '-')} must be at least "
                 f"{minimum}, got {value}"
             )
+    if args.datasets is not None:
+        _check_names("--datasets", args.datasets, DATASET_NAMES)
+    if args.indexes is not None:
+        from repro.core.registry import available_indexes
+
+        _check_names("--indexes", args.indexes, available_indexes())
     settings = BenchSettings.quick() if args.quick else BenchSettings()
     for field_name, arg in (
         ("n_keys", args.n_keys),

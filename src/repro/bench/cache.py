@@ -97,11 +97,14 @@ class MeasurementCache:
 
         A file that is present but unusable -- unreadable, not JSON, or
         a record ``cell.from_record`` rejects -- is a miss too, counted
-        in ``bench.cache.rejects``; the recomputed result's :meth:`put`
-        overwrites it.
+        in ``bench.cache.rejects``.  It is renamed to
+        ``<key>.json.rejected``, where it can be inspected and where no
+        lookup or :meth:`__len__` sees it; the recomputed result's
+        :meth:`put` then writes a fresh record.
         """
+        path = self._path(cell)
         try:
-            with open(self._path(cell)) as f:
+            with open(path) as f:
                 record = json.load(f)["measurement"]
             result = cell.from_record(record)
         except FileNotFoundError:
@@ -110,6 +113,10 @@ class MeasurementCache:
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             self.misses += 1
             obs_metrics.get_registry().counter("bench.cache.rejects").inc()
+            try:
+                os.replace(path, path + ".rejected")
+            except OSError:
+                pass  # the next put overwrites it instead
             return None
         self.hits += 1
         return result

@@ -3,7 +3,9 @@
 The scalar ``lookup`` methods of RMI, PGM and RadixSpline are pure
 arithmetic over a handful of array reads -- exactly the shape numpy
 vectorizes.  So are the SOSD baselines' descents: binary search (BS),
-radix binary search (RBS), and the BTree, IBTree and FAST trees.  Each
+radix binary search (RBS), the BTree, IBTree and FAST trees, and ART's
+trie descent, in which each key is descending, walking a rightmost
+spine, or done, and every live key visits one node per step.  Each
 kernel here maps a batch of lookup keys to the same ``(lo, hi)``
 search-bound arrays the scalar path produces, *bit for bit*: every
 float operation is performed in the same order on the same IEEE-754
@@ -50,6 +52,7 @@ from repro.memsim.engine import SiteInterner
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace
 
 if TYPE_CHECKING:  # imported where used; see _kernel_table
+    from repro.traditional.art import ARTIndex
     from repro.traditional.base import SampledIndex
     from repro.traditional.binary_search import BinarySearchIndex
     from repro.traditional.btree import BTreeIndex, IBTreeIndex
@@ -497,6 +500,153 @@ def _ibtree_bounds(index: IBTreeIndex, keys: np.ndarray, sink, sites) -> Tuple:
     )
 
 
+def _art_predecessor(index: ARTIndex, keys: np.ndarray, sink, sites):
+    """ART's ``_predecessor`` for the whole batch, one node per step.
+
+    Each key is descending, walking a rightmost spine
+    (``_rightmost_leaf``) or done.  A step visits one node per live key:
+    the ``_visit_cost`` columns (spine keys skip them at a leaf), the
+    leaf read, the ``art.leafcmp``/``art.prefix``/``art.childhit``
+    branches, then one ``_child_read`` column.  A key that leaves the
+    descent starts its spine walk in the next step, at the node the
+    scalar lookup hands to ``_rightmost_leaf``.
+    """
+    from repro.traditional.art import (
+        _HEADER, _LEAF_BYTES, _SEARCH_INSTR, _SEARCH_READ,
+    )
+
+    s_leaf = sites.intern("art.leafcmp")
+    s_prefix = sites.intern("art.prefix")
+    s_child = sites.intern("art.childhit")
+    search_read = np.zeros(257, dtype=np.int64)
+    search_instr = np.zeros(257, dtype=np.int64)
+    for cap in _SEARCH_READ:
+        search_read[cap] = _SEARCH_READ[cap]
+        search_instr[cap] = _SEARCH_INSTR[cap]
+
+    width = index._width
+    leaf_addr = index._leaf_addr
+    leaf_key = index._leaf_key.astype(np.uint64)
+    # Keys wider than the trie's keys start on the root's spine.
+    spine = np.zeros(len(keys), dtype=bool)
+    if width < 8:
+        spine = keys >= np.uint64(1 << (8 * width))
+    desc = ~spine
+    if index._root < 0:  # one sample: the root is its leaf
+        sink.emit(K_READ, leaf_addr[0], _HEADER, mask=desc)
+        sink.emit(K_INSTR, 3, 0, mask=desc)
+        sink.emit(K_READ, leaf_addr[0], _LEAF_BYTES)
+        ge = keys >= leaf_key[0]
+        sink.emit(K_BRANCH, s_leaf, ge, mask=desc)
+        return np.where(spine | ge, 0, -1)
+
+    cap_of, node_addr = index._cap, index._node_addr
+    first_child, child_ids = index._first_child, index._child_ids
+    # Child slots sorted by (parent, byte): one searchsorted finds them.
+    child_key = np.repeat(
+        np.arange(len(cap_of)) * 256, np.diff(first_child)
+    ) + index._child_bytes
+    n_child = len(child_key)
+
+    k = len(keys)
+    node = np.full(k, index._root, dtype=np.int64)
+    best = np.zeros(k, dtype=np.int64)
+    has_best = np.zeros(k, dtype=bool)
+    j = np.full(k, -1, dtype=np.int64)
+    while True:
+        inner = node >= 0
+        ni = np.where(inner, node, 0)
+        li = np.where(inner, 0, ~node)
+        cap = cap_of[ni]
+        addr = np.where(inner, node_addr[ni], leaf_addr[li])
+
+        # _visit_cost: header, prefix instructions, child-array search.
+        visit = desc | (spine & inner)
+        at_node = visit & inner
+        sink.emit(K_READ, addr, _HEADER, mask=visit)
+        sink.emit(
+            K_INSTR, np.where(inner, 3 + index._prefix_len[ni], 3), 0,
+            mask=visit,
+        )
+        sink.emit(
+            K_READ, addr + _HEADER, search_read[cap],
+            mask=at_node & (cap != 256),
+        )
+        sink.emit(K_INSTR, search_instr[cap], 0, mask=at_node)
+
+        # Leaves: the full-key read, then a descending key's compare.
+        at_leaf = (desc | spine) & ~inner
+        sink.emit(K_READ, addr, _LEAF_BYTES, mask=at_leaf)
+        d_leaf = desc & ~inner
+        ge = keys >= leaf_key[li]
+        sink.emit(K_BRANCH, s_leaf, ge, mask=d_leaf)
+
+        # Prefix: the key already matches the node's first sample above
+        # the prefix, so comparing the bytes above the split depth
+        # compares the prefix.  Two shifts, since depth 0 shifts by 64.
+        d_in = desc & inner
+        depth = index._node_depth[ni]
+        above = (8 * (width - depth) - 8).astype(np.uint64)
+        kp = (keys >> above) >> np.uint64(8)
+        sp = (leaf_key[index._node_first[ni]] >> above) >> np.uint64(8)
+        bad = d_in & (kp != sp)
+        sink.emit(K_BRANCH, s_prefix, 1, mask=bad)
+
+        # Child slot: the first child byte >= the key's byte at depth.
+        go = d_in & ~bad
+        byte = (keys >> (8 * (width - 1 - depth)).astype(np.uint64)) & np.uint64(255)
+        target = ni * 256 + byte.astype(np.int64)
+        i = np.searchsorted(child_key, target)
+        start, end = first_child[ni], first_child[ni + 1]
+        hit = (i < end) & (child_key[np.minimum(i, n_child - 1)] == target)
+        smaller = go & (i > start)
+        best = np.where(smaller, child_ids[i - 1], best)
+        has_best |= smaller
+        sink.emit(K_BRANCH, s_child, hit, mask=go)
+
+        # _child_read: the hit or the smaller sibling, or the spine's
+        # last child.
+        walk = spine & inner
+        slot = np.where(walk, end - 1, np.where(hit, i, i - 1))
+        sink.emit(
+            K_READ,
+            node_addr[ni] + _HEADER + np.where(cap == 256, 0, cap)
+            + (slot - start) * 8,
+            8,
+            mask=walk | (go & (hit | smaller)),
+        )
+
+        # Next state.  A failed compare or a missed child falls back to
+        # the best smaller sibling's spine, or to -1 without one.
+        done = (d_leaf & ge) | (spine & ~inner)
+        j = np.where(done, ~node, j)
+        fall = (d_leaf & ~ge) | (bad & (kp < sp)) | (go & ~hit)
+        descend = go & hit
+        node = np.where(
+            descend | walk, child_ids[np.minimum(slot, n_child - 1)],
+            np.where(fall, best, node),
+        )
+        spine = walk | (bad & (kp > sp)) | (fall & has_best)
+        desc = descend
+        if not (desc.any() or spine.any()):
+            return j
+
+
+def _art_bounds(index: ARTIndex, keys: np.ndarray, sink, sites) -> Tuple:
+    j = _art_predecessor(index, keys, sink, sites)
+    pos = index._sample_pos
+    if pos is None:
+        return _sampled_bounds(index, j)
+    # Adaptive sampling: ARTIndex.lookup's bound between sample positions.
+    n = index.n_keys
+    miss = j < 0
+    jc = np.maximum(j, 0)
+    nxt = np.append(pos, n)[jc + 1]
+    lo = np.where(miss, 0, pos[jc])
+    hi = np.where(miss, 1, np.minimum(nxt, n) + 1)
+    return lo, hi
+
+
 def _kernel_table() -> dict:
     """Index class -> kernel.
 
@@ -505,6 +655,7 @@ def _kernel_table() -> dict:
     would load every traditional index before the first build does.  A
     caller that holds a baseline index has imported them already.
     """
+    from repro.traditional.art import ARTIndex
     from repro.traditional.binary_search import BinarySearchIndex
     from repro.traditional.btree import BTreeIndex, IBTreeIndex
     from repro.traditional.fast import FASTIndex
@@ -519,6 +670,7 @@ def _kernel_table() -> dict:
         BTreeIndex: _btree_bounds,
         IBTreeIndex: _ibtree_bounds,
         FASTIndex: _fast_bounds,
+        ARTIndex: _art_bounds,
     }
 
 

@@ -8,8 +8,7 @@ in-memory footprint of a structure is exactly the sum of its allocations.
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,29 +31,29 @@ class AddressSpace:
         self._total += nbytes
         return base
 
-    def alloc_many(self, sizes: Sequence[int]) -> List[int]:
+    def alloc_many(self, sizes: Sequence[int]) -> np.ndarray:
         """Reserve one block per entry of ``sizes``, in order.
 
-        Equivalent to ``[alloc(s) for s in sizes]`` -- same bases, same
-        next address, same total -- but done in one vectorized bump:
-        every base after the first is aligned, so each next base is the
-        previous one plus its size rounded up to the alignment.  Nothing
-        is reserved if any size is negative or ``sizes`` is not flat.
+        Returns the int64 array of bases.  Equivalent to
+        ``[alloc(s) for s in sizes]`` -- same bases, same next address,
+        same total -- but done in one vectorized bump: every base after
+        the first is aligned, so each next base is the previous one plus
+        its size rounded up to the alignment, and the bases are one
+        ``np.cumsum``.  Nothing is reserved if any size is negative or
+        ``sizes`` is not flat.
         """
         steps = np.asarray(sizes, dtype=np.int64)
         if steps.ndim != 1:
             raise ValueError("sizes must be one-dimensional")
         if not len(steps):
-            return []
+            return np.zeros(0, dtype=np.int64)
         if steps.min() < 0:
             raise ValueError("nbytes must be non-negative")
-        last = int(steps[-1])
-        total = int(steps.sum())
-        steps = -(-steps // _ALIGN) * _ALIGN
         first = -(-self._next // _ALIGN) * _ALIGN
-        bases = list(accumulate(steps[:-1].tolist(), initial=first))
-        self._next = bases[-1] + last
-        self._total += total
+        aligned = -(-steps[:-1] // _ALIGN) * _ALIGN
+        bases = first + np.concatenate(([0], np.cumsum(aligned)))
+        self._next = int(bases[-1] + steps[-1])
+        self._total += int(steps.sum())
         return bases
 
     def total_allocated(self) -> int:

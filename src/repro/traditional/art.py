@@ -6,19 +6,29 @@ and lazy expansion (single-key subtrees become leaves immediately).  Keys
 are indexed big-endian, one byte per level; 32-bit data gives a 4-level
 trie (the tree-structure gain in the paper's Figure 10).
 
-Construction is a single pass over the sorted samples.  One numpy
+Construction is vectorized over the sorted samples.  One numpy
 comparison gives the byte-LCP (length of the common leading bytes) of
 every pair of adjacent samples; the LCP of any two samples is the minimum
-of the adjacent LCPs between them, so a node that splits at byte ``d``
-owns a maximal run of samples whose adjacent LCPs are all ``>= d``.  A
-stack of open nodes turns the LCP sequence into the path-compressed trie,
-closing nodes in post-order, and one aligned bump
-(:meth:`AddressSpace.alloc_many`) then gives every leaf and node its
-address.  The trie is stored flat, without a Python object per node:
-internal nodes are indexes into per-node lists (prefix, kind, address,
-child range) whose children live in two shared arrays (child ids, child
-bytes); leaf ``j`` is the id ``~j``, with its key and address in
-per-sample lists.
+of the adjacent LCPs between them, so the node that splits at byte ``d``
+owns a maximal run of adjacent LCPs ``>= d`` that holds an LCP equal to
+``d``.  Per split depth, one ``np.maximum.accumulate`` and one reversed
+``np.minimum.accumulate`` find every run's ends.  A leaf's or a node's
+parent is the node at its larger adjacent LCP, and sorting the children
+by (parent, first sample) lays out every node's child list in byte
+order.  Node ids follow the order a recursive builder closes nodes in
+(by last sample, deeper first), and one aligned bump
+(:meth:`AddressSpace.alloc_many`) gives every leaf and node its address
+in that post-order.
+
+The trie is stored as numpy arrays, without a Python object per node:
+internal nodes index per-node arrays (split depth, prefix length, first
+sample, kind, address, child range) whose children live in two shared
+arrays (child ids, child bytes); leaf ``j`` is the id ``~j``, with its
+key and address in per-sample arrays.  The batch kernel
+(``repro.learned.kernels``) reads these arrays.  The scalar lookup reads
+Python lists instead, because comparisons on native ints are several
+times faster than on numpy scalars; it builds them on its first call,
+so an index measured only on the batched path never holds them.
 
 Lookups are *predecessor* searches (largest sampled key <= lookup key):
 the descent tracks the byte-wise comparison exactly, and on divergence
@@ -32,7 +42,7 @@ pointer read, with node memory footprints from the ART paper.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -53,6 +63,12 @@ _KINDS = (
 )
 _LEAF_BYTES = 16  # full key + sampled index
 
+#: Per node kind: the bytes the child-array search reads after the
+#: header (0: none, Node256 indexes directly) and its instructions
+#: (Node16: SIMD compare + movemask + ctz).
+_SEARCH_READ = {4: 4, 16: 16, 48: 1, 256: 0}
+_SEARCH_INSTR = {4: 4, 16: 3, 48: 2, 256: 1}
+
 
 def _kind_for(n_children: int):
     for cap, size in _KINDS:
@@ -61,7 +77,73 @@ def _kind_for(n_children: int):
     raise AssertionError("more than 256 children is impossible")
 
 
-_CAP_BY_COUNT = [0] + [_kind_for(c)[0] for c in range(1, 257)]
+_CAP_BY_COUNT = np.array([0] + [_kind_for(c)[0] for c in range(1, 257)])
+_SIZE_BY_CAP = np.zeros(257, dtype=np.int64)
+_SIZE_BY_CAP[[cap for cap, _ in _KINDS]] = [size for _, size in _KINDS]
+
+
+def _key_bytes(samples: np.ndarray, width: int) -> np.ndarray:
+    """Big-endian byte matrix: column d is the d-th most significant byte."""
+    return (
+        samples.astype(f">u{width}").view(np.uint8).reshape(len(samples), width)
+    )
+
+
+def _lcp_nodes(lcp: np.ndarray):
+    """The trie's nodes from the adjacent-sample LCPs, in close order.
+
+    The node splitting at byte ``d`` owns a maximal run of adjacent LCPs
+    ``>= d`` holding an LCP equal to ``d``.  Returns each node's split
+    depth, first and last sample, and for each adjacent pair the node
+    that splits it.
+    """
+    pos = np.arange(len(lcp))
+    runs = []  # (split depth, first sample, last sample) per depth
+    owner = np.empty(len(lcp), dtype=np.int64)
+    m = 0
+    for d in np.unique(lcp).tolist():
+        # A run of LCPs >= d ends at the nearest LCP < d on either side.
+        below = lcp < d
+        left = np.where(below, pos, -1)
+        np.maximum.accumulate(left, out=left)
+        right = np.where(below, pos, len(lcp))
+        np.minimum.accumulate(right[::-1], out=right[::-1])
+        at = np.flatnonzero(lcp == d)
+        new = np.concatenate(([True], left[at[1:]] != left[at[:-1]]))
+        owner[at] = m + np.cumsum(new) - 1
+        heads = at[new]
+        runs.append((np.full(len(heads), d), left[heads] + 1, right[heads]))
+        m += len(heads)
+    if not runs:  # one sample: no nodes
+        return pos, pos, pos, owner
+    depth, first, last = (np.concatenate(c) for c in zip(*runs))
+    order = np.lexsort((-depth, last))
+    rank = np.empty(m, dtype=np.int64)
+    rank[order] = np.arange(m)
+    return depth[order], first[order], last[order], rank[owner]
+
+
+class _Lists:
+    """The trie as Python lists and bytes, for the scalar lookup."""
+
+    __slots__ = ("prefix", "cap", "node_addr", "first_child", "child_ids",
+                 "child_bytes", "leaf_key", "leaf_addr")
+
+    def __init__(self, art: "ARTIndex"):
+        width = art._width
+        buf = _key_bytes(art._leaf_key, width).tobytes()
+        # Node i's prefix ends at its split depth in its first sample.
+        ends = (art._node_first * width + art._node_depth).tolist()
+        self.prefix = [
+            buf[e - p : e] for e, p in zip(ends, art._prefix_len.tolist())
+        ]
+        self.cap = art._cap.tolist()
+        self.node_addr = art._node_addr.tolist()
+        self.first_child = art._first_child.tolist()
+        self.child_ids = art._child_ids.tolist()
+        self.child_bytes = art._child_bytes.tobytes()
+        self.leaf_key = art._leaf_key.tolist()
+        self.leaf_addr = art._leaf_addr.tolist()
 
 
 @register_index
@@ -90,19 +172,24 @@ class ARTIndex(SampledIndex):
         self._width = 8
         #: Data position of each sample (adaptive mode; uniform derives
         #: positions as j * gap).
-        self._sample_pos: Optional[List[int]] = None
-        # Flat trie.  Node ids >= 0 index the per-node lists; leaf j is ~j.
+        self._sample_pos: Optional[np.ndarray] = None
+        # Flat trie.  Node ids >= 0 index the per-node arrays; leaf j is ~j.
+        empty = np.zeros(0, dtype=np.int64)
         self._root = 0
-        self._prefix: List[bytes] = []
-        self._cap: List[int] = []
-        self._node_addr: List[int] = []
+        self._node_depth = empty  # the byte the node's children differ in
+        self._prefix_len = empty  # compressed bytes just above that byte
+        self._node_first = empty  # first sample under the node
+        self._cap = empty
+        self._node_addr = empty
         #: Node i's children are _child_ids/_child_bytes[_first_child[i]:
         #: _first_child[i + 1]], in increasing byte order.
-        self._first_child: List[int] = [0]
-        self._child_ids: List[int] = []
-        self._child_bytes = b""
-        self._leaf_key: List[int] = []
-        self._leaf_addr: List[int] = []
+        self._first_child = np.zeros(1, dtype=np.int64)
+        self._child_ids = empty
+        self._child_bytes = np.zeros(0, dtype=np.uint8)
+        self._leaf_key = empty
+        self._leaf_addr = empty
+        #: The scalar lookup's lists, built on its first call.
+        self._lists: Optional[_Lists] = None
 
     # -- construction -----------------------------------------------------
 
@@ -125,8 +212,7 @@ class ARTIndex(SampledIndex):
     def _samples(self, data: TracedArray) -> np.ndarray:
         """The keys the trie holds; sets the sample count and key width."""
         if self.sampling == "adaptive" and self.gap > 1:
-            samples, positions = self._adaptive_samples(data)
-            self._sample_pos = positions.tolist()
+            samples, self._sample_pos = self._adaptive_samples(data)
         else:
             samples = sample_keys(data, self.gap)
             self._sample_pos = None
@@ -136,78 +222,69 @@ class ARTIndex(SampledIndex):
 
     def _build(self, data: TracedArray, space: AddressSpace) -> None:
         samples = self._samples(data)
-        # Big-endian byte matrix: column d is the d-th most significant byte.
-        key_bytes = (
-            samples.astype(f">u{self._width}")
-            .view(np.uint8)
-            .reshape(len(samples), self._width)
-        )
-        self._leaf_key = samples.tolist()
-        self._build_trie(key_bytes, space)
+        self._leaf_key = samples
+        self._build_trie(_key_bytes(samples, self._width), space)
 
     def _build_trie(self, kb: np.ndarray, space: AddressSpace) -> None:
-        """Build the trie in one pass over the adjacent-sample LCPs.
+        """Build the trie from the adjacent-sample LCPs, with numpy.
 
-        Open nodes sit on a stack with strictly increasing split depths.
-        Leaf ``i`` is attached, then every open node deeper than the LCP
-        of samples ``i`` and ``i + 1`` closes (it has all its children),
-        and the finished subtree joins the open node at that LCP, or opens
-        one there.  Nodes thus close in post-order, the order a recursive
-        builder allocates them in, and their sizes are collected in that
-        order for one :meth:`AddressSpace.alloc_many`.
+        Node ids are in close order -- by last sample, deeper first --
+        which is the post-order a recursive builder allocates in: leaf
+        ``j``, then the nodes whose last sample is ``j``.
         """
-        n, width = kb.shape
+        n = len(kb)
         # Sorted unique keys: each adjacent pair differs somewhere.
-        lcp = (kb[1:] != kb[:-1]).argmax(axis=1).tolist()
-        lcp.append(-1)  # closes every open node after the last leaf
-        buf = kb.tobytes()
-        prefix, caps, first_child = [], [], [0]
-        child_ids: List[int] = []
-        child_bytes = bytearray()
-        leaves_before: List[int] = []  # leaves allocated before each node
-        stack = []  # open nodes: [split depth, first sample, ids, bytes]
-        for i in range(n):
-            cur, first = ~i, i  # finished subtree and its first sample
-            lo = lcp[i]
-            while stack and stack[-1][0] > lo:
-                d, node_first, ids, cbytes = stack.pop()
-                ids.append(cur)
-                cbytes.append(buf[first * width + d])
-                # The parent splits at the next open depth or at `lo`.
-                depth = (max(stack[-1][0], lo) if stack else lo) + 1
-                row = node_first * width
-                cur, first = len(caps), node_first
-                prefix.append(buf[row + depth : row + d])
-                caps.append(_CAP_BY_COUNT[len(ids)])
-                child_ids += ids
-                child_bytes.extend(cbytes)
-                first_child.append(len(child_ids))
-                leaves_before.append(i + 1)
-            if stack and stack[-1][0] == lo:
-                stack[-1][2].append(cur)
-                stack[-1][3].append(buf[first * width + lo])
-            elif lo >= 0:
-                stack.append([lo, first, [cur], [buf[first * width + lo]]])
+        lcp = (kb[1:] != kb[:-1]).argmax(axis=1)
+        depth, first, last, owner = _lcp_nodes(lcp)
+        m = len(depth)
 
-        # Post-order: leaf i, then the nodes that close right after it.
-        m = len(caps)
-        node_pos = np.asarray(leaves_before, dtype=np.int64) + np.arange(m)
+        # lcp_pad[j] / owner_pad[j]: the LCP of samples j - 1 and j and
+        # the node splitting them (-1 past either end).  Samples hang off
+        # the node at their larger adjacent LCP.  (Each temporary is
+        # dropped once used, which keeps the build's peak memory low.)
+        lcp_pad = np.concatenate(([-1], lcp, [-1]))
+        owner_pad = np.concatenate(([-1], owner, [-1]))
+        del lcp, owner
+        left, right = lcp_pad[:-1], lcp_pad[1:]
+        leaf_parent = np.where(left >= right, owner_pad[:-1], owner_pad[1:])
+        left, right = lcp_pad[first], lcp_pad[last + 1]
+        node_parent = np.where(
+            left >= right, owner_pad[first], owner_pad[last + 1]
+        )
+        prefix_len = depth - np.maximum(left, right) - 1
+        del lcp_pad, owner_pad, left, right
+
+        # Entry e < n is leaf e, entry n + i is node i.  Each node lists
+        # its children by first sample, which is byte order; the root,
+        # the one entry without a parent, sorts first and is dropped.
+        up = np.concatenate((leaf_parent, node_parent))
+        first_of = np.concatenate((np.arange(n), first))
+        entry = np.argsort(up * n + first_of)[1:]
+        del leaf_parent, node_parent
+        up = up[entry]
+        counts = np.bincount(up, minlength=m)
+        caps = _CAP_BY_COUNT[counts]
+
+        # Post-order: leaf j, then the nodes whose last sample is j.
+        node_slot = last + 1 + np.arange(m)
+        leaf_slot = np.arange(n)
+        leaf_slot += np.searchsorted(last, leaf_slot)
         sizes = np.full(n + m, _LEAF_BYTES, dtype=np.int64)
-        cap_arr = np.asarray(caps)
-        for cap, size in _KINDS:
-            sizes[node_pos[cap_arr == cap]] = size
-        bases = np.asarray(space.alloc_many(sizes))
+        sizes[node_slot] = _SIZE_BY_CAP[caps]
+        bases = space.alloc_many(sizes)
         self._register_bytes(int(sizes.sum()))
-        is_leaf = np.ones(n + m, dtype=bool)
-        is_leaf[node_pos] = False
-        self._root = cur
-        self._prefix = prefix
+
+        self._root = m - 1 if m else ~0
+        self._node_depth = depth
+        self._prefix_len = prefix_len
+        self._node_first = first
         self._cap = caps
-        self._node_addr = bases[node_pos].tolist()
-        self._first_child = first_child
-        self._child_ids = child_ids
-        self._child_bytes = bytes(child_bytes)
-        self._leaf_addr = bases[is_leaf].tolist()
+        self._node_addr = bases[node_slot]
+        self._first_child = np.concatenate(([0], np.cumsum(counts)))
+        self._child_ids = np.where(entry < n, ~entry, entry - n)
+        self._child_bytes = kb[first_of[entry], depth[up]]
+        self._leaf_addr = bases[leaf_slot]
+        self._lists = None
 
     def lookup(self, key, tracer=None):
         from repro.core.bounds import SearchBound
@@ -221,61 +298,59 @@ class ARTIndex(SampledIndex):
         j = self._predecessor(int(key), tracer)
         if j < 0:
             return SearchBound(0, 1)
-        lo = self._sample_pos[j]
-        hi = (
-            self._sample_pos[j + 1]
-            if j + 1 < len(self._sample_pos)
-            else n
-        )
+        pos = self._sample_pos
+        lo = int(pos[j])
+        hi = int(pos[j + 1]) if j + 1 < len(pos) else n
         return SearchBound(lo, min(hi, n) + 1)
 
     # -- lookup ------------------------------------------------------------
+    #
+    # The helpers below run only inside _predecessor, which builds the
+    # lists they read.
 
     def _visit_cost(self, node: int, tracer: Tracer) -> None:
         """Charge header + prefix read and the child-array search."""
+        t = self._lists
         if node < 0:
-            tracer.read(self._leaf_addr[~node], _HEADER)
+            tracer.read(t.leaf_addr[~node], _HEADER)
             tracer.instr(3)
             return
-        addr = self._node_addr[node]
+        addr = t.node_addr[node]
         tracer.read(addr, _HEADER)
-        tracer.instr(3 + len(self._prefix[node]))
-        cap = self._cap[node]
-        if cap == 4:
-            tracer.read(addr + _HEADER, 4)
-            tracer.instr(4)
-        elif cap == 16:
-            tracer.read(addr + _HEADER, 16)
-            tracer.instr(3)  # SIMD compare + movemask + ctz
-        elif cap == 48:
-            tracer.read(addr + _HEADER, 1)
-            tracer.instr(2)
-        else:
-            tracer.instr(1)
+        tracer.instr(3 + len(t.prefix[node]))
+        cap = t.cap[node]
+        if _SEARCH_READ[cap]:
+            tracer.read(addr + _HEADER, _SEARCH_READ[cap])
+        tracer.instr(_SEARCH_INSTR[cap])
 
     def _child_read(self, node: int, slot: int, tracer: Tracer) -> None:
-        cap = self._cap[node]
+        t = self._lists
+        cap = t.cap[node]
         offset = _HEADER + (0 if cap == 256 else cap)
-        tracer.read(self._node_addr[node] + offset + slot * 8, 8)
+        tracer.read(t.node_addr[node] + offset + slot * 8, 8)
 
     def _rightmost_leaf(self, node: int, tracer: Tracer) -> int:
         """Sampled index of the subtree's largest key (walks right spine)."""
+        t = self._lists
         while node >= 0:
             self._visit_cost(node, tracer)
-            last = self._first_child[node + 1] - 1
-            self._child_read(node, last - self._first_child[node], tracer)
-            node = self._child_ids[last]
-        tracer.read(self._leaf_addr[~node], _LEAF_BYTES)
+            last = t.first_child[node + 1] - 1
+            self._child_read(node, last - t.first_child[node], tracer)
+            node = t.child_ids[last]
+        tracer.read(t.leaf_addr[~node], _LEAF_BYTES)
         return ~node
 
     def _predecessor(self, key: int, tracer: Tracer) -> int:
         if key < 0:
             return -1
+        t = self._lists
+        if t is None:
+            t = self._lists = _Lists(self)
         kb = int(key).to_bytes(self._width, "big") if key < (1 << (8 * self._width)) else None
         if kb is None:
             # Larger than any storable key: predecessor is the global max.
             return self._rightmost_leaf(self._root, tracer)
-        child_ids, child_bytes = self._child_ids, self._child_bytes
+        child_ids, child_bytes = t.child_ids, t.child_bytes
         node = self._root
         depth = 0
         best: Optional[int] = None  # largest smaller sibling passed
@@ -283,14 +358,14 @@ class ARTIndex(SampledIndex):
             self._visit_cost(node, tracer)
             if node < 0:
                 j = ~node
-                tracer.read(self._leaf_addr[j], _LEAF_BYTES)
-                tracer.branch("art.leafcmp", key >= self._leaf_key[j])
-                if key >= self._leaf_key[j]:
+                tracer.read(t.leaf_addr[j], _LEAF_BYTES)
+                tracer.branch("art.leafcmp", key >= t.leaf_key[j])
+                if key >= t.leaf_key[j]:
                     return j
                 return self._rightmost_leaf(best, tracer) if best is not None else -1
 
             # Prefix comparison (path compression).
-            prefix = self._prefix[node]
+            prefix = t.prefix[node]
             for i, pb in enumerate(prefix):
                 cb = kb[depth + i]
                 if cb == pb:
@@ -303,7 +378,7 @@ class ARTIndex(SampledIndex):
 
             # Child slot search (cost charged in _visit_cost).
             b = kb[depth]
-            start, end = self._first_child[node], self._first_child[node + 1]
+            start, end = t.first_child[node], t.first_child[node + 1]
             i = bisect_left(child_bytes, b, start, end)
             hit = i < end and child_bytes[i] == b
             if i > start:

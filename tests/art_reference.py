@@ -2,9 +2,10 @@
 
 This is the original construction of :class:`repro.traditional.art.ARTIndex`:
 one ``np.unique`` split and one :class:`_Node` per trie node, allocated in
-post-order, and a lookup walk over node objects.  The product builder is
-flat and single-pass; ``tests/test_art_flat.py`` checks that the two give
-the same nodes, addresses, sizes and tracer event streams.
+post-order, and a lookup walk over node objects.  The product builder
+works on whole numpy arrays and stores the trie flat;
+``tests/test_art_flat.py`` checks that the two give the same nodes,
+addresses, sizes and tracer event streams.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""The flat single-pass ART builder against the recursive oracle.
+"""The flat numpy ART builder against the recursive oracle.
 
 ``art_reference.RecursiveART`` is the original builder: one ``np.unique``
 split and one node object per trie node.  For random key sets the flat
@@ -18,26 +18,27 @@ from hypothesis import strategies as st
 
 from repro.memsim.memory import AddressSpace
 from repro.memsim.trace import TraceRecorder
-from repro.traditional.art import ARTIndex
+from repro.traditional.art import ARTIndex, _Lists
 
 
 def flat_walk(idx: ARTIndex):
     """Pre-order (addr, kind, prefix, child bytes, leaf index) tuples."""
+    t = _Lists(idx)  # every trie array, as the scalar lookup reads it
     stack = [idx._root]
     while stack:
         node = stack.pop()
         if node < 0:
-            yield (idx._leaf_addr[~node], "leaf", b"", b"", ~node)
+            yield (t.leaf_addr[~node], "leaf", b"", b"", ~node)
             continue
-        lo, hi = idx._first_child[node], idx._first_child[node + 1]
+        lo, hi = t.first_child[node], t.first_child[node + 1]
         yield (
-            idx._node_addr[node],
-            idx._cap[node],
-            idx._prefix[node],
-            idx._child_bytes[lo:hi],
+            t.node_addr[node],
+            t.cap[node],
+            t.prefix[node],
+            t.child_bytes[lo:hi],
             -1,
         )
-        stack.extend(reversed(idx._child_ids[lo:hi]))
+        stack.extend(reversed(t.child_ids[lo:hi]))
 
 
 def events(idx, key):
@@ -136,15 +137,14 @@ class TestAllocMany:
             for k in range(prior):
                 space.alloc(7 * k + 3)
         expected = [one_by_one.alloc(s) for s in sizes]
-        assert batched.alloc_many(sizes) == expected
+        assert batched.alloc_many(sizes).tolist() == expected
         assert batched._next == one_by_one._next
         assert batched.total_allocated() == one_by_one.total_allocated()
 
     def test_accepts_numpy_sizes(self):
         space = AddressSpace(0)
         bases = space.alloc_many(np.array([16, 56, 16]))
-        assert bases == [0, 64, 128]
-        assert all(type(b) is int for b in bases)
+        assert bases.dtype == np.int64 and bases.tolist() == [0, 64, 128]
         assert type(space._next) is int and space._next == 144
         assert type(space.total_allocated()) is int
         assert space.total_allocated() == 88

@@ -402,6 +402,45 @@ class TestWrongShapedRecords:
         assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
         reg.reset()
 
+    def test_reject_is_quarantined_for_inspection(self, tmp_path):
+        from repro.obs.metrics import get_registry
+
+        reg = get_registry()
+        reg.reset()
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, m = make_cell(), make_measurement()
+        cache.put(cell, m)
+        path = cache._path(cell)
+        corrupt = b'{"measurement": {"index": \xff'
+        with open(path, "wb") as f:
+            f.write(corrupt)
+        assert cache.get(cell) is None
+        assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        with open(path + ".rejected", "rb") as f:
+            assert f.read() == corrupt
+        assert len(cache) == 0  # the quarantined file is no record
+        cache.put(cell, m)
+        assert cache.get(cell) == m
+        assert len(cache) == 1
+        reg.reset()
+
+    def test_failed_quarantine_is_still_a_miss(self, tmp_path, monkeypatch):
+        cache = MeasurementCache(str(tmp_path / "c"))
+        cell, m = make_cell(), make_measurement()
+        cache.put(cell, m)
+        with open(cache._path(cell), "w") as f:
+            f.write("{not json")
+
+        def refuse(src, dst):
+            raise PermissionError(dst)
+
+        monkeypatch.setattr(cache_mod.os, "replace", refuse)
+        assert cache.get(cell) is None
+        assert cache.misses == 1
+        monkeypatch.undo()
+        cache.put(cell, m)
+        assert cache.get(cell) == m
+
     def test_profiled_read_rejects_a_record_without_phases(
         self, tmp_path, monkeypatch
     ):

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.bench.__main__ import main
+from repro.datasets.generators import FACE_N_OUTLIERS
 from repro.obs.phase import profiling_enabled
 
 TINY = [
@@ -57,10 +58,22 @@ def test_all_experiments_tiny(tmp_path, capsys):
     assert (tmp_path / "pareto_amzn.svg").exists()
 
 
+def test_all_experiments_at_the_key_floor(capsys):
+    """The smallest accepted --n-keys runs every driver: face needs its
+    outliers, and every size sweep keeps at least one configuration."""
+    rc = main(
+        ["--experiment", "all", "--n-keys", str(FACE_N_OUTLIERS),
+         "--n-lookups", "5", "--warmup", "0", "--no-cache"]
+    )
+    assert rc == 0
+    assert "[sec4.3]" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "flag,value",
-    [("--n-keys", "0"), ("--n-keys", "1"), ("--n-lookups", "0"),
-     ("--warmup", "-5"), ("--max-configs", "0"), ("--max-configs", "-1")],
+    [("--n-keys", "0"), ("--n-keys", "1"), ("--n-keys", "99"),
+     ("--n-lookups", "0"), ("--warmup", "-5"), ("--max-configs", "0"),
+     ("--max-configs", "-1")],
 )
 def test_rejects_sizes_that_cannot_run(flag, value, capsys):
     """Refused at argument parsing (exit 2, usage error), before any
@@ -70,6 +83,25 @@ def test_rejects_sizes_that_cannot_run(flag, value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert flag in err and "must be at least" in err
+
+
+@pytest.mark.parametrize(
+    "names,bad,message",
+    [
+        (["--indexes", "RMI", "NoSuchIndex"], "'NoSuchIndex'", "unknown name"),
+        (["--indexes", "RMI", "PGM", "RMI"], "'RMI'", "given twice"),
+        (["--datasets", "amzn", "osm", "amzn"], "'amzn'", "given twice"),
+    ],
+    ids=["unknown-index", "repeated-index", "repeated-dataset"],
+)
+def test_rejects_unknown_and_repeated_names(names, bad, message, capsys):
+    """A usage error naming the flag and the value, before any cell runs:
+    the drivers print a row or a section per name."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", "fig7", "--no-cache", *names])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert names[0] in err and bad in err and message in err
 
 
 def test_main_restores_process_switches(tmp_path, monkeypatch, capsys):

@@ -176,10 +176,18 @@ class TestListMirrors:
     ):
         built = build_index(ds, "ART", {"gap": 1})
         assert not mirror_built(built.data)
-        measure(built, wl, n_lookups=50, warmup=20)
+        measure(built, wl, n_lookups=50, warmup=20, search="linear")
         assert batched_calls == []  # the per-lookup loop ran
         assert mirror_built(built.data)
         assert not mirror_built(built.payloads)
+        assert built.index._lists is not None  # ART's scalar lookup
+
+    def test_batched_art_cell_builds_no_lists(self, ds, wl, batched_calls):
+        built = build_index(ds, "ART", {"gap": 1})
+        measure(built, wl, n_lookups=50, warmup=20)
+        assert batched_calls == ["ART"]
+        assert built.index._lists is None
+        assert not mirror_built(built.data)
 
 
 class TestMeasureDispatch:
@@ -196,8 +204,11 @@ class TestMeasureDispatch:
         "RBS": {"radix_bits": 8},
         "IBTree": {"gap": 4},
         "FAST": {"gap": 4},
+        "RobinHash": {},
     }
-    BATCHED = ("RMI", "PGM", "RS", "BTree", "BS", "RBS", "IBTree", "FAST")
+    BATCHED = (
+        "RMI", "PGM", "RS", "BTree", "BS", "RBS", "IBTree", "FAST", "ART",
+    )
 
     @pytest.mark.parametrize("index", CONFIGS)
     @pytest.mark.parametrize("warm", [True, False])

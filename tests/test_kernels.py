@@ -1,8 +1,8 @@
 """Batch-predict kernels == scalar lookups, element-wise.
 
 ``repro.learned.kernels`` vectorizes the model phase of RMI/PGM/RS
-lookups, the baselines' descents (BS, RBS, BTree, IBTree, FAST) and the
-last-mile binary search over sorted key batches.  The
+lookups, the baselines' descents (BS, RBS, BTree, IBTree, FAST, ART) and
+the last-mile binary search over sorted key batches.  The
 contract is *bit*-equality with the scalar path: same positions, same
 error bounds, and a synthesized per-key event stream whose replay is
 counter-identical to recording the scalar lookup -- for present keys,
@@ -43,6 +43,9 @@ _CONFIGS = [
     ("IBTree", {"gap": 8}),
     ("FAST", {"gap": 1}),
     ("FAST", {"gap": 8}),
+    ("ART", {"gap": 1}),
+    ("ART", {"gap": 8}),
+    ("ART", {"gap": 8, "sampling": "adaptive"}),
 ]
 _IDS = [
     f"{n}-{'-'.join(map(str, c.values()))}" if c else n for n, c in _CONFIGS
@@ -152,6 +155,45 @@ def test_batch_equals_scalar_outlier_keys(index_name, config):
     _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
 
 
+_ART_KEYS = st.sampled_from([32, 64]).flatmap(
+    lambda bits: st.tuples(
+        st.just(bits),
+        st.sets(
+            st.one_of(
+                st.integers(0, 2**bits - 1),
+                # Clustered keys share long prefixes and build deep tries.
+                st.integers(0, 2**12).map(lambda k: 2 ** (bits - 1) + k),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+)
+
+
+@given(
+    key_set=_ART_KEYS,
+    gap=st.sampled_from([1, 2, 8]),
+    sampling=st.sampled_from(["uniform", "adaptive"]),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 1 << 20),
+            st.sampled_from(["present", "absent", "low", "high"]),
+        ),
+        min_size=1,
+        max_size=25,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_art_batch_equals_scalar_on_deep_tries(key_set, gap, sampling, picks):
+    """Long compressed prefixes, one-leaf tries and keys wider than a
+    32-bit trie: every state of the lockstep descent."""
+    bits, keys = key_set
+    ds = _dataset(keys, key_bits=bits)
+    built = build_index(ds, "ART", {"gap": gap, "sampling": sampling})
+    _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
+
+
 def test_batch_bounds_alone_matches_lookup():
     ds = _dataset(range(0, 50_000, 7))
     built = build_index(ds, "PGM", {"epsilon": 16})
@@ -168,15 +210,15 @@ def test_supports_is_exact_class_match():
     ds = _dataset(range(0, 3_000, 3))
     assert kernels.supports(build_index(ds, "RMI", {"branching": 8}).index)
     assert kernels.supports(build_index(ds, "BTree", {}).index)
-    assert not kernels.supports(build_index(ds, "ART", {}).index)
+    assert not kernels.supports(build_index(ds, "RobinHash", {}).index)
 
 
 def test_unsupported_index_and_search_raise():
     ds = _dataset(range(0, 3_000, 3))
-    art = build_index(ds, "ART", {})
+    robin = build_index(ds, "RobinHash", {})
     probes = np.array([3, 9], dtype=np.uint64)
     with pytest.raises(TypeError, match="no batch kernel"):
-        kernels.batch_bounds(art.index, probes)
+        kernels.batch_bounds(robin.index, probes)
     rmi = build_index(ds, "RMI", {"branching": 8})
     with pytest.raises(ValueError, match="no batched synthesis"):
         kernels.batch_lookups(
