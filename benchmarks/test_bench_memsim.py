@@ -18,6 +18,8 @@ others to, is built directly as an object:
   freshly built index (the build is outside the timer), on the product
   path (the batched path for this RMI cell) and on the reference
   oracle's per-lookup loop, which ``cell_speedup`` is measured against.
+  ``cell_cold_product_cells_per_sec`` is the product path with cold
+  caches (fig14): it flushes the caches and TLB before every lookup.
 
 Set ``BENCH_MEMSIM_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -179,19 +181,24 @@ def cell_inputs():
     return ds, wl
 
 
-#: id -> measure's engine argument: None is the product path.
-_CELL_CASES = {"ref_direct": ReferenceEngine, "product": None}
+#: id -> measure's (engine, warm) arguments: engine None is the
+#: product path.
+_CELL_CASES = {
+    "ref_direct": (ReferenceEngine, True),
+    "product": (None, True),
+    "cold_product": (None, False),
+}
 
 
 @pytest.mark.parametrize("case", _CELL_CASES)
 def test_cell_steady_state(benchmark, cell_inputs, case):
     """One RMI/amzn cell's ``measure``, each round on a fresh build."""
-    engine = _CELL_CASES[case]
+    engine, warm = _CELL_CASES[case]
     ds, wl = cell_inputs
 
     def fresh_build():
         built = build_index(ds, "RMI", {"branching": 1024})
-        return (built, wl), dict(engine=engine, **_CELL_KW)
+        return (built, wl), dict(engine=engine, warm=warm, **_CELL_KW)
 
     m = benchmark.pedantic(measure, setup=fresh_build, rounds=_CELL_ROUNDS)
     assert m.latency_ns > 0

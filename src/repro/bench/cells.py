@@ -15,6 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.bench.cache import StaleRecord
 from repro.bench.harness import Measurement, measure_index
 from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
@@ -128,11 +129,13 @@ class MeasureCell:
         """The measurement a stored record holds; raises if unusable.
 
         A caller that wants phase attribution cannot use a record that
-        predates it (or was produced unprofiled): it re-executes, and the
-        refreshed record overwrites this one, counters byte-identical.
+        predates it (or was produced unprofiled), so that record is
+        :class:`~repro.bench.cache.StaleRecord`: the caller re-executes,
+        and the refreshed record overwrites this one, counters
+        byte-identical.
         """
         if profiling_enabled() and "phases" not in record:
-            raise ValueError("record has no phase attribution")
+            raise StaleRecord("record has no phase attribution")
         return Measurement.from_dict(record)
 
     def materialize(self) -> Tuple[Dataset, Workload]:

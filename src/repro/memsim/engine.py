@@ -187,8 +187,14 @@ class FastEngine:
 
     ``replay(trace)`` runs a recorded stream through the same state
     from the trace's compiled plan (:meth:`~repro.memsim.trace.Trace.plan`):
-    counter sums and per-site branch tables are added in one step, and
-    only the reads that can change cache or TLB state walk the sets.
+    counter sums are added in one step, each branch site's outcomes fold
+    from its live 2-bit state a byte (8 outcomes) at a time through two
+    1 KiB tables, and only the reads that can change cache or TLB state
+    walk the sets.
+
+    ``flush_caches`` resets, in place, only the sets that hold a line:
+    fills insert at the front, so a set holds one exactly when its MRU
+    way does.
 
     ``read``/``instr``/``branch``/``replay`` are closures over shared
     ``nonlocal`` state, bound as instance attributes -- no ``self`` in
@@ -264,13 +270,51 @@ def _sets_for(
     # line tag, so membership tests and fills behave exactly like the
     # reference's grow-then-evict lists.
     empty = list(range(-1, -assoc - 1, -1))
-    return _copies(empty, n_sets), empty
-
-
-def _copies(empty: List[int], n_sets: int) -> List[List[int]]:
     # Copying one prebuilt list is several times faster than building
     # each set from a range.
-    return list(map(list.copy, repeat(empty, n_sets)))
+    return list(map(list.copy, repeat(empty, n_sets))), empty
+
+
+def _step(state: int, taken) -> Tuple[int, bool]:
+    """One outcome through a 2-bit counter: (next state, mispredicted).
+
+    The rule of :class:`~repro.memsim.branch.BranchPredictor`, which the
+    fast engine's per-call ``branch`` inlines.
+    """
+    if taken:
+        return (state + 1 if state < 3 else 3), state < 2
+    return (state - 1 if state > 0 else 0), state >= 2
+
+
+def _fold_tables() -> Tuple[bytes, bytes]:
+    """The 2-bit state after 8 outcomes, and their mispredictions.
+
+    Both tables are indexed by ``state << 8 | byte``; bit ``i`` of
+    ``byte`` is the ``i``-th outcome, the order
+    ``np.packbits(..., bitorder="little")`` packs in.  A byte folds as
+    its low nibble, then its high one, through tables of 4 outcomes
+    indexed by ``state << 4 | nibble``: 256 steps at import, not 8,192.
+    """
+    after4 = []
+    miss4 = []
+    for k in range(64):
+        s, m = k >> 4, 0
+        for i in range(4):
+            s, missed = _step(s, k >> i & 1)
+            m += missed
+        after4.append(s)
+        miss4.append(m)
+    after = bytearray(1024)
+    misses = bytearray(1024)
+    for k in range(1024):
+        lo = k >> 8 << 4 | k & 15
+        hi = after4[lo] << 4 | k >> 4 & 15
+        after[k] = after4[hi]
+        misses[k] = miss4[lo] + miss4[hi]
+    return bytes(after), bytes(misses)
+
+
+_FOLD_STATE, _FOLD_MISS = _fold_tables()
 
 
 def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
@@ -284,6 +328,7 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
     n1 = len(l1_sets)
     n2 = len(l2_sets)
     n3 = len(l3_sets)
+    levels = ((l1_sets, empty1), (l2_sets, empty2), (l3_sets, empty3))
     tlb1_cap, tlb2_cap = tlb_entries
     tlb1: OrderedDict = OrderedDict()
     tlb2: OrderedDict = OrderedDict()
@@ -436,15 +481,26 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         instr_c += p.instr_total + reads + p.n_branch
         br_c += p.n_branch
         l1h += p.rep_total + p.n_ultra
-        # One precomputed (misses, final state) lookup per branch site,
-        # indexed by the site's current 2-bit state.
+        # Each site's outcomes fold from its live state, 8 per table
+        # lookup, then the 0-7 left over one at a time.
         if p.max_sid >= len(bst):
             bst.extend([-1] * (p.max_sid + 1 - len(bst)))
-        for sid, miss, fin in p.site_tables:
+        fold_state = _FOLD_STATE
+        fold_miss = _FOLD_MISS
+        misses = 0
+        for sid, packed, rest in p.branch_sites:
             s = bst[sid]
-            j = 2 if s < 0 else s
-            brm_c += miss[j]
-            bst[sid] = fin[j]
+            if s < 0:
+                s = 2
+            for byte in packed:
+                k = s << 8 | byte
+                misses += fold_miss[k]
+                s = fold_state[k]
+            for taken in rest:
+                s, missed = _step(s, taken)
+                misses += missed
+            bst[sid] = s
+        brm_c += misses
         if not p.n_read:
             return
         hf = p.hard_first
@@ -498,10 +554,13 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
 
     def flush_caches():
         nonlocal ultra_line, mru_page
-        # Reset in place: `_sets` hands these level lists out.
-        l1_sets[:] = _copies(empty1, n1)
-        l2_sets[:] = _copies(empty2, n2)
-        l3_sets[:] = _copies(empty3, n3)
+        # Fills insert at the front, so a set holds a line exactly when
+        # its MRU way does.  Reset those in place: `_sets` hands the
+        # level and set lists out.
+        for sets, empty in levels:
+            for ways in sets:
+                if ways[0] >= 0:
+                    ways[:] = empty
         tlb1.clear()
         tlb2.clear()
         ultra_line = -1

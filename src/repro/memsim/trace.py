@@ -27,12 +27,11 @@ simulator:
   reads and branches are pure sums: one ``np.sum`` per kind replaces the
   per-event loop entirely.
 * Branch-predictor state is per-site: grouping branch events by site
-  and pre-computing, for each site, the misprediction count and final
-  2-bit state *for every possible initial state* turns replay into one
-  table lookup per site.  For long traces the per-site automaton is
-  evaluated with a segmented prefix scan over clamp-function
-  compositions (``min(B, max(A, x+T))`` triples, log-depth doubling)
-  instead of a Python loop.
+  (one stable argsort) and packing each site's outcomes 8 per byte lets
+  replay fold them from the site's live 2-bit state one byte at a time,
+  through two 1 KiB (state, byte) tables in the engine, so its cost
+  scales with the outcomes and the plan stays independent of engine
+  state.
 * Cache and TLB state change only on reads, and the recorder's MRU
   invariant identifies reads that are *provably* pure L1 hits with zero
   state change (the fast engine's ``ultra_line`` shortcut).  Vectorized
@@ -44,7 +43,7 @@ simulator:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -115,11 +114,6 @@ class Trace:
         return f"Trace({len(self)} events, {self.nbytes} bytes)"
 
 
-#: Below this many branch events the 4-state Python simulation beats the
-#: numpy segmented scan's fixed overhead.
-_SCAN_MIN_EVENTS = 256
-
-
 class _TracePlan:
     """One trace compiled for replay (a pure function of the trace)."""
 
@@ -129,7 +123,7 @@ class _TracePlan:
         "instr_total",
         "n_branch",
         "n_ultra",
-        "site_tables",
+        "branch_sites",
         "max_sid",
         "hard_first",
         "hard_last",
@@ -142,98 +136,8 @@ class _TracePlan:
     )
 
 
-def _site_tables_python(sids: List[int], takens: List[int]):
-    """Per-site (misses, final-state) tables via direct 4-state simulation."""
-    groups: Dict[int, List[int]] = {}
-    for sid, taken in zip(sids, takens):
-        groups.setdefault(sid, []).append(taken)
-    tables = []
-    for sid, outs in groups.items():
-        states = [0, 1, 2, 3]
-        miss = [0, 0, 0, 0]
-        for o in outs:
-            for j in range(4):
-                s = states[j]
-                if o:
-                    if s < 2:
-                        miss[j] += 1
-                    states[j] = s + 1 if s < 3 else 3
-                else:
-                    if s >= 2:
-                        miss[j] += 1
-                    states[j] = s - 1 if s > 0 else 0
-        tables.append((sid, tuple(miss), tuple(states)))
-    return tables
-
-
-def _site_tables_scan(sids: np.ndarray, takens: np.ndarray):
-    """Per-site tables via a segmented prefix scan of clamp compositions.
-
-    A branch outcome ``d`` (+1 taken / -1 not-taken) acts on the 2-bit
-    state as ``x -> min(3, max(0, x + d))``.  Compositions of such maps
-    stay in the 3-parameter family ``x -> min(B, max(A, x + T))`` with
-
-        compose(earlier=(t1,a1,b1), later=(t2,a2,b2)) =
-            (t1 + t2, max(a2, a1 + t2), min(b2, max(a2, b1 + t2)))
-
-    so the prefix composition over each site's outcome subsequence is a
-    Hillis-Steele doubling scan (log-depth, all numpy).  Evaluating the
-    scan at every position for each of the four initial states yields the
-    per-event predictor state, hence exact misprediction counts.
-    """
-    order = np.argsort(sids, kind="stable")
-    s_sorted = sids[order]
-    t_sorted = takens[order] != 0
-    m = len(s_sorted)
-    # Segment ids: one segment per site, events in original order.
-    seg_start = np.empty(m, dtype=bool)
-    seg_start[0] = True
-    seg_start[1:] = s_sorted[1:] != s_sorted[:-1]
-    seg = np.cumsum(seg_start) - 1
-
-    d = np.where(t_sorted, 1, -1).astype(np.int64)
-    T = d.copy()
-    A = np.zeros(m, dtype=np.int64)
-    B = np.full(m, 3, dtype=np.int64)
-    shift = 1
-    while shift < m:
-        ok = np.zeros(m, dtype=bool)
-        ok[shift:] = seg[shift:] == seg[:-shift]
-        t1 = T[:-shift][ok[shift:]]
-        a1 = A[:-shift][ok[shift:]]
-        b1 = B[:-shift][ok[shift:]]
-        t2 = T[shift:][ok[shift:]]
-        a2 = A[shift:][ok[shift:]]
-        b2 = B[shift:][ok[shift:]]
-        T[shift:][ok[shift:]] = t1 + t2
-        A[shift:][ok[shift:]] = np.maximum(a2, a1 + t2)
-        B[shift:][ok[shift:]] = np.minimum(b2, np.maximum(a2, b1 + t2))
-        shift *= 2
-
-    n_seg = int(seg[-1]) + 1
-    ends = np.nonzero(np.append(seg_start[1:], True))[0]
-    site_of_seg = s_sorted[ends]
-    miss_mat = np.empty((4, n_seg), dtype=np.int64)
-    final_mat = np.empty((4, n_seg), dtype=np.int64)
-    for s0 in range(4):
-        after = np.minimum(B, np.maximum(A, s0 + T))
-        pre = np.empty(m, dtype=np.int64)
-        pre[0] = s0
-        pre[1:] = np.where(seg_start[1:], s0, after[:-1])
-        miss = (pre >= 2) != t_sorted
-        miss_mat[s0] = np.bincount(seg, weights=miss, minlength=n_seg).astype(
-            np.int64
-        )
-        final_mat[s0] = after[ends]
-    return [
-        (int(site_of_seg[k]), tuple(int(x) for x in miss_mat[:, k]),
-         tuple(int(x) for x in final_mat[:, k]))
-        for k in range(n_seg)
-    ]
-
-
 def _build_plan(trace) -> _TracePlan:
-    """Compile a trace: vectorized decomposition + per-site branch tables."""
+    """Compile a trace: vectorized decomposition + per-site branch bytes."""
     kinds = trace.kinds
     a = trace.a
     b = trace.b
@@ -285,17 +189,24 @@ def _build_plan(trace) -> _TracePlan:
         p.last_cand = -1
         p.last_page = -1
 
-    sids = a[m_br]
-    takens = b[m_br]
-    if p.n_branch == 0:
-        p.site_tables = []
-        p.max_sid = -1
-    else:
-        p.max_sid = int(sids.max())
-        if p.n_branch < _SCAN_MIN_EVENTS:
-            p.site_tables = _site_tables_python(sids.tolist(), takens.tolist())
-        else:
-            p.site_tables = _site_tables_scan(sids, takens)
+    # Per site: (site id, its outcomes packed 8 per byte with the first
+    # in bit 0, the 0-7 left over as a list).
+    p.branch_sites = []
+    p.max_sid = -1
+    if p.n_branch:
+        sids = a[m_br]
+        order = np.argsort(sids, kind="stable")
+        sids = sids[order]
+        taken = b[m_br][order] != 0
+        cuts = [0, *(np.flatnonzero(np.diff(sids)) + 1).tolist(), p.n_branch]
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = hi - (hi - lo) % 8
+            p.branch_sites.append((
+                int(sids[lo]),
+                np.packbits(taken[lo:mid], bitorder="little").tobytes(),
+                taken[mid:hi].tolist(),
+            ))
+        p.max_sid = int(sids[-1])
     return p
 
 

@@ -4,13 +4,19 @@ round-trips, for measurement cells and simulation tasks alike."""
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.bench import cache as cache_mod
-from repro.bench.cache import MeasurementCache, cache_key, scenario_key
+from repro.bench.cache import (
+    MeasurementCache,
+    StaleRecord,
+    cache_key,
+    scenario_key,
+)
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
 from repro.bench.harness import Measurement
@@ -444,6 +450,8 @@ class TestWrongShapedRecords:
     def test_profiled_read_rejects_a_record_without_phases(
         self, tmp_path, monkeypatch
     ):
+        """The record is stale, not unusable: a plain miss, left in
+        place (no reject, no quarantine) for the recompute's put."""
         from repro.obs.metrics import get_registry
 
         reg = get_registry()
@@ -455,9 +463,13 @@ class TestWrongShapedRecords:
         assert cache.get(cell) == plain  # unprofiled: phases not needed
         cache.reset_stats()
         monkeypatch.setenv("REPRO_OBS_PROFILE", "1")
+        with pytest.raises(StaleRecord):
+            cell.from_record(plain.to_dict())
         assert cache.get(cell) is None
         assert (cache.hits, cache.misses) == (0, 1)
-        assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        assert reg.snapshot()["counters"].get("bench.cache.rejects", 0) == 0
+        record = os.path.basename(cache._path(cell))
+        assert os.listdir(tmp_path / "c") == [record]
         profiled = make_measurement(
             phases={
                 "model": PerfCounters(instructions=40, reads=2),

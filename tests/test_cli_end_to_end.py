@@ -104,6 +104,36 @@ def test_rejects_unknown_and_repeated_names(names, bad, message, capsys):
     assert names[0] in err and bad in err and message in err
 
 
+def test_profiled_rerun_refreshes_unprofiled_records(
+    tmp_path, monkeypatch, capsys
+):
+    """A --profile run over a cache of unprofiled records recomputes
+    each cell (a record without phases is stale, not unusable) and
+    overwrites it in place: no reject, no quarantined copy."""
+    from repro.bench.experiments import common
+    from repro.obs.metrics import get_registry
+
+    monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
+    cache_dir = tmp_path / "cache"
+    argv = ["--experiment", "fig7", *TINY[:-1], "--cache-dir", str(cache_dir)]
+    reg = get_registry()
+    try:
+        for extra in ([], ["--profile"]):
+            common.clear_caches()  # resolve through the cache, not the memo
+            reg.reset()
+            assert main(argv + extra) == 0
+        names = os.listdir(cache_dir)
+        assert not [n for n in names if n.endswith(".rejected")]
+        assert reg.snapshot()["counters"].get("bench.cache.rejects", 0) == 0
+        assert len(names) == 17
+        for name in names:
+            with open(cache_dir / name) as f:
+                assert "phases" in json.load(f)["measurement"]
+    finally:
+        common.clear_caches()
+        reg.reset()
+
+
 def test_main_restores_process_switches(tmp_path, monkeypatch, capsys):
     """--profile and --obs-dir set switches pool workers inherit; an
     in-process caller gets its own values back when main returns."""

@@ -19,12 +19,15 @@ compiled plan.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.memsim import (
+    BranchPredictor,
     Cache,
     CacheHierarchy,
     PerfTracer,
@@ -32,7 +35,7 @@ from repro.memsim import (
     SiteInterner,
     TraceRecorder,
 )
-from repro.memsim.engine import FastEngine
+from repro.memsim.engine import _FOLD_MISS, _FOLD_STATE, FastEngine
 from repro.memsim.tlb import TLB
 from repro.memsim.trace import K_REPEAT
 
@@ -342,3 +345,107 @@ def test_multiline_and_page_crossing_reads(engine):
     assert c.reads == 1
     assert c.l1_hits + c.l2_hits + c.l3_hits + c.llc_misses == 3  # walk + 2
     assert c.tlb_misses == 1  # only the first page is translated
+
+
+def _outcomes(segments, length):
+    """A site's outcomes: long same-direction runs and random stretches,
+    cut to ``length``."""
+    out = []
+    for kind, n, seed in segments:
+        if kind == "random":
+            bits = random.Random(seed).getrandbits(n)
+            out.extend(bool(bits >> i & 1) for i in range(n))
+        else:
+            out.extend([kind == "taken"] * n)
+    return out[:length]
+
+
+_site_runs = st.tuples(
+    # The site's state before the replay: None is never seen.
+    st.sampled_from([None, 0, 1, 2, 3]),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["taken", "not", "random"]),
+            st.integers(1, 1500),
+            st.integers(0, 2**32 - 1),
+        ),
+        max_size=5,
+    ),
+    st.integers(0, 3000),
+)
+
+#: Per-call outcomes that take a fresh (weak-taken) site to each state.
+_TO_STATE = {0: [False, False], 1: [False], 2: [True, False], 3: [True]}
+
+
+@given(st.lists(_site_runs, min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+@example(
+    [(state, [("taken", 1001, 0), ("not", 999, 0), ("random", 13, 5)], 3000)
+     for state in (None, 0, 1, 3)],
+    0,
+)
+@settings(max_examples=40, deadline=None)
+def test_long_branch_runs_replay_from_any_start_state(sites_runs, seed):
+    """Thousands of outcomes per site, folded a byte at a time, from
+    every 2-bit start state (or a never-seen site), then per-call
+    branches and a second replay against the state the first left."""
+    names = [f"site{i}" for i in range(len(sites_runs))]
+    streams = [
+        _outcomes(segments, length) for _, segments, length in sites_runs
+    ]
+    # Interleave the sites' outcomes, each site's in its own order.
+    rng = random.Random(seed)
+    order = [i for i, s in enumerate(streams) for _ in s]
+    rng.shuffle(order)
+    pos = [0] * len(streams)
+    sites = SiteInterner()
+    recorder = TraceRecorder(sites=sites)
+    for i in order:
+        recorder.branch(names[i], streams[i][pos[i]])
+        pos[i] += 1
+    trace = recorder.finish()
+    prelude = [
+        (name, taken)
+        for name, (state, _, _) in zip(names, sites_runs)
+        if state is not None
+        for taken in _TO_STATE[state]
+    ]
+    after = [(name, rng.random() < 0.5) for name in names for _ in range(3)]
+
+    observed = []
+    for engine in (ReferenceEngine(sites=sites), FastEngine(sites=sites)):
+        t = PerfTracer(engine=engine)
+        snaps = []
+        for live in (prelude, after):
+            for name, taken in live:
+                t.branch(name, taken)
+            snaps.append((t.snapshot(), engine.n_branch_sites()))
+            t.replay(trace)
+            snaps.append((t.snapshot(), engine.n_branch_sites()))
+        observed.append(snaps)
+    assert observed[1] == observed[0]
+    # The prelude leaves each site in its drawn state.
+    predictor = BranchPredictor()
+    for name, taken in prelude:
+        predictor.predict_and_update(name, taken)
+    assert predictor._table == {
+        name: state
+        for name, (state, _, _) in zip(names, sites_runs)
+        if state is not None
+    }
+
+
+def test_fold_tables_are_eight_predictor_steps():
+    """Every (state, byte): the fast engine's fold tables hold the state
+    and the mispredictions of 8 ``BranchPredictor`` steps, bit 0 first."""
+    for state in range(4):
+        for byte in range(256):
+            predictor = BranchPredictor()
+            predictor._table["s"] = state
+            misses = sum(
+                not predictor.predict_and_update("s", bool(byte >> i & 1))
+                for i in range(8)
+            )
+            k = state << 8 | byte
+            assert _FOLD_STATE[k] == predictor._table["s"], (state, byte)
+            assert _FOLD_MISS[k] == misses, (state, byte)

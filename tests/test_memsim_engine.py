@@ -126,9 +126,9 @@ LEVELS = ((32 * 1024, 8), (256 * 1024, 8), (1024 * 1024, 16))
 
 
 def fast_state():
-    """The state a FastEngine wraps: (sets getter, read, flush)."""
+    """The state a FastEngine wraps: (sets getter, read, flush, snapshot)."""
     ns = _build_fast_engine(*LEVELS, (64, 1536), SiteInterner())
-    return ns["_sets"], ns["read"], ns["flush_caches"]
+    return ns["_sets"], ns["read"], ns["flush_caches"], ns["snapshot"]
 
 
 def vector_state():
@@ -140,7 +140,12 @@ def vector_state():
         recorder.read(addr)
         ns["replay"](recorder.finish())
 
-    return ns["_sets"], read, ns["flush_caches"]
+    return ns["_sets"], read, ns["flush_caches"], ns["snapshot"]
+
+
+def closure_var(fn, name):
+    """The value ``fn`` closes over under ``name``."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
 
 @pytest.mark.parametrize("state", [fast_state, vector_state])
@@ -162,11 +167,11 @@ class TestEmptySets:
         assert all(s[0] < 0 for s in all_sets[1:])
 
     def test_fresh_engine(self, state):
-        sets_of, _, _ = state()
+        sets_of, _, _, _ = state()
         self.assert_empty_and_distinct(sets_of)
 
     def test_flush_resets_sets_in_place(self, state):
-        sets_of, read, flush = state()
+        sets_of, read, flush, _ = state()
         levels = sets_of()
         for addr in range(0, 1 << 21, 4096 + 64):
             read(addr)
@@ -174,6 +179,45 @@ class TestEmptySets:
         flush()
         assert all(a is b for a, b in zip(sets_of(), levels))
         self.assert_empty_and_distinct(sets_of)
+
+    def test_flush_clears_lines_held_below_l1_and_the_tlb(self, state):
+        """Lines evicted from L1 but held in L2/L3, and a full TLB."""
+        sets_of, read, flush, snapshot = state()
+        levels = sets_of()
+        set_ids = [list(map(id, sets)) for sets in levels]
+        sentinels = [empty for _, empty in closure_var(flush, "levels")]
+        # One line per page, each in L1 set 0, which keeps 8 of them;
+        # 1,600 pages overflow both TLB levels (64 and 1,536 entries).
+        stream = [page << 12 for page in range(1600)]
+        for addr in stream:
+            read(addr)
+        in_l1 = {ln for ways in levels[0] for ln in ways}
+        for sets in levels[1:]:
+            below = {ln for ways in sets for ln in ways if ln >= 0}
+            assert below - in_l1
+        assert len(closure_var(flush, "tlb2")) == 1536
+        flush()
+        for sets, (_, assoc), ids in zip(sets_of(), LEVELS, set_ids):
+            sentinel = list(range(-1, -assoc - 1, -1))
+            assert all(ways == sentinel for ways in sets)
+            assert list(map(id, sets)) == ids
+        assert all(a is b for a, b in zip(sets_of(), levels))
+        assert sentinels == [
+            list(range(-1, -assoc - 1, -1)) for _, assoc in LEVELS
+        ]
+        assert not closure_var(flush, "tlb1")
+        assert not closure_var(flush, "tlb2")
+        # The same stream again meets cold caches and TLB, as on the
+        # reference.
+        for addr in stream:
+            read(addr)
+        reference = ReferenceEngine()
+        for addr in stream:
+            reference.read(addr)
+        reference.flush_caches()
+        for addr in stream:
+            reference.read(addr)
+        assert snapshot() == reference.snapshot()
 
 
 class TestBranchTableMaterialization:
