@@ -24,11 +24,6 @@ from repro.bench.report import format_runner_stats
 from repro.datasets.generators import FACE_N_OUTLIERS
 from repro.datasets.loader import DATASET_NAMES
 
-#: Process-wide switches ``--profile`` and ``--obs-dir`` turn on for pool
-#: workers to inherit; :func:`main` restores them before it returns.
-_AMBIENT_ENV = ("REPRO_OBS_PROFILE", "REPRO_OBS")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -163,13 +158,7 @@ def settings_from_args(args) -> BenchSettings:
         settings.cache_dir = None
     else:
         settings.cache_dir = args.cache_dir or default_cache_dir()
-    if args.profile:
-        settings.profile = True
-        # Same ambient pattern: workers see REPRO_OBS_PROFILE and
-        # phase-attribute their cells.
-        from repro.obs.phase import set_profiling
-
-        set_profiling(True)
+    settings.profile = args.profile
     if args.obs_dir is not None:
         settings.obs_dir = args.obs_dir
         os.environ["REPRO_OBS"] = "1"  # workers inherit span recording
@@ -179,16 +168,16 @@ def settings_from_args(args) -> BenchSettings:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # An in-process caller's next run must start from its own settings.
-    saved_env = {name: os.environ.get(name) for name in _AMBIENT_ENV}
+    # --obs-dir turns on REPRO_OBS for pool workers to inherit; an
+    # in-process caller's next run must start from its own value.
+    saved = os.environ.get("REPRO_OBS")
     try:
         return _run(parser, args, argv)
     finally:
-        for name, value in saved_env.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+        if saved is None:
+            os.environ.pop("REPRO_OBS", None)
+        else:
+            os.environ["REPRO_OBS"] = saved
 
 
 def _run(parser, args, argv) -> int:
@@ -222,17 +211,20 @@ def _run(parser, args, argv) -> int:
     previous_cache = common.get_active_cache()
     common.set_active_cache(cache)
     runner_stats = None
+    measurements = []
     try:
         # Pre-compute the measurement grid of every chosen experiment:
         # cells resolve through the persistent cache and fan out over
         # --jobs processes, then the drivers below hit memoized results.
         # Result ordering is the deterministic cell order, never
-        # completion order.
+        # completion order.  The outputs after the reports read this
+        # run's measurements, one per cell, not the process memo.
         cells = collect_cells(chosen, settings)
         if cells:
-            _, runner_stats = run_cells(
+            results, runner_stats = run_cells(
                 cells, jobs=settings.jobs, cache=cache
             )
+            measurements = list(dict(zip(cells, results)).values())
             print(format_runner_stats(runner_stats))
             print()
 
@@ -250,28 +242,24 @@ def _run(parser, args, argv) -> int:
         from repro.obs.report import format_phase_table
 
         print(f"{'=' * 72}\n[phase breakdown]\n{'=' * 72}")
-        print(format_phase_table(common._MEASUREMENTS.values()))
+        print(format_phase_table(measurements))
         print()
     if settings.obs_dir:
-        _write_obs(settings, runner_stats, argv)
+        _write_obs(settings, runner_stats, measurements, argv)
     if args.save_measurements:
-        from repro.bench.experiments import common
         from repro.bench.export import write_measurements
 
-        count = write_measurements(
-            args.save_measurements, common._MEASUREMENTS.values()
-        )
+        count = write_measurements(args.save_measurements, measurements)
         print(f"saved {count} measurements to {args.save_measurements}")
     if args.save_svg:
-        _save_svgs(args.save_svg, chosen, settings)
+        _save_svgs(args.save_svg, measurements, chosen, settings)
     return 0
 
 
-def _write_obs(settings, runner_stats, argv) -> None:
+def _write_obs(settings, runner_stats, measurements, argv) -> None:
     """Write manifest/spans/metrics (and the phase SVG) into --obs-dir."""
     import os
 
-    from repro.bench.experiments import common
     from repro.obs import metrics as obs_metrics
     from repro.obs import spans as obs_spans
     from repro.obs.report import phase_breakdown_svg
@@ -305,11 +293,7 @@ def _write_obs(settings, runner_stats, argv) -> None:
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     if settings.profile:
-        profiled = [
-            m
-            for m in common._MEASUREMENTS.values()
-            if getattr(m, "phases", None)
-        ]
+        profiled = [m for m in measurements if m.phases]
         if profiled:
             svg_path = os.path.join(settings.obs_dir, "phase_breakdown.svg")
             with open(svg_path, "w") as f:
@@ -317,15 +301,14 @@ def _write_obs(settings, runner_stats, argv) -> None:
             print(f"wrote {svg_path}")
 
 
-def _save_svgs(directory: str, chosen=(), settings=None) -> None:
+def _save_svgs(directory: str, measurements, chosen=(), settings=None) -> None:
     import os
 
-    from repro.bench.experiments import common
     from repro.bench.svgplot import pareto_figure
 
     os.makedirs(directory, exist_ok=True)
     grouped = {}
-    for m in common._MEASUREMENTS.values():
+    for m in measurements:
         if m.warm and m.search == "binary" and m.key_bits == 64:
             grouped.setdefault(m.dataset, []).append(m)
     for dataset, ms in sorted(grouped.items()):

@@ -11,11 +11,10 @@ a fresh run would produce.
 
 The store never branches on the kind of item.  Each item class says how
 its result becomes a JSON record (``to_record``) and back
-(``from_record``, which raises on a record it cannot use, and raises
-:class:`StaleRecord` on a sound one that lacks what this run asks of
-it); both are the :mod:`repro.records` codec of the result's record
-class.  Task key fields always carry a ``kind`` and cell key fields
-never do, so the two kinds share one directory without colliding.
+(``from_record``, which raises on a record it cannot use); both are the
+:mod:`repro.records` codec of the result's record class.  Task key
+fields always carry a ``kind`` and cell key fields never do, so the two
+kinds share one directory without colliding.
 
 The JSON round-trip is lossless: floats survive ``json`` exactly (it
 emits shortest round-trip reprs) and the codec keeps each number's JSON
@@ -44,15 +43,6 @@ DEFAULT_CACHE_DIR = os.path.join(".repro_cache", "measurements")
 
 def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-
-
-class StaleRecord(Exception):
-    """A sound record made without something this run asks of it.
-
-    ``from_record`` raises it, not ``ValueError``, for a record nothing
-    is wrong with -- such as a measurement stored unprofiled, read by a
-    profiled run that wants its phase attribution.
-    """
 
 
 def cache_key(cell, schema_version: Optional[int] = None) -> str:
@@ -105,11 +95,10 @@ class MeasurementCache:
     def get(self, cell):
         """``cell``'s stored result, or None for a counted miss.
 
-        A :class:`StaleRecord` is a plain miss: the file stays where it
-        is, and the recomputed result's :meth:`put` overwrites it.  A
-        file that is present but unusable -- unreadable, not JSON, or a
-        record ``cell.from_record`` rejects -- is a miss too, counted
-        in ``bench.cache.rejects``.  It is renamed to
+        An absent file is a plain miss.  A file that is present but
+        unusable -- unreadable, not JSON, or a record
+        ``cell.from_record`` rejects -- is a miss counted in
+        ``bench.cache.rejects``.  It is renamed to
         ``<key>.json.rejected``, where it can be inspected and where no
         lookup or :meth:`__len__` sees it; the recomputed result's
         :meth:`put` then writes a fresh record.
@@ -119,7 +108,7 @@ class MeasurementCache:
             with open(path) as f:
                 record = json.load(f)["measurement"]
             result = cell.from_record(record)
-        except (FileNotFoundError, StaleRecord):
+        except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError, AttributeError):

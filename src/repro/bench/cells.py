@@ -12,15 +12,13 @@ simulated CPU makes the resulting counters exact, not statistical.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Tuple
 
-from repro.bench.cache import StaleRecord
 from repro.bench.harness import Measurement, measure_index
 from repro.datasets.loader import Dataset, make_dataset
 from repro.datasets.workload import Workload, make_workload
-from repro.obs.phase import profiling_enabled
-from repro.records import to_dict
+from repro.records import OMIT_DEFAULT, to_dict
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,6 +66,13 @@ class MeasureCell:
     pairs), so a cell is hashable, picklable, and JSON-able -- the same
     object serves as in-process memo key, persistent cache key material,
     and process-pool work item.
+
+    ``profile`` asks for phase attribution (``Measurement.phases``).  It
+    changes no counter, but a profiled cell's result carries more than
+    a plain one's, so the flag is part of the cell's identity: the memo
+    and the cache keep the two apart, and a pool worker reads it from
+    the pickled cell.  It is left out of :meth:`key_fields` while false,
+    so plain cells keep their keys.
     """
 
     dataset: str
@@ -81,6 +86,7 @@ class MeasureCell:
     warmup: int
     warm: bool = True
     search: str = "binary"
+    profile: bool = field(default=False, metadata=OMIT_DEFAULT)
 
     @classmethod
     def make(
@@ -105,6 +111,7 @@ class MeasureCell:
             warmup=settings.warmup,
             warm=warm,
             search=search,
+            profile=settings.profile,
         )
 
     def config_dict(self) -> dict:
@@ -128,14 +135,10 @@ class MeasureCell:
     def from_record(self, record: dict) -> Measurement:
         """The measurement a stored record holds; raises if unusable.
 
-        A caller that wants phase attribution cannot use a record that
-        predates it (or was produced unprofiled), so that record is
-        :class:`~repro.bench.cache.StaleRecord`: the caller re-executes,
-        and the refreshed record overwrites this one, counters
-        byte-identical.
+        A profiled cell's record must carry its phase attribution.
         """
-        if profiling_enabled() and "phases" not in record:
-            raise StaleRecord("record has no phase attribution")
+        if self.profile and "phases" not in record:
+            raise ValueError("profiled cell's record has no phases")
         return Measurement.from_dict(record)
 
     def materialize(self) -> Tuple[Dataset, Workload]:
@@ -145,14 +148,8 @@ class MeasureCell:
             self.n_lookups + self.warmup,
         )
 
-    def run(self, profile: Optional[bool] = None) -> Measurement:
-        """Execute the cell against its own dataset and workload.
-
-        ``profile`` (None = ambient ``REPRO_OBS_PROFILE``) is deliberately
-        NOT part of the cell's identity or :meth:`key_fields`: phase
-        attribution annotates a measurement without changing any of its
-        counters, so the same cached measurement serves either.
-        """
+    def run(self) -> Measurement:
+        """Execute the cell against its own dataset and workload."""
         dataset, workload = self.materialize()
         return measure_index(
             dataset,
@@ -163,5 +160,5 @@ class MeasureCell:
             warmup=self.warmup,
             warm=self.warm,
             search=self.search,
-            profile=profile,
+            profile=self.profile,
         )

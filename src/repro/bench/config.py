@@ -34,8 +34,9 @@ class BenchSettings:
     #: CLI: ``--cache-dir`` / ``REPRO_CACHE_DIR``, ``--no-cache``).
     cache_dir: Optional[str] = None
     #: Attribute per-lookup counters to model/search phases (CLI:
-    #: ``--profile`` / ``REPRO_OBS_PROFILE``).  Annotates measurements
-    #: without changing any counter, so it too stays out of cache keys.
+    #: ``--profile``).  Changes no counter; ``MeasureCell.make`` copies
+    #: it into each cell, whose key then tells a profiled cell from a
+    #: plain one.
     profile: bool = False
     #: Directory for observability output (span JSONL, metrics snapshot,
     #: run manifest; CLI: ``--obs-dir``).  None = no files written.

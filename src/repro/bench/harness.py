@@ -25,12 +25,12 @@ from repro.core.interface import SortedDataIndex
 from repro.datasets.loader import Dataset
 from repro.datasets.workload import Workload
 from repro.learned import kernels
-from repro.memsim.costmodel import XEON_GOLD_6230, CostModel
+from repro.memsim.costmodel import XEON_GOLD_6230
 from repro.memsim.counters import PerfCounters, PerfCountersF
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import PerfTracer
 from repro.obs import spans as obs_spans
-from repro.obs.phase import PhaseTracer, phase_window, profiling_enabled
+from repro.obs.phase import PhaseTracer, phase_window
 from repro.records import OMIT_DEFAULT, Record
 from repro.search.last_mile import SEARCH_FUNCTIONS
 
@@ -127,11 +127,9 @@ def measure(
     warmup: int = 300,
     warm: bool = True,
     search: str = "binary",
-    cost_model: CostModel = XEON_GOLD_6230,
-    verify: bool = True,
     engine: Optional[type] = None,
     replay: bool = False,
-    profile: Optional[bool] = None,
+    profile: bool = False,
 ) -> Measurement:
     """Replay a workload through the index on the simulated CPU.
 
@@ -148,8 +146,8 @@ def measure(
     event.  ``engine`` is the test oracle hook: an engine class (e.g.
     ``ReferenceEngine``) that runs the per-lookup loop instead.
 
-    ``profile`` (None -> ambient ``REPRO_OBS_PROFILE``, the CLI's
-    ``--profile``) attributes counters to lookup phases via a
+    ``profile`` (a cell's ``profile`` field, the CLI's ``--profile``)
+    attributes counters to lookup phases via a
     :class:`~repro.obs.phase.PhaseTracer`; the per-phase totals land in
     ``Measurement.phases`` and sum byte-exactly to ``counters``.
     Profiling never changes any counter.
@@ -166,8 +164,6 @@ def measure(
     truths = workload.positions_py
     n_work = len(keys)
     point_only = index.point_only
-    if profile is None:
-        profile = profiling_enabled()
     batched = (
         engine is None
         and not profile
@@ -212,8 +208,7 @@ def measure(
     with measure_span:
         if batched:
             base, log2_sum = _measure_batched(
-                built, workload, n_lookups, warmup, warm, search, verify,
-                tracer,
+                built, workload, n_lookups, warmup, warm, search, tracer
             )
         else:
             for i in range(min(warmup, max(n_work, 1))):
@@ -227,7 +222,7 @@ def measure(
             for i in range(n_lookups):
                 if not warm:
                     tracer.flush_caches()
-                log2_sum += one_lookup(warmup + i, verify)
+                log2_sum += one_lookup(warmup + i, True)
         counters = (tracer.snapshot() - base).per_lookup(n_lookups)
         phases = (
             phase_window(tracer.checkpoint(), phase_base) if profile else None
@@ -241,8 +236,8 @@ def measure(
         size_bytes=index.size_bytes(),
         build_seconds=index.build_seconds,
         counters=counters,
-        latency_ns=cost_model.latency_ns(counters, fence=False),
-        fence_latency_ns=cost_model.latency_ns(counters, fence=True),
+        latency_ns=XEON_GOLD_6230.latency_ns(counters, fence=False),
+        fence_latency_ns=XEON_GOLD_6230.latency_ns(counters, fence=True),
         avg_log2_bound=log2_sum / max(n_lookups, 1),
         n_lookups=n_lookups,
         warm=warm,
@@ -266,7 +261,6 @@ def _measure_batched(
     warmup: int,
     warm: bool,
     search: str,
-    verify: bool,
     tracer: PerfTracer,
 ) -> Tuple[PerfCounters, float]:
     """The batched path's body: synthesis, verification and replay.
@@ -288,17 +282,16 @@ def _measure_batched(
             built, keys, warmup, n_lookups, search, tracer.sites
         )
 
-    if verify:
-        # Same check, same failure order, as the per-lookup loop.
-        pos_l = batch.pos.tolist()
-        for i, r in zip(meas_seq, meas_rows):
-            pos = pos_l[r]
-            truth = truths[i]
-            if not (pos == truth or (point_only and truth >= n)):
-                raise _lookup_error(
-                    index, keys[i], pos, truth, int(batch.lo[r]),
-                    int(batch.hi[r]),
-                )
+    # Same check, same failure order, as the per-lookup loop.
+    pos_l = batch.pos.tolist()
+    for i, r in zip(meas_seq, meas_rows):
+        pos = pos_l[r]
+        truth = truths[i]
+        if not (pos == truth or (point_only and truth >= n)):
+            raise _lookup_error(
+                index, keys[i], pos, truth, int(batch.lo[r]),
+                int(batch.hi[r]),
+            )
 
     lg = batch.lg
     if warm_trace is not None:

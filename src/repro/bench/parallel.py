@@ -57,13 +57,6 @@ class RunnerStats:
     wall_seconds: float = 0.0
     #: Per executed cell: (label, worker-measured seconds).
     cell_seconds: List[Tuple[str, float]] = field(default_factory=list)
-    #: Per resolved-this-run cell: (worker_pid, label, wall_ns,
-    #: cache_hit).  Cache hits carry the parent pid and the (tiny) cache
-    #: read time; executed cells carry the worker that ran them --
-    #: ``obs summary`` renders the per-worker load balance from this.
-    worker_cells: List[Tuple[int, str, int, bool]] = field(
-        default_factory=list
-    )
 
     @property
     def executed_seconds(self) -> float:
@@ -76,20 +69,20 @@ def cell_label(cell) -> str:
     return cell.label()
 
 
-def _execute(cell) -> Tuple[object, float, int, List[dict]]:
+def _execute(cell) -> Tuple[object, float, List[dict]]:
     """Worker entry point: always computes (memo/cache checks happen in
     the parent, before dispatch).
 
-    Returns ``(result, seconds, worker_pid, span_records)``.  Span
-    records are captured into a private buffer (isolating any records a
-    fork inherited from the parent) and shipped back with the result;
-    the parent injects them in deterministic dispatch order.
+    Returns ``(result, seconds, span_records)``.  Span records are
+    captured into a private buffer (isolating any records a fork
+    inherited from the parent) and shipped back with the result; the
+    parent injects them in deterministic dispatch order.
     """
     start = time.perf_counter()
     with obs_spans.capture() as cap:
         with obs_spans.span("cell", label=cell_label(cell)):
             result = cell.run()
-    return result, time.perf_counter() - start, os.getpid(), cap.records
+    return result, time.perf_counter() - start, cap.records
 
 
 def _resolve(
@@ -111,7 +104,6 @@ def _resolve(
     unique = list(dict.fromkeys(cells))
     stats.unique_cells = len(unique)
 
-    pid = os.getpid()
     resolved = {}
     pending = []
     for cell in unique:
@@ -126,9 +118,6 @@ def _resolve(
             if result is not None:
                 elapsed_ns = time.perf_counter_ns() - t0
                 stats.cache_hits += 1
-                stats.worker_cells.append(
-                    (pid, cell_label(cell), elapsed_ns, True)
-                )
                 obs_spans.record(
                     "cell",
                     time.monotonic_ns(),
@@ -149,13 +138,13 @@ def _resolve(
         else:
             results = map(_execute, pending)
         # zip over `pending` order (pool.map preserves it): executed
-        # results, injected worker spans, and worker_cells tuples land in
-        # deterministic dispatch order, never completion order.  Each
-        # result is cached as soon as it arrives, so an interrupt or a
-        # raising item keeps every result finished before it.
+        # results and injected worker spans land in deterministic
+        # dispatch order, never completion order.  Each result is cached
+        # as soon as it arrives, so an interrupt or a raising item keeps
+        # every result finished before it.
         try:
-            for cell, (result, seconds, wpid, spans) in zip(pending, results):
-                executed[cell] = (result, seconds, wpid)
+            for cell, (result, seconds, spans) in zip(pending, results):
+                executed[cell] = (result, seconds)
                 obs_spans.inject(spans)
                 if cache is not None:
                     cache.put(cell, result)
@@ -165,12 +154,9 @@ def _resolve(
 
     for cell in unique:
         if cell in executed:
-            result, seconds, wpid = executed[cell]
+            result, seconds = executed[cell]
             stats.executed += 1
             stats.cell_seconds.append((cell_label(cell), seconds))
-            stats.worker_cells.append(
-                (wpid, cell_label(cell), int(seconds * 1e9), False)
-            )
             resolved[cell] = result
         memo.setdefault(cell, resolved[cell])
 

@@ -4,14 +4,16 @@ The harness, parallel runner, memsim engines and serving simulator all
 report here; see ``docs/observability.md`` for the span API, metric
 naming conventions, manifest schema and how to read a phase breakdown.
 
-Off by default.  Three independent ambient switches, all inherited by
-pool workers through the environment:
+Off by default.  Two switches:
 
-* ``REPRO_OBS=1`` (or :func:`repro.obs.spans.enable`) -- record spans.
-* ``REPRO_OBS_PROFILE=1`` (CLI ``--profile``) -- per-phase counter
-  attribution inside measured lookups.
+* ``REPRO_OBS=1`` (or :func:`repro.obs.spans.enable`) -- record spans;
+  pool workers inherit it through the environment.
 * ``--obs-dir DIR`` -- write ``manifest.json`` / ``spans.jsonl`` /
   ``metrics.json`` next to a run's results (implies ``REPRO_OBS=1``).
+
+Per-phase counter attribution inside measured lookups (CLI
+``--profile``) is not process-wide: each measurement cell carries it in
+its ``profile`` field, and ``measure(profile=True)`` asks for it.
 
 With every switch off, the instrumentation left in hot paths is a no-op
 ``Tracer.phase`` call and a truthiness test per coarse region; the
@@ -28,8 +30,6 @@ from repro.obs.phase import (
     PHASE_SEARCH,
     PhaseTracer,
     phase_window,
-    profiling_enabled,
-    set_profiling,
 )
 from repro.obs.sink import JsonlSink, run_manifest, write_run
 from repro.obs.spans import capture, drain, enable, enabled, inject, span
@@ -46,8 +46,6 @@ __all__ = [
     "PHASE_SEARCH",
     "PhaseTracer",
     "phase_window",
-    "profiling_enabled",
-    "set_profiling",
     "JsonlSink",
     "run_manifest",
     "write_run",

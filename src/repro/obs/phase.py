@@ -30,8 +30,6 @@ The phase vocabulary is deliberately small:
 
 from __future__ import annotations
 
-import os
-
 from typing import Dict, Optional
 
 from repro.memsim.counters import PerfCounters
@@ -43,27 +41,6 @@ PHASE_OTHER = "other"
 
 #: Canonical display order for reports.
 PHASE_ORDER = (PHASE_MODEL, PHASE_SEARCH, PHASE_OTHER)
-
-_ENV_VAR = "REPRO_OBS_PROFILE"
-
-
-def profiling_enabled() -> bool:
-    """Ambient profile switch (``--profile`` exports ``REPRO_OBS_PROFILE``).
-
-    Environment-driven so pool workers inherit the choice; deliberately
-    *not* part of measurement-cache keys -- profiling never changes a
-    measurement's counters, it only adds the per-phase split.
-    """
-    return os.environ.get(_ENV_VAR, "") not in ("", "0")
-
-
-def set_profiling(on: bool) -> None:
-    """Flip the ambient profile switch (and what workers will inherit)."""
-    if on:
-        os.environ[_ENV_VAR] = "1"
-    else:
-        os.environ.pop(_ENV_VAR, None)
-
 
 class PhaseTracer(Tracer):
     """Tracer wrapper attributing counter deltas to the active phase.

@@ -11,12 +11,7 @@ from hypothesis import given, settings as hyp_settings
 from hypothesis import strategies as st
 
 from repro.bench import cache as cache_mod
-from repro.bench.cache import (
-    MeasurementCache,
-    StaleRecord,
-    cache_key,
-    scenario_key,
-)
+from repro.bench.cache import MeasurementCache, cache_key, scenario_key
 from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.config import BenchSettings
 from repro.bench.harness import Measurement
@@ -101,6 +96,7 @@ class TestCacheKey:
             ("warmup", 16),
             ("warm", False),
             ("search", "linear"),
+            ("profile", True),
         ],
     )
     def test_every_identity_field_feeds_the_key(self, field, value):
@@ -447,39 +443,38 @@ class TestWrongShapedRecords:
         cache.put(cell, m)
         assert cache.get(cell) == m
 
-    def test_profiled_read_rejects_a_record_without_phases(
-        self, tmp_path, monkeypatch
-    ):
-        """The record is stale, not unusable: a plain miss, left in
-        place (no reject, no quarantine) for the recompute's put."""
+    def test_profiled_read_rejects_a_record_without_phases(self, tmp_path):
+        """A profiled cell has its own key, so it never reads the plain
+        cell's record; a record without phases under its key is a
+        counted reject, kept for inspection."""
         from repro.obs.metrics import get_registry
 
         reg = get_registry()
         reg.reset()
-        monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
         cache = MeasurementCache(str(tmp_path / "c"))
         cell, plain = make_cell(), make_measurement()
+        profiled_cell = make_cell(profile=True)
+        assert cache_key(profiled_cell) != cache_key(cell)
         cache.put(cell, plain)
-        assert cache.get(cell) == plain  # unprofiled: phases not needed
-        cache.reset_stats()
-        monkeypatch.setenv("REPRO_OBS_PROFILE", "1")
-        with pytest.raises(StaleRecord):
-            cell.from_record(plain.to_dict())
-        assert cache.get(cell) is None
+        assert cache.get(profiled_cell) is None
         assert (cache.hits, cache.misses) == (0, 1)
         assert reg.snapshot()["counters"].get("bench.cache.rejects", 0) == 0
-        record = os.path.basename(cache._path(cell))
-        assert os.listdir(tmp_path / "c") == [record]
+        assert cache.get(cell) == plain  # the plain record is untouched
+        cache.put(profiled_cell, plain)
+        path = cache._path(profiled_cell)
+        assert cache.get(profiled_cell) is None
+        assert reg.snapshot()["counters"]["bench.cache.rejects"] == 1
+        assert os.path.exists(path + ".rejected")
+        assert not os.path.exists(path)
         profiled = make_measurement(
             phases={
                 "model": PerfCounters(instructions=40, reads=2),
                 "search": PerfCounters(instructions=61, reads=5),
             }
         )
-        cache.put(cell, profiled)
-        with open(cache._path(cell)) as f:
-            assert "phases" in json.load(f)["measurement"]
-        assert cache.get(cell) == profiled
+        cache.put(profiled_cell, profiled)
+        assert cache.get(profiled_cell) == profiled
+        assert cache.get(cell) == plain
         reg.reset()
 
     @pytest.mark.parametrize("entry", FOREIGN_ENTRIES)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.bench.__main__ import main
 from repro.datasets.generators import FACE_N_OUTLIERS
-from repro.obs.phase import profiling_enabled
 
 TINY = [
     "--quick",
@@ -104,40 +103,69 @@ def test_rejects_unknown_and_repeated_names(names, bad, message, capsys):
     assert names[0] in err and bad in err and message in err
 
 
-def test_profiled_rerun_refreshes_unprofiled_records(
-    tmp_path, monkeypatch, capsys
-):
-    """A --profile run over a cache of unprofiled records recomputes
-    each cell (a record without phases is stale, not unusable) and
-    overwrites it in place: no reject, no quarantined copy."""
+def test_profiled_rerun_refreshes_unprofiled_records(tmp_path, capsys):
+    """A --profile run after a plain one in the same process measures
+    profiled cells, which neither the memo nor the cache confuses with
+    the plain ones: it prints phase rows and writes its records beside
+    the plain records, rejecting none."""
     from repro.bench.experiments import common
     from repro.obs.metrics import get_registry
 
-    monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
     cache_dir = tmp_path / "cache"
     argv = ["--experiment", "fig7", *TINY[:-1], "--cache-dir", str(cache_dir)]
     reg = get_registry()
+    common.clear_caches()
+    reg.reset()
     try:
-        for extra in ([], ["--profile"]):
-            common.clear_caches()  # resolve through the cache, not the memo
-            reg.reset()
-            assert main(argv + extra) == 0
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--profile"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("[phase breakdown]")[1]
+        assert "no phase data" not in table
+        assert "model" in table and "search" in table
         names = os.listdir(cache_dir)
         assert not [n for n in names if n.endswith(".rejected")]
         assert reg.snapshot()["counters"].get("bench.cache.rejects", 0) == 0
-        assert len(names) == 17
+        assert len(names) == 34
+        with_phases = 0
         for name in names:
             with open(cache_dir / name) as f:
-                assert "phases" in json.load(f)["measurement"]
+                with_phases += "phases" in json.load(f)["measurement"]
+        assert with_phases == 17
     finally:
         common.clear_caches()
         reg.reset()
 
 
+def test_export_holds_only_this_runs_measurements(tmp_path, capsys):
+    """--save-measurements writes the cells this run lists, whatever an
+    earlier main() in the same process left in the memo."""
+    from repro.bench.experiments import common
+
+    alone, after = tmp_path / "alone.json", tmp_path / "after.json"
+    common.clear_caches()
+    try:
+        fig14 = ["--experiment", "fig14", *TINY, "--save-measurements"]
+        assert main(fig14 + [str(alone)]) == 0
+        common.clear_caches()
+        assert main(["--experiment", "fig7", *TINY]) == 0
+        assert main(fig14 + [str(after)]) == 0
+        records = []
+        for path in (alone, after):
+            with open(path) as f:
+                records.append(
+                    [dict(r, build_seconds=0) for r in json.load(f)]
+                )
+        assert len(records[0]) == 20
+        assert records[1] == records[0]
+    finally:
+        common.clear_caches()
+
+
 def test_main_restores_process_switches(tmp_path, monkeypatch, capsys):
-    """--profile and --obs-dir set switches pool workers inherit; an
-    in-process caller gets its own values back when main returns."""
-    monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
+    """--obs-dir sets a switch pool workers inherit; an in-process
+    caller gets its own value back when main returns."""
     monkeypatch.setenv("REPRO_OBS", "0")
     rc = main(
         ["--experiment", "table1", *TINY, "--profile",
@@ -145,6 +173,4 @@ def test_main_restores_process_switches(tmp_path, monkeypatch, capsys):
     )
     assert rc == 0
     assert (tmp_path / "obs" / "manifest.json").exists()
-    assert not profiling_enabled()
-    assert "REPRO_OBS_PROFILE" not in os.environ
     assert os.environ["REPRO_OBS"] == "0"

@@ -82,6 +82,36 @@ class TestDocPaths:
         assert not missing, missing
 
 
+class TestEnvVarNames:
+    """Every ``REPRO_*`` name the docs or the package's docstrings and
+    comments mention is a string literal in some ``repro`` module, so a
+    removed environment variable cannot stay documented."""
+
+    NAME = re.compile(r"REPRO_[A-Z_]+")
+
+    def test_named_env_vars_are_read_by_the_package(self):
+        sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+        literals = set()
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    literals.add(node.value)
+        texts = sorted((REPO / "docs").glob("*.md")) + [
+            REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+        ]
+        unknown = sorted(
+            {
+                f"{path.relative_to(REPO)}: {name}"
+                for path in texts + sources
+                for name in self.NAME.findall(path.read_text())
+                if name not in literals
+            }
+        )
+        assert not unknown, unknown
+
+
 class TestDocCodeBlocks:
     """Every ``python`` block in the docs parses, and each name it
     imports from ``repro`` exists, so a block cannot keep showing an API

@@ -18,6 +18,7 @@ from repro.bench.cells import MeasureCell, freeze_config
 from repro.bench.experiments import common
 from repro.bench.parallel import run_cells
 from repro.obs import spans
+from repro.obs.report import worker_cells_from_spans
 
 #: Span attributes that are real wall clock, never compared.
 VOLATILE_ATTRS = ("build_seconds",)
@@ -105,10 +106,14 @@ class TestSerialParallelSpanEquality:
 
 
 class TestWorkerCells:
+    """The (pid, label, wall_ns, cache_hit) tuples ``obs summary``
+    rebuilds from a run's ``cell`` spans."""
+
     def test_worker_cells_populated_for_executed_cells(self, grid):
-        _, stats = run_cells(grid, jobs=2, memo={})
-        assert len(stats.worker_cells) == len(grid)
-        labels = sorted(label for _, label, _, _ in stats.worker_cells)
+        run_cells(grid, jobs=2, memo={})
+        worker_cells = worker_cells_from_spans(spans.drain())
+        assert len(worker_cells) == len(grid)
+        labels = sorted(label for _, label, _, _ in worker_cells)
         assert labels == sorted(
             f"{c.index}/{c.dataset}" + (
                 "({})".format(
@@ -119,7 +124,7 @@ class TestWorkerCells:
             )
             for c in grid
         )
-        for pid, _label, wall_ns, cache_hit in stats.worker_cells:
+        for pid, _label, wall_ns, cache_hit in worker_cells:
             assert pid != os.getpid()
             assert wall_ns > 0
             assert cache_hit is False
@@ -130,28 +135,23 @@ class TestWorkerCells:
         spans.drain()
         _, stats = run_cells(grid, jobs=2, memo={}, cache=cache)
         assert stats.cache_hits == len(grid)
-        assert len(stats.worker_cells) == len(grid)
-        for pid, _label, _wall_ns, cache_hit in stats.worker_cells:
+        # Cache hits still surface as (synthetic) cell spans.
+        worker_cells = worker_cells_from_spans(spans.drain())
+        assert len(worker_cells) == len(grid)
+        for pid, _label, _wall_ns, cache_hit in worker_cells:
             assert pid == os.getpid()
             assert cache_hit is True
-        # Cache hits still surface as (synthetic) cell spans.
-        cell_spans = [r for r in spans.drain() if r["name"] == "cell"]
-        assert len(cell_spans) == len(grid)
-        assert all(
-            (r.get("attrs") or {}).get("cache_hit") for r in cell_spans
-        )
 
 
 class TestObsSummaryReaders:
     def test_worker_balance_from_spans_round_trips(self, grid):
-        from repro.obs.report import (
-            format_worker_balance,
-            worker_cells_from_spans,
-        )
+        from repro.obs.report import format_worker_balance
 
-        _, stats = run_cells(grid, jobs=2, memo={})
+        run_cells(grid, jobs=2, memo={})
         tuples = worker_cells_from_spans(spans.drain())
         executed = [t for t in tuples if not t[3]]
         assert len(executed) == len(grid)
-        table = format_worker_balance(stats.worker_cells)
+        table = format_worker_balance(tuples)
         assert "pid" in table and "share%" in table
+        rows = table.splitlines()[2:]
+        assert sum(int(row.split()[1]) for row in rows) == len(grid)

@@ -23,13 +23,7 @@ from repro.datasets.workload import make_workload
 from repro.memsim.counters import PerfCounters
 from repro.memsim.engine import ReferenceEngine
 from repro.memsim.tracer import PerfTracer
-from repro.obs.phase import (
-    PHASE_ORDER,
-    PhaseTracer,
-    phase_window,
-    profiling_enabled,
-    set_profiling,
-)
+from repro.obs.phase import PHASE_ORDER, PhaseTracer, phase_window
 
 INDEXES = ("RMI", "PGM", "RS", "BTree", "IBTree")
 
@@ -86,14 +80,6 @@ class TestPhaseTracer:
         window = phase_window(t.checkpoint(), first)
         assert set(window) == {"search"}  # model did not move
         assert window["search"].instructions == 9
-
-    def test_ambient_switch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_OBS_PROFILE", raising=False)
-        assert not profiling_enabled()
-        set_profiling(True)
-        assert profiling_enabled()
-        set_profiling(False)
-        assert not profiling_enabled()
 
 
 class TestMeasureProfiled:
@@ -211,8 +197,9 @@ class TestGoldenPhases:
                 warmup=record["warmup"],
                 warm=record["warm"],
                 search=record["search"],
+                profile=True,
             )
-            m = cell.run(profile=True)
+            m = cell.run()
             assert m.phases is not None
             assert m.latency_ns == record["latency_ns"]
             assert m.fence_latency_ns == record["fence_latency_ns"]
