@@ -11,10 +11,10 @@ can track the perf trajectory:
   the batched path (kernel-synthesized streams replayed from compiled
   plans on the same engine, keys ``cell_vector_*``).
   ``cell_vector_speedup`` is the headline batched-vs-loop number.
-* ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM, RS
-  and ART (gap 1, the lockstep trie descent) ``batch_bounds`` over a
-  large sorted probe batch versus the scalar ``index.lookup`` loop on
-  the same keys.
+* ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM, RS,
+  ART (gap 1, the lockstep trie descent), RobinHash and CuckooMap
+  (32-bit keys) ``batch_bounds`` over a large sorted probe batch versus
+  the scalar ``index.lookup`` loop on the same keys.
 
 Set ``BENCH_VECTOR_JSON`` to redirect the output path (defaults to the
 repo root).
@@ -112,25 +112,33 @@ _KERNEL_CONFIGS = [
     ("pgm", "PGM", {"epsilon": 64}),
     ("rs", "RS", {"epsilon": 32, "radix_bits": 14}),
     ("art", "ART", {"gap": 1}),
+    ("robinhash", "RobinHash", {}),
+    ("cuckoo", "CuckooMap", {}),
 ]
+#: Kernels measured over 32-bit keys, the only keys CuckooMap takes.
+_KEYS32 = ("cuckoo",)
 
 _N_PROBES = 50_000
 
 
 @pytest.fixture(scope="module")
 def kernel_inputs():
-    ds = make_dataset("amzn", 100_000, seed=7)
-    rng = np.random.default_rng(9)
-    probes = rng.choice(ds.keys, _N_PROBES).astype(np.uint64)
-    probes[::7] += 1  # absent keys in the mix
-    return ds, np.sort(probes)
+    """Per kernel name: a 100k-key amzn dataset and sorted probes."""
+    inputs = {}
+    for bits in (64, 32):
+        ds = make_dataset("amzn", 100_000, seed=7, key_bits=bits)
+        rng = np.random.default_rng(9)
+        probes = rng.choice(ds.keys, _N_PROBES).astype(np.uint64)
+        probes[::7] += 1  # absent keys in the mix
+        inputs[bits] = ds, np.sort(probes)
+    return lambda name: inputs[32 if name in _KEYS32 else 64]
 
 
 @pytest.mark.parametrize(
     "name,index_name,config", _KERNEL_CONFIGS, ids=[c[0] for c in _KERNEL_CONFIGS]
 )
 def test_kernel_batch_bounds(benchmark, kernel_inputs, name, index_name, config):
-    ds, probes = kernel_inputs
+    ds, probes = kernel_inputs(name)
     built = build_index(ds, index_name, config)
     lo, hi = benchmark(kernels.batch_bounds, built.index, probes)
     assert len(lo) == len(probes) and (lo <= hi).all()
@@ -144,7 +152,7 @@ def test_kernel_batch_bounds(benchmark, kernel_inputs, name, index_name, config)
     "name,index_name,config", _KERNEL_CONFIGS, ids=[c[0] for c in _KERNEL_CONFIGS]
 )
 def test_kernel_scalar_baseline(benchmark, kernel_inputs, name, index_name, config):
-    ds, probes = kernel_inputs
+    ds, probes = kernel_inputs(name)
     built = build_index(ds, index_name, config)
     index = built.index
     keys = probes.tolist()[: _N_PROBES // 10]  # scalar is slow; scale rate

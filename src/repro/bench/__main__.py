@@ -23,6 +23,8 @@ from repro.bench.parallel import collect_cells, resolve_jobs, run_cells
 from repro.bench.report import format_runner_stats
 from repro.datasets.generators import FACE_N_OUTLIERS
 from repro.datasets.loader import DATASET_NAMES
+from repro.obs import spans as obs_spans
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -230,7 +232,8 @@ def _run(parser, args, argv) -> int:
 
         for exp_id in chosen:
             start = time.perf_counter()
-            report = EXPERIMENTS[exp_id](settings)
+            with obs_spans.span("experiment", id=exp_id):
+                report = EXPERIMENTS[exp_id](settings)
             elapsed = time.perf_counter() - start
             print(f"{'=' * 72}\n[{exp_id}] ({elapsed:.1f}s)\n{'=' * 72}")
             print(report)
@@ -261,7 +264,6 @@ def _write_obs(settings, runner_stats, measurements, argv) -> None:
     import os
 
     from repro.obs import metrics as obs_metrics
-    from repro.obs import spans as obs_spans
     from repro.obs.report import phase_breakdown_svg
     from repro.obs.sink import run_manifest, write_run
     from repro.serve import telemetry as serve_telemetry

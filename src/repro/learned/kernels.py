@@ -5,17 +5,18 @@ arithmetic over a handful of array reads -- exactly the shape numpy
 vectorizes.  So are the SOSD baselines' descents: binary search (BS),
 radix binary search (RBS), the BTree, IBTree and FAST trees, and ART's
 trie descent, in which each key is descending, walking a rightmost
-spine, or done, and every live key visits one node per step.  Each
-kernel here maps a batch of lookup keys to the same ``(lo, hi)``
-search-bound arrays the scalar path produces, *bit for bit*: every
-float operation is performed in the same order on the same IEEE-754
-doubles (``models.py`` already guarantees scalar/batch parity for the
-model evaluations themselves), integer truncation uses
-``astype(int64)`` whose truncate-toward-zero matches Python ``int()``,
-and unsigned key differences reproduce Python's exact big-int-to-float
-rounding via uint64 wrap arithmetic.  Where float64 cannot reproduce
-the scalar arithmetic (IBTree's big-int interpolation), the kernel
-evaluates the scalar expression per key.
+spine, or done, and every live key visits one node per step.  So are
+the hash tables' probes: RobinHash's linear probing, one slot per key
+and step, and CuckooMap's two buckets.  Each kernel here maps a batch
+of lookup keys to the same ``(lo, hi)`` search-bound arrays the scalar
+path produces, *bit for bit*: every float operation is performed in the
+same order on the same IEEE-754 doubles (``models.py`` already
+guarantees scalar/batch parity for the model evaluations themselves),
+integer truncation uses ``astype(int64)`` whose truncate-toward-zero
+matches Python ``int()``, and unsigned key differences reproduce
+Python's exact big-int-to-float rounding via uint64 wrap arithmetic.
+Where float64 cannot reproduce the scalar arithmetic (IBTree's big-int
+interpolation), the kernel evaluates the scalar expression per key.
 
 Alongside the bounds, a kernel can synthesize the *event stream* of each
 lookup into an :class:`EventSink` -- the same reads/instrs/branches the
@@ -52,6 +53,8 @@ from repro.memsim.engine import SiteInterner
 from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace
 
 if TYPE_CHECKING:  # imported where used; see _kernel_table
+    from repro.hashing.cuckoo import CuckooMapIndex
+    from repro.hashing.robinhood import RobinHashIndex
     from repro.traditional.art import ARTIndex
     from repro.traditional.base import SampledIndex
     from repro.traditional.binary_search import BinarySearchIndex
@@ -647,6 +650,79 @@ def _art_bounds(index: ARTIndex, keys: np.ndarray, sink, sites) -> Tuple:
     return lo, hi
 
 
+def _robinhash_bounds(
+    index: RobinHashIndex, keys: np.ndarray, sink, sites
+) -> Tuple:
+    """Linear probing in lockstep, one slot per step: the slot read, the
+    compare, ``robinhash.hit``, then ``robinhash.early`` on a full slot
+    that holds another key.  A key stops at its own key, an empty slot,
+    or a resident closer to its home than the key is to its own."""
+    from repro.hashing.robinhood import _HASH_INSTR, _PROBE_INSTR, _SLOT_BYTES
+
+    s_hit = sites.intern("robinhash.hit")
+    s_early = sites.intern("robinhash.early")
+    n, mask = index.n_keys, index._capacity - 1
+    table_keys, table_pos = index._keys, index._pos
+    sink.emit(K_INSTR, _HASH_INSTR, 0)
+    slot = index._homes(keys)
+    lo = np.zeros(len(keys), dtype=np.int64)
+    hi = np.full(len(keys), n + 1, dtype=np.int64)
+    active = np.ones(len(keys), dtype=bool)
+    dist = 0
+    while True:
+        sink.emit(
+            K_READ, index._base + slot * _SLOT_BYTES, _SLOT_BYTES, mask=active
+        )
+        sink.emit(K_INSTR, _PROBE_INSTR, 0, mask=active)
+        pos = table_pos[slot]
+        full = pos >= 0
+        found = active & full & (table_keys[slot] == keys)
+        sink.emit(K_BRANCH, s_hit, found, mask=active)
+        lo = np.where(found, pos, lo)
+        hi = np.where(found, pos + 1, hi)
+        probed = active & full & ~found
+        early = ((slot - index._homes(table_keys[slot])) & mask) < dist
+        sink.emit(K_BRANCH, s_early, early, mask=probed)
+        active = probed & ~early
+        if not active.any():
+            return lo, hi
+        slot = (slot + 1) & mask
+        dist += 1
+
+
+def _cuckoo_bounds(
+    index: CuckooMapIndex, keys: np.ndarray, sink, sites
+) -> Tuple:
+    """Bucket one for every key, bucket two for the keys it missed: per
+    bucket the key read, the SIMD compare, ``cuckoo.b1``/``cuckoo.b2``,
+    and the position read on a hit."""
+    from repro.hashing.cuckoo import (
+        _BUCKET_BYTES, _BUCKET_KEY_BYTES, _HASH_INSTR, _SIMD_CMP_INSTR,
+    )
+
+    n = index.n_keys
+    lo = np.zeros(len(keys), dtype=np.int64)
+    hi = np.full(len(keys), n + 1, dtype=np.int64)
+    live = np.ones(len(keys), dtype=bool)
+    sink.emit(K_INSTR, _HASH_INSTR, 0)
+    for name, bucket in zip(("cuckoo.b1", "cuckoo.b2"), index._buckets(keys)):
+        addr = index._base + bucket * _BUCKET_BYTES
+        sink.emit(K_READ, addr, _BUCKET_KEY_BYTES, mask=live)
+        sink.emit(K_INSTR, _SIMD_CMP_INSTR, 0, mask=live)
+        pos = index._pos[bucket]
+        match = (index._keys[bucket] == keys[:, None]) & (pos >= 0)
+        hit = match.any(axis=1)
+        sink.emit(K_BRANCH, sites.intern(name), hit, mask=live)
+        got = live & hit
+        s = match.argmax(axis=1)  # the first matching slot
+        sink.emit(K_READ, addr + _BUCKET_KEY_BYTES + s * 4, 4, mask=got)
+        p = pos[np.arange(len(keys)), s]
+        lo = np.where(got, p, lo)
+        hi = np.where(got, p + 1, hi)
+        live = live & ~hit  # a new array: the sink keeps each mask
+    return lo, hi
+
+
 def _kernel_table() -> dict:
     """Index class -> kernel.
 
@@ -655,6 +731,8 @@ def _kernel_table() -> dict:
     would load every traditional index before the first build does.  A
     caller that holds a baseline index has imported them already.
     """
+    from repro.hashing.cuckoo import CuckooMapIndex
+    from repro.hashing.robinhood import RobinHashIndex
     from repro.traditional.art import ARTIndex
     from repro.traditional.binary_search import BinarySearchIndex
     from repro.traditional.btree import BTreeIndex, IBTreeIndex
@@ -671,6 +749,8 @@ def _kernel_table() -> dict:
         IBTreeIndex: _ibtree_bounds,
         FASTIndex: _fast_bounds,
         ARTIndex: _art_bounds,
+        RobinHashIndex: _robinhash_bounds,
+        CuckooMapIndex: _cuckoo_bounds,
     }
 
 

@@ -209,6 +209,11 @@ class CubicModel(Model):
             self._fallback = LinearModel().fit(keys, positions)
             return self
         kx = keys.astype(np.float64)
+        if kx[-1] == kx[0]:
+            # Every key rounds to one double: the normalized keys are all
+            # zero, and polyfit would divide by their zero column scale.
+            self._fallback = LinearModel().fit(keys, positions)
+            return self
         ky = positions.astype(np.float64)
         self._shift = float(kx[0])
         self._scale = max(float(kx[-1]) - self._shift, 1.0)

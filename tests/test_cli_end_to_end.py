@@ -6,7 +6,9 @@ import os
 import pytest
 
 from repro.bench.__main__ import main
+from repro.bench.experiments import EXPERIMENTS
 from repro.datasets.generators import FACE_N_OUTLIERS
+from repro.obs.sink import read_jsonl
 
 TINY = [
     "--quick",
@@ -46,6 +48,8 @@ def test_all_experiments_tiny(tmp_path, capsys):
             measurements_path,
             "--save-svg",
             str(tmp_path),
+            "--obs-dir",
+            str(tmp_path / "obs"),
         ]
     )
     assert rc == 0
@@ -55,6 +59,45 @@ def test_all_experiments_tiny(tmp_path, capsys):
     records = json.load(open(measurements_path))
     assert len(records) > 10
     assert (tmp_path / "pareto_amzn.svg").exists()
+    # One span per driver, in run order, holding the driver's own work.
+    spans = read_jsonl(str(tmp_path / "obs" / "spans.jsonl"))
+    drivers = [s for s in spans if s["name"] == "experiment"]
+    assert [s["attrs"]["id"] for s in drivers] == list(EXPERIMENTS)
+    assert all(s["parent"] is None for s in drivers)
+    fig17 = next(s for s in drivers if s["attrs"]["id"] == "fig17")
+    builds = [s for s in spans if s["parent"] == fig17["sid"]]
+    assert builds and {s["path"] for s in builds} == {"experiment/build"}
+
+
+def _driver_spans(obs_dir) -> list:
+    """The experiment spans and the spans under them, less pids, times
+    and build wall-clock."""
+    spans = read_jsonl(os.path.join(obs_dir, "spans.jsonl"))
+    out = []
+    for s in spans:
+        if s["path"].split("/")[0] != "experiment":
+            continue
+        attrs = dict(s.get("attrs", {}))
+        attrs.pop("build_seconds", None)
+        out.append((s["path"], s["status"], attrs))
+    return out
+
+
+def test_driver_spans_equal_under_jobs(tmp_path, capsys):
+    """Drivers run in the parent process under any --jobs: a serial and
+    a two-job run leave the same experiment spans."""
+    runs = []
+    for jobs in ("1", "2"):
+        obs_dir = str(tmp_path / f"obs{jobs}")
+        argv = ["--experiment", "fig17", *TINY, "--indexes", "BS", "RobinHash",
+                "--jobs", jobs, "--obs-dir", obs_dir]
+        assert main(argv) == 0
+        runs.append(_driver_spans(obs_dir))
+    assert runs[0] == runs[1]
+    assert runs[0][-1] == ("experiment", "ok", {"id": "fig17"})
+    assert [path for path, _, _ in runs[0]] == ["experiment/build"] * 8 + [
+        "experiment"
+    ]
 
 
 def test_all_experiments_at_the_key_floor(capsys):

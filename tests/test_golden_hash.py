@@ -5,7 +5,8 @@ warm and cold ``--quick``-size cells (40k keys) of RobinHash at load
 factors 0.25 and 0.9 on amzn and face (64-bit keys; face holds keys
 >= 2^63), and of CuckooMap on 32-bit amzn.  A lookup's counters read the
 slots its probes visit, so any change to where the build puts a key
-shows here.
+shows here.  The cells are checked on both measure paths: the batched
+kernels and the per-lookup loop.
 
 Regenerate (only when a change is meant to alter a hash table's output)
 with::
@@ -22,7 +23,11 @@ import pytest
 
 from repro.bench.cells import MeasureCell
 from test_golden_art import record_of
-from test_golden_regression import assert_matches_golden, cell_of
+from test_golden_regression import (  # noqa: F401  (per_lookup_loop: fixture)
+    assert_matches_golden,
+    cell_of,
+    per_lookup_loop,
+)
 
 HERE = os.path.dirname(__file__)
 GOLDEN_PATH = os.path.join(HERE, "data", "golden_hash.json")
@@ -63,6 +68,13 @@ with open(GOLDEN_PATH) as f:
 )
 def test_hash_cell_matches_golden(record):
     assert_matches_golden(cell_of(record).run(), record)
+
+
+def test_per_lookup_loop_matches_golden(per_lookup_loop):
+    """The scalar lookups, the kernels' oracle, over the same tables."""
+    for record in GOLDEN:
+        assert_matches_golden(cell_of(record).run(), record)
+    assert all(per_lookup_loop)  # every cell would have been batched
 
 
 def test_golden_covers_the_grid():

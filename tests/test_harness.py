@@ -189,6 +189,15 @@ class TestListMirrors:
         assert built.index._lists is None
         assert not mirror_built(built.data)
 
+    def test_only_scalar_hash_lookups_build_lists(self, ds, wl, batched_calls):
+        built = build_index(ds, "RobinHash", {})
+        measure(built, wl, n_lookups=50, warmup=20)
+        assert batched_calls == ["RobinHash"]
+        assert built.index._lists is None
+        measure(built, wl, n_lookups=50, warmup=20, search="linear")
+        assert batched_calls == ["RobinHash"]  # the per-lookup loop ran
+        assert built.index._lists is not None
+
 
 class TestMeasureDispatch:
     """``measure`` picks its path from the index alone, and both paths
@@ -205,16 +214,29 @@ class TestMeasureDispatch:
         "IBTree": {"gap": 4},
         "FAST": {"gap": 4},
         "RobinHash": {},
+        "CuckooMap": {},
+        "Wormhole": {"gap": 4},
+        "FST": {"gap": 4},
     }
     BATCHED = (
         "RMI", "PGM", "RS", "BTree", "BS", "RBS", "IBTree", "FAST", "ART",
+        "RobinHash", "CuckooMap",
     )
+    #: Indexes measured over 32-bit keys, the only keys CuckooMap takes.
+    KEYS32 = ("CuckooMap",)
+
+    @pytest.fixture(scope="class")
+    def inputs32(self):
+        ds = make_dataset("amzn", 4_000, seed=21, key_bits=32)
+        return ds, make_workload(ds, 600, seed=22)
 
     @pytest.mark.parametrize("index", CONFIGS)
     @pytest.mark.parametrize("warm", [True, False])
     def test_batched_exactly_where_kernels_apply(
-        self, ds, wl, batched_calls, index, warm
+        self, ds, wl, inputs32, batched_calls, index, warm
     ):
+        if index in self.KEYS32:
+            ds, wl = inputs32
         config = self.CONFIGS[index]
         batched = index in self.BATCHED
         entered = batched_calls

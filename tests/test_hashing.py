@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.validation import validate_index
-from repro.hashing.cuckoo import CuckooMapIndex
-from repro.hashing.robinhood import RobinHashIndex
+from repro.hashing.cuckoo import CuckooMapIndex, kick_draws
+from repro.hashing.robinhood import _MASK64, _MULT, RobinHashIndex
 from repro.memsim import AddressSpace, PerfTracer, TracedArray
 
 from conftest import build
+from robinhash_reference import LoopRobinHash
 
 
 def build32(cls, keys32, **kw):
@@ -71,6 +72,77 @@ class TestRobinHash:
             assert bound.lo == i
 
 
+_INV = pow(_MULT, -1, 1 << 64)
+
+
+def _key_hashing_to(product: int) -> int:
+    """The key whose hash product (key * _MULT mod 2^64) is ``product``."""
+    return (product * _INV) & _MASK64
+
+
+# Any key, or keys crowded into a few homes: 0/1 at the table's start,
+# 127 mid-table, 254/255 at its end, where a run wraps past the last slot.
+_ROBIN_KEYS = st.one_of(
+    st.integers(0, _MASK64),
+    st.tuples(
+        st.sampled_from([0, 1, 127, 254, 255]), st.integers(0, (1 << 56) - 1)
+    ).map(lambda t: _key_hashing_to(t[0] << 56 | t[1])),
+)
+
+
+class TestRobinHashLayout:
+    """The numpy table equals inserting one key at a time, slot for slot."""
+
+    @staticmethod
+    def assert_same_table(keys, load_factor):
+        keys = np.array(sorted(keys), dtype=np.uint64)
+        built = RobinHashIndex(load_factor).build(keys)
+        oracle = LoopRobinHash(load_factor).build(keys)
+        assert built._capacity == oracle._capacity
+        assert np.array_equal(built._pos, oracle._pos)
+        assert np.array_equal(built._keys, oracle._keys)
+        return built
+
+    @given(
+        keys=st.sets(_ROBIN_KEYS, min_size=1, max_size=300),
+        load_factor=st.floats(0.05, 0.97),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_table_equals_insertion_loop(self, keys, load_factor):
+        self.assert_same_table(keys, load_factor)
+
+    def test_run_wrapping_past_the_last_slot(self):
+        """Eleven keys homed in the last slot of 16 fill it and wrap."""
+        keys = [_key_hashing_to(15 << 60 | i) for i in range(11)]
+        built = self.assert_same_table(keys, 0.9)
+        assert built._capacity == 16
+        assert (built._pos[:10] >= 0).all() and built._pos[10] == -1
+        assert built._pos[15] >= 0
+
+    def test_rotated_tie_group_is_reinserted(self, monkeypatch):
+        """Two keys homed at slot 5, then two homed at slot 4, in key
+        order.  The last one passes the first at slot 4, takes slot 5
+        and carries the group's first member past the second: the sorted
+        layout alone would keep them in insertion order."""
+        from repro.hashing import robinhood
+
+        redone = []
+        real = robinhood._reinsert
+        monkeypatch.setattr(
+            robinhood, "_reinsert",
+            lambda order, home: redone.append(len(order)) or real(order, home),
+        )
+        # A table of 8 slots homes a key by its product's top 3 bits.
+        at5 = sorted(_key_hashing_to(5 << 61 | i) for i in range(1, 100))
+        at4 = sorted(_key_hashing_to(4 << 61 | i) for i in range(1, 100))
+        keys = at5[:2] + at4[-2:]
+        assert keys == sorted(keys)
+        built = self.assert_same_table(keys, 0.5)
+        assert built._capacity == 8
+        assert built._pos[4:].tolist() == [2, 3, 1, 0]
+        assert redone == [4]
+
+
 class TestCuckooMap:
     def test_all_present_keys_exact(self):
         rng = np.random.default_rng(3)
@@ -81,6 +153,22 @@ class TestCuckooMap:
         for i in range(0, len(keys), 71):
             bound = idx.lookup(int(keys[i]))
             assert (bound.lo, bound.hi) == (i, i + 1)
+
+    def test_block_draws_equal_live_calls(self):
+        """Kicks read ``integers(0, 2)`` and ``integers(0, 4)`` from
+        pre-drawn 32-bit blocks: the same values as live calls, past a
+        block boundary.  A numpy that changes how those calls draw fails
+        here before it moves a table."""
+        live = np.random.default_rng(7)
+        draws = kick_draws(np.random.default_rng(7))
+        kicks = 40_000  # 80,000 draws: past the first 65,536-draw block
+        expected = [
+            (int(live.integers(0, 2)), int(live.integers(0, 4)))
+            for _ in range(kicks)
+        ]
+        assert [
+            (next(draws) >> 31, next(draws) >> 30) for _ in range(kicks)
+        ] == expected
 
     def test_rejects_64bit_keys(self, amzn_small):
         with pytest.raises(ValueError):

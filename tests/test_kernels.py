@@ -1,12 +1,13 @@
 """Batch-predict kernels == scalar lookups, element-wise.
 
 ``repro.learned.kernels`` vectorizes the model phase of RMI/PGM/RS
-lookups, the baselines' descents (BS, RBS, BTree, IBTree, FAST, ART) and
-the last-mile binary search over sorted key batches.  The
-contract is *bit*-equality with the scalar path: same positions, same
-error bounds, and a synthesized per-key event stream whose replay is
-counter-identical to recording the scalar lookup -- for present keys,
-duplicate probes, and out-of-range probes alike.
+lookups, the baselines' descents (BS, RBS, BTree, IBTree, FAST, ART),
+the hash tables' probes (RobinHash, CuckooMap) and the last-mile binary
+search over sorted key batches.  The contract is *bit*-equality with the
+scalar path: same positions, same error bounds, and a synthesized
+per-key event stream whose replay is counter-identical to recording the
+scalar lookup -- for present keys, duplicate probes, and out-of-range
+probes alike.
 """
 
 from __future__ import annotations
@@ -46,7 +47,13 @@ _CONFIGS = [
     ("ART", {"gap": 1}),
     ("ART", {"gap": 8}),
     ("ART", {"gap": 8, "sampling": "adaptive"}),
+    ("RobinHash", {}),
+    # Long probe runs and early-outs.
+    ("RobinHash", {"load_factor": 0.9}),
+    ("CuckooMap", {}),
 ]
+#: Indexes that take only 32-bit keys, as the paper's SIMD CuckooMap.
+_KEYS32 = ("CuckooMap",)
 _IDS = [
     f"{n}-{'-'.join(map(str, c.values()))}" if c else n for n, c in _CONFIGS
 ]
@@ -56,6 +63,15 @@ def _dataset(key_set, key_bits=64) -> Dataset:
     keys = np.array(sorted(key_set), dtype=np.uint64)
     return Dataset("synth", keys, np.arange(len(keys), dtype=np.uint64),
                    key_bits=key_bits)
+
+
+def _dataset_for(index_name, key_set, key_bits=64) -> Dataset:
+    """``_dataset``, with each key cut to its top 32 bits for an index
+    that takes only 32-bit keys."""
+    if index_name not in _KEYS32:
+        return _dataset(key_set, key_bits)
+    keys = {int(k) >> max(int(k).bit_length() - 32, 0) for k in key_set}
+    return _dataset(keys, key_bits=32)
 
 
 def _probes(keys: np.ndarray, picks) -> np.ndarray:
@@ -123,7 +139,7 @@ def _assert_batch_matches_scalar(built, probes):
 )
 @settings(max_examples=15, deadline=None)
 def test_batch_equals_scalar_elementwise(index_name, config, key_set, picks):
-    ds = _dataset(key_set)
+    ds = _dataset_for(index_name, key_set)
     built = build_index(ds, index_name, config)
     _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
 
@@ -132,7 +148,7 @@ def test_batch_equals_scalar_elementwise(index_name, config, key_set, picks):
 def test_batch_equals_scalar_32bit(index_name, config):
     rng = np.random.default_rng(11)
     keys = np.unique(rng.integers(0, 1 << 32, 500, dtype=np.uint64))
-    ds = _dataset(keys, key_bits=32)
+    ds = _dataset_for(index_name, keys, key_bits=32)
     built = build_index(ds, index_name, config)
     picks = [(i * 37, k) for i, k in enumerate(
         ["present", "absent", "low", "high"] * 6
@@ -147,7 +163,7 @@ def test_batch_equals_scalar_outlier_keys(index_name, config):
     keys = list(range(1_000, 41_000, 97)) + [
         (1 << 64) - 1 - 3 * i for i in range(5)
     ]
-    ds = _dataset(keys)
+    ds = _dataset_for(index_name, keys)
     built = build_index(ds, index_name, config)
     picks = [(i * 13, k) for i, k in enumerate(
         ["present", "absent", "low", "high"] * 8
@@ -210,15 +226,15 @@ def test_supports_is_exact_class_match():
     ds = _dataset(range(0, 3_000, 3))
     assert kernels.supports(build_index(ds, "RMI", {"branching": 8}).index)
     assert kernels.supports(build_index(ds, "BTree", {}).index)
-    assert not kernels.supports(build_index(ds, "RobinHash", {}).index)
+    assert not kernels.supports(build_index(ds, "Wormhole", {}).index)
 
 
 def test_unsupported_index_and_search_raise():
     ds = _dataset(range(0, 3_000, 3))
-    robin = build_index(ds, "RobinHash", {})
+    wormhole = build_index(ds, "Wormhole", {})
     probes = np.array([3, 9], dtype=np.uint64)
     with pytest.raises(TypeError, match="no batch kernel"):
-        kernels.batch_bounds(robin.index, probes)
+        kernels.batch_bounds(wormhole.index, probes)
     rmi = build_index(ds, "RMI", {"branching": 8})
     with pytest.raises(ValueError, match="no batched synthesis"):
         kernels.batch_lookups(

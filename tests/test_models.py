@@ -1,5 +1,7 @@
 """RMI submodels."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.learned.models import (
     RadixModel,
     make_model,
 )
+from repro.learned.rmi import RMIIndex
 
 
 def fit_on_line(model):
@@ -102,6 +105,27 @@ class TestCubicModel:
     def test_small_input_uses_fallback(self):
         m = CubicModel().fit(np.array([1.0, 2.0]), np.array([0.0, 1.0]))
         assert m._fallback is not None
+
+    def test_keys_equal_in_float64_fall_back_quietly(self):
+        """Ten consecutive keys from 2^63 are one double: the cubic has
+        no spread to fit, so it is the linear model, with no warning."""
+        keys = np.uint64(1 << 63) + np.arange(10, dtype=np.uint64)
+        pos = np.arange(10, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = CubicModel().fit(keys, pos)
+            rmi = RMIIndex(branching=4)
+            rmi.build(keys)
+        linear = LinearModel().fit(keys, pos)
+        assert m._fallback is not None
+        assert m.params() == tuple(linear.params()) + (0.0, 0.0)
+        assert np.array_equal(m.predict_batch(keys), linear.predict_batch(keys))
+        assert np.array_equal(
+            rmi.root.predict_batch(keys), linear.predict_batch(keys)
+        )
+        for key in keys.tolist():
+            bound = rmi.lookup(key)
+            assert bound.lo <= keys.tolist().index(key) < bound.hi
 
     def test_nonmonotone_fit_falls_back(self):
         # Positions chosen so an unconstrained cubic would wiggle.
