@@ -80,10 +80,12 @@ def _key_hashing_to(product: int) -> int:
     return (product * _INV) & _MASK64
 
 
-# Any key, or keys crowded into a few homes: 0/1 at the table's start,
-# 127 mid-table, 254/255 at its end, where a run wraps past the last slot.
+# Any key, the extremes, or keys crowded into a few homes: 0/1 at the
+# table's start, 127 mid-table, 254/255 at its end, where a run wraps
+# past the last slot.
 _ROBIN_KEYS = st.one_of(
     st.integers(0, _MASK64),
+    st.sampled_from([0, _MASK64]),
     st.tuples(
         st.sampled_from([0, 1, 127, 254, 255]), st.integers(0, (1 << 56) - 1)
     ).map(lambda t: _key_hashing_to(t[0] << 56 | t[1])),
