@@ -21,6 +21,7 @@ from repro.bench.config import BenchSettings, sweep_configs
 from repro.bench.harness import Measurement
 from repro.core.registry import get_index_class
 from repro.datasets.loader import make_dataset
+from repro.learned.models import clear_root_fits
 
 #: The index set of the paper's Figure 7.
 FIG7_INDEXES = ["RMI", "PGM", "RS", "RBS", "ART", "BTree", "IBTree", "FAST"]
@@ -100,9 +101,11 @@ def closest_to_size(
 
 
 def clear_caches() -> None:
-    """Reset memoized measurements and simulations (mainly for tests)."""
+    """Reset memoized measurements, root fits and simulations (mainly for
+    tests)."""
     _MEASUREMENTS.clear()
     cell_inputs.cache_clear()
+    clear_root_fits()
     # Imported here: repro.serve.sweep is independent of this module and
     # only needed when serving experiments have run.
     from repro.serve.sweep import clear_sim_results

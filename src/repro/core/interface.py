@@ -48,6 +48,10 @@ class SortedDataIndex(abc.ABC):
         self._extra_bytes: int = 0
         self._data: Optional[TracedArray] = None
         self.build_seconds: float = 0.0
+        #: Seconds of work this build reused from an earlier one instead
+        #: of repeating it (RMI's root fit, see ``models.fit_root``);
+        #: ``build`` charges them to ``build_seconds``.
+        self.reused_seconds: float = 0.0
 
     # -- construction -----------------------------------------------------
 
@@ -79,9 +83,10 @@ class SortedDataIndex(abc.ABC):
                 "an AddressSpace is required when building from a TracedArray"
             )
         self._data = data
+        self.reused_seconds = 0.0
         start = time.perf_counter()
         self._build(data, space)
-        self.build_seconds = time.perf_counter() - start
+        self.build_seconds = time.perf_counter() - start + self.reused_seconds
         return self
 
     # -- lookup ------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.datasets.generators import ALL_GENERATORS, GENERATORS
+from repro.datasets.generators import ALL_GENERATORS, GENERATORS, sorted_unique
 
 #: The paper's four evaluation datasets (synthetic extras such as
 #: ``uniform`` and ``lognormal`` are also loadable by name, but stay out
@@ -77,7 +77,7 @@ def _to_32bit(keys: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     span = max(hi - lo, 1.0)
     scaled = (keys.astype(np.float64) - lo) / span
     out = (scaled * float((1 << 32) - 2)).astype(np.uint64) + 1
-    return np.unique(out)
+    return sorted_unique(out)
 
 
 def make_dataset(

@@ -92,7 +92,9 @@ class EventSink:
         self._cols: List[tuple] = []
 
     def emit(self, kind, a, b, mask=None) -> None:
-        self._cols.append((kind, a, b, mask))
+        """Append one column.  Array operands are copied, so a kernel may
+        update its arrays in place (``live &= ~hit``) after emitting."""
+        self._cols.append((kind, _snapshot(a), _snapshot(b), _snapshot(mask)))
 
     def matrices(self):
         """Stack columns into (n, steps) kinds/a/b/valid matrices."""
@@ -107,6 +109,10 @@ class EventSink:
             b[:, j] = cb
             valid[:, j] = True if mask is None else mask
         return kinds, a, b, valid
+
+
+def _snapshot(operand):
+    return operand.copy() if isinstance(operand, np.ndarray) else operand
 
 
 class _NullSink:

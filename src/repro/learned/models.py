@@ -16,8 +16,10 @@ is the vectorized path used during training and tuning.
 from __future__ import annotations
 
 import abc
-
-from typing import Sequence
+import hashlib
+import time
+from collections import OrderedDict
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -374,3 +376,40 @@ def make_model(name: str) -> Model:
     except KeyError:
         known = ", ".join(sorted(MODEL_TYPES))
         raise KeyError(f"unknown model type {name!r}; known: {known}") from None
+
+
+#: Fitted stage-one models, least recently used first, keyed on
+#: ``(kind, n, 128-bit blake2b digest of the float64 key bytes)``.  A
+#: sweep builds RMIs that differ only below the root on one key array;
+#: ``--experiment all`` at default size fits roots on 10 arrays.
+_ROOT_FITS: "OrderedDict[tuple, Tuple[Model, float]]" = OrderedDict()
+ROOT_FIT_SLOTS = 16
+
+
+def fit_root(kind: str, keys: np.ndarray) -> Tuple[Model, float]:
+    """``make_model(kind)`` fitted on ``(keys, arange(n))``, once per key array.
+
+    Returns the model and the seconds this call saved: 0.0 when it
+    fitted, and the first fit's time when it returned that fit again.
+    Callers charge the saved seconds to their build time, so a build
+    still reports what it costs from scratch.  The returned model is
+    shared between builds and must only be read.
+    """
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    digest = hashlib.blake2b(keys, digest_size=16).digest()
+    memo_key = (kind, len(keys), digest)
+    hit = _ROOT_FITS.get(memo_key)
+    if hit is not None:
+        _ROOT_FITS.move_to_end(memo_key)
+        return hit
+    start = time.perf_counter()
+    model = make_model(kind).fit(keys, np.arange(len(keys), dtype=np.float64))
+    _ROOT_FITS[memo_key] = (model, time.perf_counter() - start)
+    if len(_ROOT_FITS) > ROOT_FIT_SLOTS:
+        _ROOT_FITS.popitem(last=False)
+    return model, 0.0
+
+
+def clear_root_fits() -> None:
+    """Forget every memoized root fit."""
+    _ROOT_FITS.clear()

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.bounds import SearchBound
 from repro.core.interface import Capabilities, SortedDataIndex
 from repro.core.registry import register_index
-from repro.learned.models import fit_linear_buckets, make_model
+from repro.learned.models import fit_linear_buckets, fit_root, make_model
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import NULL_TRACER, Tracer
 
@@ -79,10 +79,9 @@ class RMIIndex(SortedDataIndex):
     def _build(self, data: TracedArray, space: AddressSpace) -> None:
         keys = data.values.astype(np.float64)
         n = len(keys)
-        positions = np.arange(n, dtype=np.float64)
         b = self.branching
 
-        self.root = make_model(self.stage1_type).fit(keys, positions)
+        self.root, self.reused_seconds = fit_root(self.stage1_type, keys)
         self._route_scale = b / float(n)
 
         root_pred = self.root.predict_batch(keys)
@@ -93,7 +92,9 @@ class RMIIndex(SortedDataIndex):
             # Monotone routing is required for validity; the model types
             # guard against this, but refit with the always-monotone
             # endpoint spline if a fit slipped through.
-            self.root = make_model("linear_spline").fit(keys, positions)
+            self.root = make_model("linear_spline").fit(
+                keys, np.arange(n, dtype=np.float64)
+            )
             root_pred = self.root.predict_batch(keys)
             buckets = np.clip(
                 np.floor(root_pred * self._route_scale), 0, b - 1

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.bounds import SearchBound
 from repro.core.interface import Capabilities, SortedDataIndex
 from repro.core.registry import register_index
-from repro.learned.models import fit_linear_buckets, make_model
+from repro.learned.models import fit_linear_buckets, fit_root, make_model
 from repro.memsim.memory import AddressSpace, TracedArray
 from repro.memsim.tracer import NULL_TRACER, Tracer
 
@@ -69,11 +69,10 @@ class RMI3Index(SortedDataIndex):
     def _build(self, data: TracedArray, space: AddressSpace) -> None:
         keys = data.values.astype(np.float64)
         n = len(keys)
-        positions = np.arange(n, dtype=np.float64)
         b_mid = self.mid_branching
         b_leaf = self.branching
 
-        self.root = make_model(self.stage1_type).fit(keys, positions)
+        self.root, self.reused_seconds = fit_root(self.stage1_type, keys)
         self._mid_scale = b_mid / float(n)
         self._leaf_scale = b_leaf / float(n)
 
@@ -82,7 +81,9 @@ class RMI3Index(SortedDataIndex):
             np.floor(root_pred * self._mid_scale), 0, b_mid - 1
         ).astype(np.int64)
         if np.any(np.diff(mid_ids) < 0):
-            self.root = make_model("linear_spline").fit(keys, positions)
+            self.root = make_model("linear_spline").fit(
+                keys, np.arange(n, dtype=np.float64)
+            )
             root_pred = self.root.predict_batch(keys)
             mid_ids = np.clip(
                 np.floor(root_pred * self._mid_scale), 0, b_mid - 1

@@ -75,3 +75,48 @@ class TestHilbertRoundtrip:
         near_gap = np.median(np.abs(d_neighbor - d_base))
         far_gap = np.median(np.abs(d_far - d_base))
         assert near_gap < far_gap
+
+
+def mask_loop_d_from_xy(order, x, y):
+    """The rotate-and-accumulate loop over boolean masks that the
+    table-driven encoder replaced: the oracle for its distances."""
+    x = np.asarray(x, dtype=np.int64).copy()
+    y = np.asarray(y, dtype=np.int64).copy()
+    d = np.zeros(x.shape, dtype=np.uint64)
+    s = (np.int64(1) << order) >> 1
+    while s > 0:
+        rx = ((x & s) > 0).astype(np.int64)
+        ry = ((y & s) > 0).astype(np.int64)
+        d += (np.uint64(s) * np.uint64(s)) * ((3 * rx) ^ ry).astype(np.uint64)
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        x_f = x[flip]
+        y_f = y[flip]
+        x[flip] = s - 1 - x_f
+        y[flip] = s - 1 - y_f
+        x_s = x[swap]
+        x[swap] = y[swap]
+        y[swap] = x_s
+        s >>= 1
+    return d
+
+
+class TestTableEncoderEqualsMaskLoop:
+    @pytest.mark.parametrize("order", range(1, 32))
+    def test_random_points(self, order):
+        side = 1 << order
+        rng = np.random.default_rng(order)
+        x = np.concatenate([[0, 0, side - 1, side - 1], rng.integers(0, side, 3_000)])
+        y = np.concatenate([[0, side - 1, 0, side - 1], rng.integers(0, side, 3_000)])
+        got = hilbert_d_from_xy(order, x, y)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, mask_loop_d_from_xy(order, x, y))
+
+    def test_whole_grid(self):
+        order = 5
+        side = 1 << order
+        xs, ys = np.meshgrid(np.arange(side), np.arange(side))
+        assert np.array_equal(
+            hilbert_d_from_xy(order, xs.ravel(), ys.ravel()),
+            mask_loop_d_from_xy(order, xs.ravel(), ys.ravel()),
+        )

@@ -241,3 +241,21 @@ def test_unsupported_index_and_search_raise():
             rmi.index, rmi.data, rmi.payloads, probes, "linear",
             SiteInterner(),
         )
+
+
+def test_event_sink_keeps_the_values_emitted():
+    # A kernel may update its arrays in place after emitting them
+    # (``live &= ~hit``); the emitted column must keep the old values.
+    sink = kernels.EventSink(4)
+    live = np.array([True, True, False, True])
+    addr = np.array([10, 20, 30, 40], dtype=np.int64)
+    sink.emit(kernels.K_READ, addr, 8, mask=live)
+    live &= np.array([False, True, True, True])
+    addr += 1
+    sink.emit(kernels.K_READ, addr, 8, mask=live)
+    kinds, a, b, valid = sink.matrices()
+    assert valid.tolist() == [
+        [True, False], [True, True], [False, False], [True, True]
+    ]
+    assert a.tolist() == [[10, 11], [20, 21], [30, 31], [40, 41]]
+    assert (b == 8).all() and (kinds == kernels.K_READ).all()
