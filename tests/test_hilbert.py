@@ -111,12 +111,3 @@ class TestTableEncoderEqualsMaskLoop:
         got = hilbert_d_from_xy(order, x, y)
         assert got.dtype == np.uint64
         assert np.array_equal(got, mask_loop_d_from_xy(order, x, y))
-
-    def test_whole_grid(self):
-        order = 5
-        side = 1 << order
-        xs, ys = np.meshgrid(np.arange(side), np.arange(side))
-        assert np.array_equal(
-            hilbert_d_from_xy(order, xs.ravel(), ys.ravel()),
-            mask_loop_d_from_xy(order, xs.ravel(), ys.ravel()),
-        )
