@@ -11,6 +11,10 @@ can track the perf trajectory:
   the batched path (kernel-synthesized streams replayed from compiled
   plans on the same engine, keys ``cell_vector_*``).
   ``cell_vector_speedup`` is the headline batched-vs-loop number.
+* ``linear_*`` — one fig11 linear-search cell (RS/amzn, epsilon=4096,
+  the quick preset's 40k keys, 250 lookups + 120 warmup), timed the
+  same way: the per-lookup loop (``linear_fast_*``) and the batched
+  path, whose scans replay as runs of lines (``linear_vector_*``).
 * ``kernel_*`` — batch-predict kernels in keys/second: RMI, PGM, RS,
   ART (gap 1, the lockstep trie descent), RobinHash and CuckooMap
   (32-bit keys) ``batch_bounds`` over a large sorted probe batch versus
@@ -46,10 +50,11 @@ def _write_bench_vector_json():
     if not _RATES:  # e.g. --benchmark-disable: no stats to record
         return
     r = _RATES
-    if "cell_vector_cells_per_sec" in r and "cell_fast_cells_per_sec" in r:
-        r["cell_vector_speedup"] = (
-            r["cell_vector_cells_per_sec"] / r["cell_fast_cells_per_sec"]
-        )
+    for cell in ("cell", "linear"):
+        fast = r.get(f"{cell}_fast_cells_per_sec")
+        vector = r.get(f"{cell}_vector_cells_per_sec")
+        if fast and vector:
+            r[f"{cell}_vector_speedup"] = vector / fast
     for name, _, _ in _KERNEL_CONFIGS:
         batch = r.get(f"kernel_{name}_keys_per_sec")
         scalar = r.get(f"kernel_{name}_scalar_keys_per_sec")
@@ -99,6 +104,45 @@ def test_cell_steady_state(benchmark, cell_inputs, engine, key):
     m0 = measure(*args, **kwargs)
     m = benchmark.pedantic(measure, setup=fresh_build, rounds=_CELL_ROUNDS)
     assert m.counters == m0.counters  # every fresh cell is byte-stable
+    if benchmark.stats is not None:
+        _RATES[key] = 1.0 / benchmark.stats.stats.mean
+
+
+# --------------------------------------------------------------------
+# One fig11 linear-search cell, end to end.
+# --------------------------------------------------------------------
+
+_LINEAR_KW = dict(n_lookups=250, warmup=120, search="linear")
+_LINEAR_ROUNDS = 5
+
+
+@pytest.fixture(scope="module")
+def linear_inputs():
+    ds = make_dataset("amzn", 40_000)
+    return ds, make_workload(ds, 370, seed=1)
+
+
+@pytest.mark.parametrize(
+    "engine,key",
+    [
+        (FastEngine, "linear_fast_cells_per_sec"),
+        (None, "linear_vector_cells_per_sec"),
+    ],
+    ids=["fast", "vector"],
+)
+def test_linear_cell(benchmark, linear_inputs, engine, key):
+    """RS/amzn(epsilon=4096) with linear search, each round on a fresh
+    build: the widest bounds of fig11's quick grid."""
+    ds, wl = linear_inputs
+
+    def fresh_build():
+        built = build_index(ds, "RS", {"epsilon": 4096, "radix_bits": 5})
+        return (built, wl), dict(engine=engine, **_LINEAR_KW)
+
+    args, kwargs = fresh_build()
+    m0 = measure(*args, **kwargs)
+    m = benchmark.pedantic(measure, setup=fresh_build, rounds=_LINEAR_ROUNDS)
+    assert m.counters == m0.counters
     if benchmark.stats is not None:
         _RATES[key] = 1.0 / benchmark.stats.stats.mean
 

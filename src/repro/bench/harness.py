@@ -112,7 +112,7 @@ def build_index(
         space = AddressSpace()
         dtype = np.uint32 if dataset.key_bits == 32 else np.uint64
         data = TracedArray.allocate(
-            space, dataset.keys.astype(dtype), name="data"
+            space, dataset.keys.astype(dtype, copy=False), name="data"
         )
         payloads = TracedArray.allocate(space, dataset.payloads, name="payloads")
         index = make_index(index_name, **config).build(data, space)
@@ -278,7 +278,7 @@ def _measure_batched(
     truths = workload.positions_py
     point_only = index.point_only
     with obs_spans.span("synthesize"):
-        batch, meas_seq, meas_rows, warm_trace, meas_trace = _synthesize(
+        batch, meas_seq, warm_rows, meas_rows = _synthesize(
             built, keys, warmup, n_lookups, search, tracer.sites
         )
 
@@ -293,28 +293,22 @@ def _measure_batched(
                 int(batch.hi[r]),
             )
 
-    lg = batch.lg
-    if warm_trace is not None:
-        tracer.replay(warm_trace)
+    if warm_rows:
+        tracer.replay(batch.plan(warm_rows))
     base = tracer.snapshot()
+    if meas_rows:
+        # A cold window flushes the caches before every measured lookup;
+        # its plan replays row by row.
+        tracer.replay(batch.plan(meas_rows, cold=not warm))
+    lg = batch.lg
     log2_sum = 0.0
-    if warm:
-        if meas_trace is not None:
-            tracer.replay(meas_trace)
-        for r in meas_rows:
-            log2_sum += lg[r]
-    else:
-        # Cold-cache: flush before every measured lookup, so each
-        # lookup replays individually (per-row plans are cached).
-        for r in meas_rows:
-            tracer.flush_caches()
-            tracer.replay(batch.trace_for(r))
-            log2_sum += lg[r]
+    for r in meas_rows:
+        log2_sum += lg[r]
     return base, log2_sum
 
 
 def _synthesize(built, keys, warmup, n_lookups, search, sites) -> tuple:
-    """One window's kernel batch, row sequences and mega-traces."""
+    """One window's kernel batch and its row sequences."""
     n_work = len(keys)
     # The scalar loops: warmup lookups i, measured lookups warmup+i.
     warm_seq = [i % n_work for i in range(min(warmup, max(n_work, 1)))]
@@ -330,13 +324,7 @@ def _synthesize(built, keys, warmup, n_lookups, search, sites) -> tuple:
     row_of = dict(zip(need, (int(r) for r in inv)))
     warm_rows = [row_of[i] for i in warm_seq]
     meas_rows = [row_of[i] for i in meas_seq]
-    return (
-        batch,
-        meas_seq,
-        meas_rows,
-        batch.mega_trace(warm_rows) if warm_rows else None,
-        batch.mega_trace(meas_rows) if meas_rows else None,
-    )
+    return batch, meas_seq, warm_rows, meas_rows
 
 
 def measure_index(

@@ -22,6 +22,8 @@ DATASET_NAMES = tuple(sorted(GENERATORS))
 ALL_DATASET_NAMES = tuple(sorted(ALL_GENERATORS))
 
 #: In-process memo so experiments that share a dataset build it once.
+#: Its arrays are read-only: every caller shares them, and an index
+#: build reads its keys from them without a copy.
 _CACHE: Dict[Tuple, "Dataset"] = {}
 
 
@@ -122,8 +124,7 @@ def make_dataset(
         if os.path.exists(cache_path):
             with np.load(cache_path) as f:
                 ds = Dataset(name, f["keys"], f["payloads"], key_bits, seed)
-            _CACHE[memo_key] = ds
-            return ds
+            return _memoize(memo_key, ds)
 
     rng = np.random.default_rng(seed + 0xD5)
     keys = ALL_GENERATORS[name](n_keys, seed=seed)
@@ -139,5 +140,11 @@ def make_dataset(
     if cache_path is not None:
         os.makedirs(cache_dir, exist_ok=True)
         np.savez_compressed(cache_path, keys=keys, payloads=payloads)
+    return _memoize(memo_key, ds)
+
+
+def _memoize(memo_key: Tuple, ds: Dataset) -> Dataset:
+    ds.keys.setflags(write=False)
+    ds.payloads.setflags(write=False)
     _CACHE[memo_key] = ds
     return ds

@@ -39,7 +39,7 @@ per-key stream equals the scalar stream exactly.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from repro.learned.radix_spline import _INTERP_INSTR, _PREFIX_INSTR
 from repro.learned.rmi import RMIIndex, _REC as _RMI_REC
 from repro.learned.rmi import _BOUND_INSTR, _ROUTE_INSTR
 from repro.memsim.engine import SiteInterner
-from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace
+from repro.memsim.trace import K_BRANCH, K_INSTR, K_READ, Trace, compile_plan
 
 if TYPE_CHECKING:  # imported where used; see _kernel_table
     from repro.hashing.cuckoo import CuckooMapIndex
@@ -63,9 +63,10 @@ if TYPE_CHECKING:  # imported where used; see _kernel_table
     from repro.traditional.radix_binary_search import RadixBinarySearchIndex
 
 #: Last-mile searches the batched path can synthesize.
-BATCH_SEARCHES = ("binary",)
+BATCH_SEARCHES = ("binary", "linear")
 
 _BINARY_STEP_INSTR = 5  # must match search/last_mile.py
+_LINEAR_STEP_INSTR = 3  # must match search/last_mile.py
 _LOOP_INSTR = 4  # must match bench/harness.py
 
 #: Guard against int64 overflow in float->int truncation.  Scalar
@@ -81,34 +82,43 @@ def _trunc(x: np.ndarray) -> np.ndarray:
 
 
 class EventSink:
-    """Column-wise accumulator for per-key synthesized event streams."""
+    """Per-key synthesized event streams, grouped by kind as they arrive.
 
-    __slots__ = ("n", "_cols")
+    Instructions are summed per key at once.  Read columns keep their
+    order, and branch columns their order within each site; that is all
+    a replay's counters depend on (``repro.memsim.trace``).
+    """
+
+    __slots__ = ("n", "instr", "reads", "sites")
 
     def __init__(self, n: int):
         self.n = n
-        #: (kind, a, b, mask) per column; a/b scalar or (n,) array,
-        #: mask None meaning all-active.
-        self._cols: List[tuple] = []
+        #: Per-key instruction totals.
+        self.instr = np.zeros(n, dtype=np.int64)
+        #: (addr, size, mask) per read column; operands scalar or (n,)
+        #: arrays, mask None meaning all-active.
+        self.reads: List[tuple] = []
+        #: Site id -> its (taken, mask) columns, in order.
+        self.sites: Dict[int, List[tuple]] = {}
 
     def emit(self, kind, a, b, mask=None) -> None:
         """Append one column.  Array operands are copied, so a kernel may
-        update its arrays in place (``live &= ~hit``) after emitting."""
-        self._cols.append((kind, _snapshot(a), _snapshot(b), _snapshot(mask)))
+        update its arrays in place (``live &= ~hit``) after emitting.
+        A branch column's ``a`` is a scalar site id."""
+        if kind == K_INSTR:
+            self.instr += a if mask is None else np.where(mask, a, 0)
+        elif kind == K_READ:
+            self.reads.append((_snapshot(a), _snapshot(b), _snapshot(mask)))
+        else:
+            self.sites.setdefault(a, []).append((_snapshot(b), _snapshot(mask)))
 
-    def matrices(self):
-        """Stack columns into (n, steps) kinds/a/b/valid matrices."""
-        n, s = self.n, len(self._cols)
-        kinds = np.empty((n, s), dtype=np.uint8)
-        a = np.empty((n, s), dtype=np.int64)
-        b = np.empty((n, s), dtype=np.int64)
-        valid = np.empty((n, s), dtype=bool)
-        for j, (kind, ca, cb, mask) in enumerate(self._cols):
-            kinds[:, j] = kind
-            a[:, j] = ca
-            b[:, j] = cb
-            valid[:, j] = True if mask is None else mask
-        return kinds, a, b, valid
+
+def _block(n: int, cols, dtype) -> np.ndarray:
+    """Stack scalar or (n,) columns into one (n, len(cols)) array."""
+    out = np.empty((n, len(cols)), dtype=dtype)
+    for j, col in enumerate(cols):
+        out[:, j] = True if col is None else col
+    return out
 
 
 def _snapshot(operand):
@@ -787,50 +797,149 @@ def batch_bounds(
     return kernel(index, keys, sink, sites)
 
 
+class _Scan(NamedTuple):
+    """Each row's linear last-mile scan, kept as a run of words."""
+
+    at: int  #: read columns before the scan
+    site: int  #: ``lastmile.linear``'s site id
+    base: int  #: the data array's address (64-byte aligned)
+    itemsize: int
+    start: np.ndarray  #: per row: the scan's first word (its ``lo``)
+    steps: np.ndarray  #: per row: words read
+    found: np.ndarray  #: per row: whether the last word stopped the scan
+
+
 class BatchLookups:
     """Synthesized full-lookup event streams for a batch of keys.
 
     Covers the harness's entire per-lookup sequence: index model phase,
     last-mile search, loop-body instructions, payload touch.  Rows are
-    the key batch; :meth:`mega_trace` concatenates per-row streams into
-    one replayable :class:`Trace` (row order = lookup order), and
-    :meth:`trace_for` gives a single row's trace (cached, so its replay
-    plan is built once).
+    the key batch.  The kernel columns are grouped once into per-row
+    instruction totals, one ``(rows, read columns)`` address/size/valid
+    block, and one outcome/valid block per branch site; :meth:`plan`
+    compiles a sequence of row lookups from them.  A linear last-mile
+    scan is kept as its run (below), not as columns.  :meth:`trace_for`
+    gives one row's events as a :class:`Trace`, the tests' oracle.
     """
 
-    __slots__ = ("pos", "lo", "hi", "lg", "_kinds", "_a", "_b", "_valid",
-                 "_row_traces")
+    __slots__ = ("pos", "lo", "hi", "lg", "instr", "addr", "size", "valid",
+                 "sites", "scan")
 
-    def __init__(self, pos, lo, hi, lg, kinds, a, b, valid):
+    def __init__(self, pos, lo, hi, sink: EventSink, scan=None):
         self.pos = pos
         self.lo = lo
         self.hi = hi
+        width = (hi - lo).tolist()
         #: Per-row ``log2(len(bound))`` as Python floats (the harness
         #: accumulates these in lookup order, like the scalar loop).
-        self.lg = lg
-        self._kinds = kinds
-        self._a = a
-        self._b = b
-        self._valid = valid
-        self._row_traces: Dict[int, Trace] = {}
+        self.lg = [math.log2(w) if w > 0 else 0.0 for w in width]
+        n = sink.n
+        self.instr = sink.instr
+        self.addr = _block(n, [c[0] for c in sink.reads], np.int64)
+        self.size = _block(n, [c[1] for c in sink.reads], np.int64)
+        self.valid = _block(n, [c[2] for c in sink.reads], bool)
+        self.sites = {
+            sid: (_block(n, [c[0] for c in cols], bool),
+                  _block(n, [c[1] for c in cols], bool))
+            for sid, cols in sink.sites.items()
+        }
+        #: The rows' linear last-mile scans, else None.
+        self.scan = scan
 
-    def mega_trace(self, rows) -> Trace:
-        """One Trace for a sequence of row lookups, in order."""
+    def _reads(self, idx: np.ndarray):
+        """The rows' reads in order, as :func:`compile_plan` takes them:
+        ``(addr, size, per-row read counts, runs, repeats)``."""
+        valid = self.valid[idx]
+        addr = self.addr[idx]
+        size = self.size[idx]
+        if self.scan is None:
+            return addr[valid], size[valid], valid.sum(axis=1), None, 0
+        at, base, isz = self.scan.at, self.scan.base, self.scan.itemsize
+        start = self.scan.start[idx]
+        words = self.scan.steps[idx]
+        head = words > 0
+        first = (base + start * isz) >> 6
+        last = (base + (start + words - 1) * isz) >> 6
+        run = head & (last > first)
+        # A word never crosses a line (bases are 64-byte aligned), so a
+        # scan reads each line's first word, then repeats the line: its
+        # other words are pure L1 hits, like K_REPEAT reads.
+        repeats = int((words - np.where(head, last - first + 1, 0)).sum())
+        # The scan as two more columns: the read of its first line, and
+        # a read of its last line standing for the run after the first.
+        valid = np.insert(valid, [at, at], np.column_stack([head, run]), axis=1)
+        addr = np.insert(
+            addr, [at, at], np.column_stack([first << 6, last << 6]), axis=1
+        )
+        size = np.insert(size, [at, at], isz, axis=1)
+        per_row = valid.sum(axis=1)
+        # Each run's read: its row's offset, then the reads before it.
+        run_at = np.cumsum(per_row) - per_row + valid[:, : at + 1].sum(axis=1)
+        runs = (run_at[run], (first + 1)[run])
+        return addr[valid], size[valid], per_row, runs, repeats
+
+    def _outcomes(self, idx: np.ndarray):
+        """(site id, outcomes in order) for every site the rows branch at."""
+        out = [
+            (sid, taken[idx][valid[idx]])
+            for sid, (taken, valid) in self.sites.items()
+        ]
+        if self.scan is not None:
+            # Each scan step stops at its word or goes on; only a found
+            # key's last step stops.
+            steps = self.scan.steps[idx]
+            taken = np.zeros(int(steps.sum()), dtype=bool)
+            taken[(np.cumsum(steps) - 1)[self.scan.found[idx]]] = True
+            out.append((self.scan.site, taken))
+        return out
+
+    def plan(self, rows, cold: bool = False):
+        """The compiled replay plan of these row lookups, in order.
+
+        ``cold`` compiles a cold-cache window: the engine flushes its
+        caches before each row (see :func:`compile_plan`).
+        """
         idx = np.asarray(rows, dtype=np.int64)
-        mask = self._valid[idx]
-        return Trace(
-            self._kinds[idx][mask], self._a[idx][mask], self._b[idx][mask]
+        addr, size, per_row, runs, repeats = self._reads(idx)
+        return compile_plan(
+            int(self.instr[idx].sum()),
+            repeats,
+            addr,
+            size,
+            self._outcomes(idx),
+            np.cumsum(per_row) - per_row if cold else None,
+            runs,
         )
 
     def trace_for(self, row: int) -> Trace:
-        t = self._row_traces.get(row)
-        if t is None:
-            mask = self._valid[row]
-            t = Trace(
-                self._kinds[row][mask], self._a[row][mask], self._b[row][mask]
+        """One row's events: its instructions, its reads in order (a
+        scan's every word), then each site's branches in order."""
+        idx = np.array([row])
+        valid = self.valid[row]
+        addr = self.addr[row][valid]
+        size = self.size[row][valid]
+        scan = self.scan
+        if scan is not None:
+            at = int(np.count_nonzero(self.valid[row, : scan.at]))
+            words = scan.base + (
+                scan.start[row] + np.arange(scan.steps[row])
+            ) * scan.itemsize
+            addr = np.concatenate([addr[:at], words, addr[at:]])
+            size = np.concatenate(
+                [size[:at], np.full(len(words), scan.itemsize), size[at:]]
             )
-            self._row_traces[row] = t
-        return t
+        sites = self._outcomes(idx)
+        return Trace(
+            np.concatenate([
+                [K_INSTR],
+                np.full(len(addr), K_READ),
+                *(np.full(len(t), K_BRANCH) for _, t in sites),
+            ]),
+            np.concatenate([
+                [self.instr[row]], addr, *(np.full(len(t), s) for s, t in sites)
+            ]),
+            np.concatenate([[0], size, *(t for _, t in sites)]),
+        )
 
 
 def batch_lookups(
@@ -847,6 +956,13 @@ def batch_lookups(
     exactly what ``bench.harness.measure``'s ``one_lookup`` feeds the
     tracer (phase markers are never recorded), so replaying it is
     counter-identical to executing the lookup.
+
+    A linear scan (``last_mile.linear_search``) reads the words from its
+    bound's ``lo`` up to where it stops, each with an instruction charge
+    and a ``lastmile.linear`` branch.  Its stop position, word count and
+    whether it found the key follow from one ``searchsorted``, so no
+    step is synthesized: :meth:`BatchLookups.plan` turns it into one
+    read per line, repeats, and a run of outcomes.
     """
     if search not in BATCH_SEARCHES:
         raise ValueError(f"no batched synthesis for search {search!r}")
@@ -854,14 +970,31 @@ def batch_lookups(
     n = len(data)
     sink = EventSink(len(keys))
     lo, hi = batch_bounds(index, keys, sink, sites)
+    end = np.minimum(hi, n)
 
-    # Last-mile binary search over the data array (last_mile.binary_search).
-    site = sites.intern("lastmile.binary")
-    pos = _vec_search_loop(
-        sink, keys, data.values, data.base, data.itemsize,
-        lo, np.minimum(hi, n), site, le=False,
-        step_instr=_BINARY_STEP_INSTR,
-    )
+    scan = None
+    if search == "binary":
+        # Last-mile binary search over the data array
+        # (last_mile.binary_search).
+        pos = _vec_search_loop(
+            sink, keys, data.values, data.base, data.itemsize,
+            lo, end, sites.intern("lastmile.binary"), le=False,
+            step_instr=_BINARY_STEP_INSTR,
+        )
+    else:
+        # The scan stops at the first word >= the key in [lo, end), or
+        # at end; an empty bound (lo >= end) returns lo unread.
+        pos = np.minimum(
+            np.maximum(np.searchsorted(data.values, keys), lo),
+            np.maximum(end, lo),
+        )
+        found = pos < end
+        steps = pos - lo + found
+        sink.emit(K_INSTR, _LINEAR_STEP_INSTR * steps, 0)
+        scan = _Scan(
+            len(sink.reads), sites.intern("lastmile.linear"), data.base,
+            data.itemsize, lo, steps, found,
+        )
 
     # Harness loop tail: bookkeeping instructions + payload read.
     sink.emit(K_INSTR, _LOOP_INSTR, 0)
@@ -869,8 +1002,4 @@ def batch_lookups(
         K_READ, payloads.base + pos * payloads.itemsize, payloads.itemsize,
         mask=pos < n,
     )
-
-    width = (hi - lo).tolist()
-    lg = [math.log2(w) if w > 0 else 0.0 for w in width]
-    kinds, a, b, valid = sink.matrices()
-    return BatchLookups(pos, lo, hi, lg, kinds, a, b, valid)
+    return BatchLookups(pos, lo, hi, sink, scan)

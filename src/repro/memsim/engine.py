@@ -31,13 +31,20 @@ engine must match.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Dict, List, Optional, Tuple
 
 from repro.memsim.branch import BranchPredictor
 from repro.memsim.cache import LINE_SIZE, CacheHierarchy
 from repro.memsim.counters import PerfCounters
 from repro.memsim.tlb import PAGE_SHIFT, TLB
+
+#: A replay plan entry that starts a run: ``RUN_MARK, a, b`` stands for
+#: single-line reads of lines ``a`` to ``b`` in turn (see
+#: ``repro.memsim.trace``).  Lines are below ``2**58``, so no line's
+#: ``~line`` entry equals it.
+RUN_MARK = -(1 << 62)
+
 
 class SiteInterner:
     """Bijective branch-site-string <-> small-integer-id mapping.
@@ -470,6 +477,85 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
                 brm_c += 1
             bst[sid] = s - 1 if s > 0 else 0
 
+    def _translate(page):
+        # `page` is not the MRU page: look it up in both TLB levels.
+        if page in tlb1:
+            tlb1.move_to_end(page)
+        elif page in tlb2:
+            tlb2.move_to_end(page)
+            tlb1[page] = True
+            if len(tlb1) > tlb1_cap:
+                tlb1.popitem(False)
+        else:
+            _walk(page)
+
+    def _access(entries):
+        # A plan's line entries in order: `~line` translates the line's
+        # page first.  The L2/L3 fill is inlined, with counters in
+        # locals; `_walk` still counts its own accesses.
+        nonlocal l1h, l2h, l3h, llc
+        h1 = h2 = h3 = miss = 0
+        entries = iter(entries)
+        for ln in entries:
+            if ln < 0:
+                if ln == RUN_MARK:
+                    # Lines a..b, each translating its page where one
+                    # starts: expanded here, one run at a time.
+                    a = next(entries)
+                    b = next(entries)
+                    run = list(range(a, b + 1))
+                    for start in range((a + 63) & ~63, b + 1, 64):
+                        run[start - a] = ~start
+                    _access(run)
+                    continue
+                ln = ~ln
+                page = ln >> 6
+                if page in tlb1:
+                    tlb1.move_to_end(page)
+                elif page in tlb2:
+                    tlb2.move_to_end(page)
+                    tlb1[page] = True
+                    if len(tlb1) > tlb1_cap:
+                        tlb1.popitem(False)
+                else:
+                    _walk(page)
+            s = l1_sets[ln % n1]
+            if s[0] == ln:
+                h1 += 1
+                continue
+            if ln in s:
+                s.remove(ln)
+                s.insert(0, ln)
+                h1 += 1
+                continue
+            s2 = l2_sets[ln % n2]
+            if s2[0] == ln:
+                h2 += 1
+            elif ln in s2:
+                s2.remove(ln)
+                s2.insert(0, ln)
+                h2 += 1
+            else:
+                s3 = l3_sets[ln % n3]
+                if s3[0] == ln:
+                    h3 += 1
+                elif ln in s3:
+                    s3.remove(ln)
+                    s3.insert(0, ln)
+                    h3 += 1
+                else:
+                    miss += 1
+                    s3.insert(0, ln)
+                    s3.pop()
+                s2.insert(0, ln)
+                s2.pop()
+            s.insert(0, ln)
+            s.pop()
+        l1h += h1
+        l2h += h2
+        l3h += h3
+        llc += miss
+
     def replay(trace):
         nonlocal instr_c, br_c, brm_c, reads_c, l1h, ultra_line, mru_page
         p = trace.plan()
@@ -501,48 +587,28 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
                 misses += missed
             bst[sid] = s
         brm_c += misses
-        if not p.n_read:
+        hard = p.hard
+        starts = p.row_starts
+        if starts is not None:
+            # A cold window: a flush before each row; the predictor
+            # state folded above is never flushed.
+            for i, j in zip(starts, starts[1:]):
+                flush_caches()
+                _access(hard[i:j])
+        elif not p.n_read:
             return
-        hf = p.hard_first
-        hl = p.hard_last
-        hp = p.hard_page
-        hsp = p.hard_same_page
-        start = 0
-        if p.read0_single and p.read0_first == ultra_line:
-            # The trace's first read repeats the line the previous read
-            # left MRU (line in L1, page in TLB): a pure L1 hit.
+        elif p.read0_single and p.read0_first == ultra_line:
+            # The first read repeats the line the previous read left
+            # MRU (line in L1, page in TLB): a pure L1 hit.
             l1h += 1
-            start = 1
-        for i in range(start, len(hf)):
-            ln = hf[i]
-            last = hl[i]
-            page = hp[i]
+            _access(islice(hard, 1, None))
+        else:
             # Only the first read's page is compared with live state;
-            # the plan knows whether each later one repeats its
-            # predecessor's page.
-            if not (hsp[i] if i else page == mru_page):
-                if page in tlb1:
-                    tlb1.move_to_end(page)
-                elif page in tlb2:
-                    tlb2.move_to_end(page)
-                    tlb1[page] = True
-                    if len(tlb1) > tlb1_cap:
-                        tlb1.popitem(False)
-                else:
-                    _walk(page)
-            while True:
-                s = l1_sets[ln % n1]
-                if s[0] == ln:
-                    l1h += 1
-                elif ln in s:
-                    s.remove(ln)
-                    s.insert(0, ln)
-                    l1h += 1
-                else:
-                    _fill(ln, s)
-                if ln == last:
-                    break
-                ln += 1
+            # the plan marks each later read whose page changes.
+            page = p.read0_first >> 6
+            if page != mru_page:
+                _translate(page)
+            _access(hard)
         # After any read the MRU shortcuts are the last read's.
         ultra_line = p.last_cand
         mru_page = p.last_page

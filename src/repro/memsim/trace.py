@@ -18,27 +18,28 @@ which is how tests record oracle streams for
 Events are stored as three parallel typed arrays (kind: uint8;
 two int64 operands); :meth:`Trace.lists` materializes plain-int lists
 once for the reference engine's event loop, and :meth:`Trace.plan`
-compiles the arrays once into the fast engine's replay plan.
+compiles the arrays once into the fast engine's replay plan through
+:func:`compile_plan`, the one compiler the batch kernels'
+``BatchLookups.plan`` shares.
 
 The plan exploits three exact order-independence properties of the
 simulator:
 
 * ``instr``/``K_REPEAT`` events and the per-event counter increments of
-  reads and branches are pure sums: one ``np.sum`` per kind replaces the
-  per-event loop entirely.
-* Branch-predictor state is per-site: grouping branch events by site
-  (one stable argsort) and packing each site's outcomes 8 per byte lets
-  replay fold them from the site's live 2-bit state one byte at a time,
+  reads and branches are pure sums, so the plan keeps only totals.
+* Branch-predictor state is per-site: each site's outcomes, packed 8 per
+  byte, fold from the site's live 2-bit state one byte at a time,
   through two 1 KiB (state, byte) tables in the engine, so its cost
   scales with the outcomes and the plan stays independent of engine
   state.
 * Cache and TLB state change only on reads, and the recorder's MRU
   invariant identifies reads that are *provably* pure L1 hits with zero
   state change (the fast engine's ``ultra_line`` shortcut).  Vectorized
-  address decomposition (``>> 6``/``>> 12`` over the whole event array)
-  classifies those up front, so the replay loop visits only the
-  genuinely state-changing reads, driven by precomputed
-  line/page/same-page lists.
+  address decomposition (``>> 6``/``>> 12`` over the whole read array)
+  classifies those up front, so replay visits only the genuinely
+  state-changing reads: one list of the lines they touch, in order, an
+  entry ``~line`` marking a read whose page differs from its
+  predecessor's and must be translated first.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.memsim.cache import LINE_SIZE
-from repro.memsim.engine import SiteInterner
+from repro.memsim.engine import RUN_MARK, SiteInterner
 from repro.memsim.tlb import PAGE_SHIFT
 from repro.memsim.tracer import NULL_TRACER, Tracer
 
@@ -107,7 +108,18 @@ class Trace:
     def plan(self) -> _TracePlan:
         """The compiled form :meth:`FastEngine.replay` runs, built once."""
         if self._plan is None:
-            self._plan = _build_plan(self)
+            kinds, a, b = self.kinds, self.a, self.b
+            m_rd = kinds == K_READ
+            m_br = kinds == K_BRANCH
+            sids = a[m_br]
+            taken = b[m_br] != 0
+            self._plan = compile_plan(
+                int(a[kinds == K_INSTR].sum()),
+                int(b[kinds == K_REPEAT].sum()),
+                a[m_rd],
+                b[m_rd],
+                ((int(s), taken[sids == s]) for s in np.unique(sids)),
+            )
         return self._plan
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -115,7 +127,26 @@ class Trace:
 
 
 class _TracePlan:
-    """One trace compiled for replay (a pure function of the trace)."""
+    """A compiled event stream (a pure function of its events).
+
+    ``hard`` lists the cache lines the state-changing reads touch, in
+    order, one entry per line; ``~line`` (a negative entry) means
+    "translate this line's page, ``line >> 6``, first".  Every line of a
+    read after its first is a plain entry, since a read translates only
+    its first byte's page.  Three entries ``RUN_MARK, a, b`` stand for a
+    run of single-line reads of lines ``a`` to ``b`` in turn, each
+    translating its page where one starts (a sequential scan's lines
+    after its first).  The first read's entry is always plain:
+    whether it repeats the live MRU line, or needs its page translated,
+    depends on the replaying engine's state.  ``row_starts`` is None for
+    one continuous stream; for a cold window it holds the offset in
+    ``hard`` at which each row starts, plus ``len(hard)``: the engine
+    flushes its caches before each row, so each row's first read
+    translates, and its own entry carries the ``~``.
+
+    A plan replays as its own plan (:meth:`plan` returns it), so an
+    engine's ``replay`` takes a :class:`Trace` or a compiled plan.
+    """
 
     __slots__ = (
         "n_read",
@@ -125,65 +156,114 @@ class _TracePlan:
         "n_ultra",
         "branch_sites",
         "max_sid",
-        "hard_first",
-        "hard_last",
-        "hard_page",
-        "hard_same_page",
+        "hard",
+        "row_starts",
         "read0_single",
         "read0_first",
         "last_cand",
         "last_page",
     )
 
+    def plan(self) -> "_TracePlan":
+        return self
 
-def _build_plan(trace) -> _TracePlan:
-    """Compile a trace: vectorized decomposition + per-site branch bytes."""
-    kinds = trace.kinds
-    a = trace.a
-    b = trace.b
+
+def compile_plan(
+    instr_total: int,
+    rep_total: int,
+    addr: np.ndarray,
+    size: np.ndarray,
+    sites,
+    row_starts: Optional[np.ndarray] = None,
+    runs: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+) -> _TracePlan:
+    """Compile one event stream into a replay plan.
+
+    ``instr_total`` and ``rep_total`` are the stream's ``instr`` and
+    ``K_REPEAT`` totals; ``addr``/``size`` are its reads in order (int64
+    arrays); ``sites`` yields ``(site id, outcomes)`` with each site's
+    branch outcomes in order as a bool array.  ``row_starts``, the read
+    index at which each row of a cold window starts (ascending, from
+    0), makes the plan replay row by row with a cache flush before each
+    row: each row's first read then follows a flush, so it is never a
+    pure L1 hit and always translates its page.
+
+    ``runs``, a pair ``(at, a)`` of arrays, folds sequential runs into
+    the stream: read ``at[j]`` is a single-line read of a run's last
+    line ``b``, and stands for single-line reads of lines ``a[j]`` to
+    ``b`` in turn (``a[j] <= b``), the line before ``a[j]`` read last.
+    Only the run's last line decides how the reads after it classify,
+    so the run is compiled as that one read and replays from one
+    ``RUN_MARK`` entry.
+    """
     p = _TracePlan()
-    m_rep = kinds == K_REPEAT
-    m_ins = kinds == K_INSTR
-    m_br = kinds == K_BRANCH
-    m_rd = kinds == K_READ
-    p.rep_total = int(b[m_rep].sum())
-    p.instr_total = int(a[m_ins].sum())
-    p.n_branch = int(np.count_nonzero(m_br))
-
-    addr = a[m_rd]
-    size = b[m_rd]
+    p.instr_total = instr_total
+    p.rep_total = rep_total
     n_read = p.n_read = int(addr.shape[0])
+    p.row_starts = None
     if n_read:
         first = addr >> 6
         last = (addr + size - 1) >> 6
         page = addr >> 12
         single = first == last
-        cross = (last >> 6) != page
         # The line a follow-up single-line read may repeat as a pure L1
         # hit: the read's own MRU line, when it lies in the translated
         # page (the fast engine's `ultra_line` rule, vectorized).
-        cand = np.where(single, first, np.where(~cross, last, -1))
+        cand = np.where(single, first, np.where((last >> 6) == page, last, -1))
         iu = np.zeros(n_read, dtype=bool)
-        sp = np.zeros(n_read, dtype=bool)
+        sp = np.ones(n_read, dtype=bool)  # no translation encoded
         if n_read > 1:
             iu[1:] = single[1:] & (cand[:-1] >= 0) & (first[1:] == cand[:-1])
             sp[1:] = page[1:] == page[:-1]
+        if row_starts is not None:
+            inside = row_starts[row_starts < n_read]
+            iu[inside] = False
+            sp[inside] = False
         p.n_ultra = int(np.count_nonzero(iu))
         hard = ~iu
-        p.hard_first = first[hard].tolist()
-        p.hard_last = last[hard].tolist()
-        p.hard_page = page[hard].tolist()
-        p.hard_same_page = sp[hard].tolist()
+        entries = first[hard]
+        lines = last[hard] - entries + 1
+        if (lines == 1).all():
+            at = None
+        else:
+            # One entry per line: each read's lines first..last in turn.
+            at = np.cumsum(lines) - lines
+            entries = np.repeat(entries - at, lines) + np.arange(lines.sum())
+            at = at[~sp[hard]]
+        translate = ~sp[hard] if at is None else at
+        entries[translate] = ~entries[translate]
+        if runs is not None and len(runs[0]):
+            run_at, run_a = runs
+            run_b = first[run_at]
+            p.n_read += int((run_b - run_a).sum())
+            # A run's read is single-line and never a pure L1 hit (the
+            # line before it is read last), so it has one entry.
+            h = (np.cumsum(hard) - 1)[run_at]
+            slot = (np.cumsum(lines) - lines)[h]
+            entries[slot] = RUN_MARK
+            entries = np.insert(
+                entries, np.repeat(slot + 1, 2),
+                np.column_stack([run_a, run_b]).ravel(),
+            )
+            lines[h] = 3
+        p.hard = entries.tolist()
+        if row_starts is not None:
+            per_read = np.zeros(n_read + 1, dtype=np.int64)
+            per_read[1:][hard] = lines
+            offsets = np.cumsum(per_read)
+            p.row_starts = offsets[row_starts].tolist() + [len(p.hard)]
         p.read0_single = bool(single[0])
         p.read0_first = int(first[0])
-        p.last_cand = int(cand[-1])
-        p.last_page = int(page[-1])
+        if row_starts is not None and row_starts[-1] >= n_read:
+            p.last_cand = p.last_page = -1  # the last row read nothing
+        else:
+            p.last_cand = int(cand[-1])
+            p.last_page = int(page[-1])
     else:
         p.n_ultra = 0
-        p.hard_first = []
-        p.hard_last = []
-        p.hard_page = []
-        p.hard_same_page = []
+        p.hard = []
+        if row_starts is not None:
+            p.row_starts = [0] * len(row_starts) + [0]
         p.read0_single = False
         p.read0_first = -1
         p.last_cand = -1
@@ -193,20 +273,19 @@ def _build_plan(trace) -> _TracePlan:
     # in bit 0, the 0-7 left over as a list).
     p.branch_sites = []
     p.max_sid = -1
-    if p.n_branch:
-        sids = a[m_br]
-        order = np.argsort(sids, kind="stable")
-        sids = sids[order]
-        taken = b[m_br][order] != 0
-        cuts = [0, *(np.flatnonzero(np.diff(sids)) + 1).tolist(), p.n_branch]
-        for lo, hi in zip(cuts, cuts[1:]):
-            mid = hi - (hi - lo) % 8
-            p.branch_sites.append((
-                int(sids[lo]),
-                np.packbits(taken[lo:mid], bitorder="little").tobytes(),
-                taken[mid:hi].tolist(),
-            ))
-        p.max_sid = int(sids[-1])
+    p.n_branch = 0
+    for sid, taken in sites:
+        k = len(taken)
+        if not k:
+            continue
+        mid = k - k % 8
+        p.branch_sites.append((
+            sid,
+            np.packbits(taken[:mid], bitorder="little").tobytes(),
+            taken[mid:].tolist(),
+        ))
+        p.n_branch += k
+        p.max_sid = max(p.max_sid, sid)
     return p
 
 

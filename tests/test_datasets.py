@@ -104,6 +104,21 @@ class TestLoader:
         assert np.array_equal(a.keys, b.keys)
         assert np.array_equal(a.payloads, b.payloads)
 
+    def test_memoized_arrays_are_read_only(self, tmp_path):
+        """Every caller shares a memoized dataset's arrays (index builds
+        read its keys without a copy), so none may write into them --
+        generated or loaded from a cache dir."""
+        from repro.datasets import loader
+
+        loader._CACHE.clear()
+        made = make_dataset("osm", 800, seed=8, cache_dir=str(tmp_path))
+        loader._CACHE.clear()
+        loaded = make_dataset("osm", 800, seed=8, cache_dir=str(tmp_path))
+        for ds in (made, loaded):
+            for arr in (ds.keys, ds.payloads):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 1
+
 
 class TestWorkload:
     def test_present_mode_keys_exist(self, amzn_small):

@@ -81,6 +81,8 @@ def test_per_lookup_loop_matches_golden(per_lookup_loop):
     """Every cell on the per-lookup loop, the searches' reference."""
     for record in GOLDEN:
         assert_matches_golden(cell_of(record).run(), record)
+    # The linear cells would have been batched.
+    assert sum(per_lookup_loop) == sum(r["search"] == "linear" for r in GOLDEN)
 
 
 def test_golden_covers_the_grid():

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.bench import harness
@@ -49,6 +50,11 @@ class TestBuildIndex:
         ds32 = make_dataset("amzn", 2_000, key_bits=32)
         built = build_index(ds32, "BTree", {"gap": 1})
         assert built.data.itemsize == 4
+
+    def test_64bit_build_reads_the_dataset_keys_in_place(self, ds):
+        built = build_index(ds, "RMI", {"branching": 64})
+        assert np.shares_memory(built.data.values, ds.keys)
+        assert np.shares_memory(built.payloads.values, ds.payloads)
 
 
 class TestMeasure:
@@ -176,7 +182,7 @@ class TestListMirrors:
     ):
         built = build_index(ds, "ART", {"gap": 1})
         assert not mirror_built(built.data)
-        measure(built, wl, n_lookups=50, warmup=20, search="linear")
+        measure(built, wl, n_lookups=50, warmup=20, search="interpolation")
         assert batched_calls == []  # the per-lookup loop ran
         assert mirror_built(built.data)
         assert not mirror_built(built.payloads)
@@ -194,7 +200,7 @@ class TestListMirrors:
         measure(built, wl, n_lookups=50, warmup=20)
         assert batched_calls == ["RobinHash"]
         assert built.index._lists is None
-        measure(built, wl, n_lookups=50, warmup=20, search="linear")
+        measure(built, wl, n_lookups=50, warmup=20, search="interpolation")
         assert batched_calls == ["RobinHash"]  # the per-lookup loop ran
         assert built.index._lists is not None
 
@@ -235,12 +241,21 @@ class TestMeasureDispatch:
     def test_batched_exactly_where_kernels_apply(
         self, ds, wl, inputs32, batched_calls, index, warm
     ):
+        self._check(ds, wl, inputs32, batched_calls, index, warm, "binary")
+
+    @pytest.mark.parametrize("index", CONFIGS)
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_linear_search_batched_where_kernels_apply(
+        self, ds, wl, inputs32, batched_calls, index, warm
+    ):
+        self._check(ds, wl, inputs32, batched_calls, index, warm, "linear")
+
+    def _check(self, ds, wl, inputs32, entered, index, warm, search):
         if index in self.KEYS32:
             ds, wl = inputs32
         config = self.CONFIGS[index]
         batched = index in self.BATCHED
-        entered = batched_calls
-        kw = dict(n_lookups=120, warmup=60, warm=warm)
+        kw = dict(n_lookups=120, warmup=60, warm=warm, search=search)
         product = measure(build_index(ds, index, config), wl, **kw)
         assert entered == ([index] if batched else [])
         oracle = measure(

@@ -21,10 +21,13 @@ from hypothesis import strategies as st
 from repro.bench.harness import _LOOP_INSTR, build_index
 from repro.datasets.loader import Dataset
 from repro.learned import kernels
+from repro.core.bounds import SearchBound
 from repro.memsim import (
+    FastEngine,
     PerfTracer,
     ReferenceEngine,
     SiteInterner,
+    Trace,
     TraceRecorder,
 )
 from repro.search.last_mile import SEARCH_FUNCTIONS
@@ -104,16 +107,16 @@ def _scalar_lookup(built, key, search, sites):
     return bound, pos, rec.finish()
 
 
-def _assert_batch_matches_scalar(built, probes):
+def _assert_batch_matches_scalar(built, probes, search="binary"):
     sites = SiteInterner()
     batch = kernels.batch_lookups(
-        built.index, built.data, built.payloads, probes, "binary", sites
+        built.index, built.data, built.payloads, probes, search, sites
     )
     pos_l = batch.pos.tolist()
     lo_l = batch.lo.tolist()
     hi_l = batch.hi.tolist()
     for r, key in enumerate(probes.tolist()):
-        bound, pos, trace = _scalar_lookup(built, key, "binary", sites)
+        bound, pos, trace = _scalar_lookup(built, key, search, sites)
         assert (lo_l[r], hi_l[r]) == (bound.lo, bound.hi), key
         assert pos_l[r] == pos, key
         # Same stream, counter-wise: replay both on fresh reference
@@ -169,6 +172,127 @@ def test_batch_equals_scalar_outlier_keys(index_name, config):
         ["present", "absent", "low", "high"] * 8
     )]
     _assert_batch_matches_scalar(built, _probes(ds.keys, picks))
+
+
+@pytest.mark.parametrize("key_bits", [64, 32])
+@pytest.mark.parametrize("index_name,config", _CONFIGS, ids=_IDS)
+def test_linear_batch_equals_scalar(index_name, config, key_bits):
+    """The scan form: one read per line, repeats and a run of outcomes,
+    for every family's bounds; 32-bit data holds 16 words a line."""
+    rng = np.random.default_rng(13)
+    keys = np.unique(rng.integers(0, 1 << key_bits, 700, dtype=np.uint64))
+    ds = _dataset_for(index_name, keys, key_bits=key_bits)
+    built = build_index(ds, index_name, config)
+    picks = [(i * 29, k) for i, k in enumerate(
+        ["present", "absent", "low", "high"] * 6
+    )]
+    _assert_batch_matches_scalar(built, _probes(ds.keys, picks), "linear")
+
+
+class _FixedBounds:
+    """An index that answers each key with a given bound."""
+
+    name = "fixed"
+    point_only = False
+
+    def __init__(self, bounds):
+        self.bounds = bounds  # key -> (lo, hi)
+
+    def lookup(self, key, tracer):
+        return SearchBound(*self.bounds[key])
+
+
+def _fixed_bounds_kernel(index, keys, sink, sites):
+    lo, hi = zip(*(index.bounds[k] for k in keys.tolist()))
+    return np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+
+
+@pytest.mark.parametrize("key_bits", [64, 32])
+def test_linear_scan_edge_bounds(monkeypatch, key_bits):
+    """Empty bounds, bounds at ``n``, scans that stop at their first
+    word, not-found scans that end at ``min(hi, n)``, and scans across
+    line and page boundaries (a page holds 512 64-bit or 1024 32-bit
+    words)."""
+    monkeypatch.setattr(
+        kernels, "_kernel_table", lambda: {_FixedBounds: _fixed_bounds_kernel}
+    )
+    ds = _dataset(range(10, 10 + 7 * 3_000, 7), key_bits=key_bits)
+    built = build_index(ds, "BS", {})
+    k = ds.keys.tolist()
+    n = len(k)
+    bounds = {
+        k[5]: (5, 5),  # empty
+        k[6]: (9, 9),  # empty, above the key
+        k[40]: (n, n + 1),  # at n: empty once clipped
+        k[0]: (10, 50),  # stops at its first word
+        k[49] + 1: (3, 49),  # not found, ends at hi
+        k[-1] + 5: (n - 700, n + 9),  # not found, ends at n
+        k[2_100]: (0, n + 1),  # found after 2,101 words, 4+ pages
+        k[1_500] + 3: (1_023, 1_537),  # absent, ends inside the bound
+        k[511]: (504, 520),  # crosses a page at 512 (64-bit)
+        k[1_024]: (1_020, 1_030),  # crosses a page at 1,024 (32-bit)
+        0: (0, n + 1),  # below every key
+    }
+    built.index = _FixedBounds(bounds)
+    probes = np.array(list(bounds) + [k[2_100], k[0]], dtype=np.uint64)
+    _assert_batch_matches_scalar(built, probes, "linear")
+
+
+def _concat(traces):
+    return Trace(
+        np.concatenate([t.kinds for t in traces]),
+        np.concatenate([t.a for t in traces]),
+        np.concatenate([t.b for t in traces]),
+    )
+
+
+@pytest.mark.parametrize("search", kernels.BATCH_SEARCHES)
+@pytest.mark.parametrize("index_name,config", _CONFIGS, ids=_IDS)
+def test_plan_replays_like_the_rows_traces(index_name, config, search):
+    """``BatchLookups.plan(rows)`` == ``Trace.plan()`` of the rows'
+    events, warm and cold, from an engine that already holds state: its
+    last read left the first row's first line MRU."""
+    rng = np.random.default_rng(len(index_name) + len(config))
+    keys = np.unique(rng.integers(0, 1 << 63, 400, dtype=np.uint64))
+    ds = _dataset_for(index_name, keys)
+    built = build_index(ds, index_name, config)
+    picks = [(i * 41, k) for i, k in enumerate(
+        ["present", "absent", "low", "high"] * 5
+    )]
+    sites = SiteInterner()
+    batch = kernels.batch_lookups(
+        built.index, built.data, built.payloads,
+        np.unique(_probes(ds.keys, picks)), search, sites,
+    )
+    n_rows = len(batch.pos)
+    for rows in (
+        rng.integers(0, n_rows, 3 * n_rows).tolist(),  # repeats
+        [int(rng.integers(n_rows))],
+        list(range(n_rows)),
+    ):
+        traces = [batch.trace_for(r) for r in rows]
+        first = traces[0]
+        first_read = int(first.a[first.kinds == kernels.K_READ][0])
+        engines = [FastEngine(sites=sites) for _ in range(4)]
+        for eng in engines:
+            eng.replay(batch.trace_for(n_rows - 1))
+            eng.branch("lastmile.binary", True)
+            eng.read(first_read, 1)
+        plan_warm, trace_warm, plan_cold, trace_cold = engines
+        plan_warm.replay(batch.plan(rows))
+        trace_warm.replay(_concat(traces))
+        assert plan_warm.snapshot() == trace_warm.snapshot(), rows
+        plan_cold.replay(batch.plan(rows, cold=True))
+        for t in traces:
+            trace_cold.flush_caches()
+            trace_cold.replay(t)
+        assert plan_cold.snapshot() == trace_cold.snapshot(), rows
+        # Both leave the same state behind.
+        for eng in engines:
+            eng.read(first_read, 8)
+            eng.replay(traces[-1])
+        assert plan_warm.snapshot() == trace_warm.snapshot()
+        assert plan_cold.snapshot() == trace_cold.snapshot()
 
 
 _ART_KEYS = st.sampled_from([32, 64]).flatmap(
@@ -238,7 +362,7 @@ def test_unsupported_index_and_search_raise():
     rmi = build_index(ds, "RMI", {"branching": 8})
     with pytest.raises(ValueError, match="no batched synthesis"):
         kernels.batch_lookups(
-            rmi.index, rmi.data, rmi.payloads, probes, "linear",
+            rmi.index, rmi.data, rmi.payloads, probes, "interpolation",
             SiteInterner(),
         )
 
@@ -250,12 +374,20 @@ def test_event_sink_keeps_the_values_emitted():
     live = np.array([True, True, False, True])
     addr = np.array([10, 20, 30, 40], dtype=np.int64)
     sink.emit(kernels.K_READ, addr, 8, mask=live)
+    sink.emit(kernels.K_BRANCH, 5, addr > 15, mask=live)
+    sink.emit(kernels.K_INSTR, addr, 0, mask=live)
     live &= np.array([False, True, True, True])
     addr += 1
     sink.emit(kernels.K_READ, addr, 8, mask=live)
-    kinds, a, b, valid = sink.matrices()
-    assert valid.tolist() == [
+    sink.emit(kernels.K_BRANCH, 5, addr > 25, mask=live)
+    batch = kernels.BatchLookups(addr, addr, addr, sink)
+    assert batch.valid.tolist() == [
         [True, False], [True, True], [False, False], [True, True]
     ]
-    assert a.tolist() == [[10, 11], [20, 21], [30, 31], [40, 41]]
-    assert (b == 8).all() and (kinds == kernels.K_READ).all()
+    assert batch.addr.tolist() == [[10, 11], [20, 21], [30, 31], [40, 41]]
+    assert (batch.size == 8).all()
+    taken, valid = batch.sites[5]
+    assert (taken & valid).tolist() == [
+        [False, False], [True, False], [False, False], [True, True]
+    ]
+    assert batch.instr.tolist() == [10, 20, 0, 40]
