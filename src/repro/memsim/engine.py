@@ -293,6 +293,15 @@ def _step(state: int, taken) -> Tuple[int, bool]:
     return (state - 1 if state > 0 else 0), state >= 2
 
 
+def _run_lines(a: int, b: int) -> List[int]:
+    """A run's plan entries: lines ``a`` to ``b``, each line that starts
+    a page as ``~line`` (its predecessor lies on the page before)."""
+    run = list(range(a, b + 1))
+    for start in range((a + 63) & ~63, b + 1, 64):
+        run[start - a] = ~start
+    return run
+
+
 def _fold_tables() -> Tuple[bytes, bytes]:
     """The 2-bit state after 8 outcomes, and their mispredictions.
 
@@ -490,24 +499,19 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
             _walk(page)
 
     def _access(entries):
-        # A plan's line entries in order: `~line` translates the line's
-        # page first.  The L2/L3 fill is inlined, with counters in
-        # locals; `_walk` still counts its own accesses.
+        # A plan's line entries, from an iterator, in order: `~line`
+        # translates the line's page first.  Stops after a run's
+        # `RUN_MARK, a, b` and returns (a, b), else returns None at the
+        # end.  The L2/L3 fill is inlined, with counters in locals;
+        # `_walk` still counts its own accesses.
         nonlocal l1h, l2h, l3h, llc
         h1 = h2 = h3 = miss = 0
-        entries = iter(entries)
+        run = None
         for ln in entries:
             if ln < 0:
                 if ln == RUN_MARK:
-                    # Lines a..b, each translating its page where one
-                    # starts: expanded here, one run at a time.
-                    a = next(entries)
-                    b = next(entries)
-                    run = list(range(a, b + 1))
-                    for start in range((a + 63) & ~63, b + 1, 64):
-                        run[start - a] = ~start
-                    _access(run)
-                    continue
+                    run = next(entries), next(entries)
+                    break
                 ln = ~ln
                 page = ln >> 6
                 if page in tlb1:
@@ -555,6 +559,17 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
         l2h += h2
         l3h += h3
         llc += miss
+        return run
+
+    def _lines(entries):
+        # All of a plan's entries, each run expanded in turn.  (Nothing
+        # here calls itself: a closure that did would keep the engine's
+        # sets alive until the cyclic collector ran.)
+        entries = iter(entries)
+        run = _access(entries)
+        while run is not None:
+            _access(iter(_run_lines(*run)))
+            run = _access(entries)
 
     def replay(trace):
         nonlocal instr_c, br_c, brm_c, reads_c, l1h, ultra_line, mru_page
@@ -594,21 +609,21 @@ def _build_fast_engine(l1, l2, l3, tlb_entries, interner):
             # state folded above is never flushed.
             for i, j in zip(starts, starts[1:]):
                 flush_caches()
-                _access(hard[i:j])
+                _lines(hard[i:j])
         elif not p.n_read:
             return
         elif p.read0_single and p.read0_first == ultra_line:
             # The first read repeats the line the previous read left
             # MRU (line in L1, page in TLB): a pure L1 hit.
             l1h += 1
-            _access(islice(hard, 1, None))
+            _lines(islice(hard, 1, None))
         else:
             # Only the first read's page is compared with live state;
             # the plan marks each later read whose page changes.
             page = p.read0_first >> 6
             if page != mru_page:
                 _translate(page)
-            _access(hard)
+            _lines(hard)
         # After any read the MRU shortcuts are the last read's.
         ultra_line = p.last_cand
         mru_page = p.last_page

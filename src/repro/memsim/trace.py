@@ -222,27 +222,25 @@ def compile_plan(
         p.n_ultra = int(np.count_nonzero(iu))
         hard = ~iu
         entries = first[hard]
-        lines = last[hard] - entries + 1
-        if (lines == 1).all():
-            at = None
-        else:
+        lines = last[hard] - entries + 1  # entries per hard read
+        starts = np.cumsum(lines) - lines  # and where each one's begin
+        translate = starts[~sp[hard]]
+        if (lines > 1).any():
             # One entry per line: each read's lines first..last in turn.
-            at = np.cumsum(lines) - lines
-            entries = np.repeat(entries - at, lines) + np.arange(lines.sum())
-            at = at[~sp[hard]]
-        translate = ~sp[hard] if at is None else at
+            entries = np.repeat(entries - starts, lines) + np.arange(
+                starts[-1] + lines[-1]
+            )
         entries[translate] = ~entries[translate]
         if runs is not None and len(runs[0]):
             run_at, run_a = runs
             run_b = first[run_at]
             p.n_read += int((run_b - run_a).sum())
             # A run's read is single-line and never a pure L1 hit (the
-            # line before it is read last), so it has one entry.
+            # line before it is read last): its one entry becomes three.
             h = (np.cumsum(hard) - 1)[run_at]
-            slot = (np.cumsum(lines) - lines)[h]
-            entries[slot] = RUN_MARK
+            entries[starts[h]] = RUN_MARK
             entries = np.insert(
-                entries, np.repeat(slot + 1, 2),
+                entries, np.repeat(starts[h] + 1, 2),
                 np.column_stack([run_a, run_b]).ravel(),
             )
             lines[h] = 3

@@ -251,3 +251,31 @@ class TestBranchTableMaterialization:
         assert p.predict_and_update("s", False) is False  # strong-taken now
         assert p.predict_and_update("s", False) is False  # weak-taken
         assert p.predict_and_update("s", False) is True  # weak-not-taken
+
+
+def test_engine_is_freed_by_reference_counting():
+    """No engine closure refers back to itself, so a dropped engine's
+    cache sets go at once, not when the cyclic collector next runs: a
+    grid builds one engine per cell.  The plan replays a run."""
+    import gc
+    import weakref
+
+    import numpy as np
+
+    from repro.memsim.trace import compile_plan
+
+    plan = compile_plan(
+        0, 0, np.array([100 << 6, 300 << 6]), np.array([8, 8]), [],
+        runs=(np.array([1]), np.array([101])),
+    )
+    gc.disable()
+    try:
+        engine = FastEngine()
+        engine.replay(plan)
+        assert engine.snapshot().reads == 201
+        # Every closure that reads or replays holds the page walk.
+        freed = weakref.ref(closure_var(engine.read, "_walk"))
+        del engine
+        assert freed() is None
+    finally:
+        gc.enable()
