@@ -24,10 +24,11 @@ scalar lookup would emit, in the same per-key order.  That is sound for
 the same reason trace record-replay is sound (tracer calls return
 ``None``; see ``repro.memsim.trace``): the stream is a pure function of
 the index contents and the key.  The harness's batched measure path
-(``bench/harness.py``) turns those streams into
-:class:`~repro.memsim.trace.Trace` objects and replays them on the fast
+(``bench/harness.py``) compiles those streams into replay plans
+(:meth:`BatchLookups.plan`, through
+:func:`~repro.memsim.trace.compile_plan`) and replays them on the fast
 engine (``FastEngine.replay``), so a measured cell is one kernel call
-plus compiled-plan replays instead of N Python lookups.
+plus two plan replays instead of N Python lookups.
 
 Event columns: keys proceed through the synthesized control flow in
 lockstep, one column per step; keys not executing a step (shorter binary
